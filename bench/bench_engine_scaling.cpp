@@ -22,7 +22,6 @@
 
 #include "bench/BenchCommon.h"
 #include "obs/Trace.h"
-#include "pipeline/Sweep.h"
 #include "support/Table.h"
 #include "support/StringUtils.h"
 
@@ -32,6 +31,22 @@
 
 using namespace bsched;
 using namespace bsched::bench;
+
+namespace {
+
+/// True, after printing the first failed cell, when \p R lost any cell:
+/// every table below assumes a complete matrix.
+bool degraded(const EngineResult &R) {
+  for (const CellOutcome &Cell : R.Cells)
+    if (!Cell.ok()) {
+      std::fprintf(stderr, "cell %s failed: %s\n", Cell.Label.c_str(),
+                   Cell.firstError().c_str());
+      return true;
+    }
+  return false;
+}
+
+} // namespace
 
 int main(int argc, char **argv) {
   std::vector<unsigned> WorkerCounts;
@@ -52,14 +67,24 @@ int main(int argc, char **argv) {
   if (WorkerCounts.empty())
     WorkerCounts = {1, 2, 4, 8};
 
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries();
+  std::vector<std::pair<Benchmark, Function>> Programs = paperPrograms();
   NetworkSystem Memory(2, 5);
   SimulationConfig Sim = paperSimulation();
+
+  // One balanced-vs-traditional cell per kernel under pipeline config
+  // \p Base; every run below repeats this matrix.
+  auto Cells = [&](const PipelineConfig &Base) {
+    std::vector<ExperimentCell> Matrix;
+    for (const auto &[B, F] : Programs)
+      Matrix.push_back({benchmarkName(B), &F, &Memory, 2.0,
+                        SchedulerPolicy::Balanced, Base, Sim});
+    return Matrix;
+  };
 
   std::printf("Perfect Club sweep (%zu kernels) on %s, %u runs/block.\n"
               "Each worker count repeats the identical sweep; results are\n"
               "checked bit-identical to the 1-worker baseline.\n\n",
-              Entries.size(), Memory.name().c_str(), Sim.NumRuns);
+              Programs.size(), Memory.name().c_str(), Sim.NumRuns);
 
   Table T("Experiment engine scaling");
   T.setHeader({"Workers", "Wall ms", "Speedup", "Cache hits", "Identical"});
@@ -72,34 +97,31 @@ int main(int argc, char **argv) {
   };
   std::vector<ScalingRow> ScalingRows;
 
-  SweepResult Baseline;
+  const std::vector<ExperimentCell> Matrix = Cells(PipelineConfig());
+  EngineResult Baseline;
   double BaselineMs = 0.0;
   for (unsigned Workers : WorkerCounts) {
-    SweepOptions Options;
-    Options.Jobs = Workers;
-    SweepResult R = runWorkloadSweep(Entries, Memory, Sim, Options);
-    if (R.degraded()) {
-      std::fprintf(stderr, "sweep degraded: %s\n", R.summary().c_str());
+    EngineResult R = ExperimentEngine(Workers).run(Matrix);
+    if (degraded(R))
       return 1;
-    }
 
     bool Identical;
     if (Workers == WorkerCounts.front()) {
       Baseline = R;
-      BaselineMs = R.Engine.WallMillis;
+      BaselineMs = R.Counters.WallMillis;
       Identical = true;
     } else {
-      Identical = identicalSweepResults(Baseline, R);
+      Identical = identicalEngineResults(Baseline, R);
     }
 
-    T.addRow({std::to_string(R.Engine.Workers),
-              formatDouble(R.Engine.WallMillis, 0),
-              formatDouble(BaselineMs / R.Engine.WallMillis, 2) + "x",
-              std::to_string(R.Engine.CacheHits),
+    T.addRow({std::to_string(R.Counters.Workers),
+              formatDouble(R.Counters.WallMillis, 0),
+              formatDouble(BaselineMs / R.Counters.WallMillis, 2) + "x",
+              std::to_string(R.Counters.CacheHits),
               Identical ? "yes" : "NO"});
-    ScalingRows.push_back({R.Engine.Workers, R.Engine.WallMillis,
-                           BaselineMs / R.Engine.WallMillis,
-                           R.Engine.CacheHits});
+    ScalingRows.push_back({R.Counters.Workers, R.Counters.WallMillis,
+                           BaselineMs / R.Counters.WallMillis,
+                           R.Counters.CacheHits});
     if (!Identical) {
       T.print(stdout);
       std::fprintf(stderr,
@@ -121,21 +143,18 @@ int main(int argc, char **argv) {
   // because certification only observes.
   Table C("Certification overhead (serial sweep)");
   C.setHeader({"Certify", "Wall ms", "Overhead", "Identical"});
-  SweepResult CertRuns[2];
+  EngineResult CertRuns[2];
   double CertMs[2] = {0.0, 0.0};
   for (int On = 1; On >= 0; --On) {
-    SweepOptions Options;
-    Options.Jobs = 1;
-    Options.Base.Certify = On != 0;
-    SweepResult R = runWorkloadSweep(Entries, Memory, Sim, Options);
-    if (R.degraded()) {
-      std::fprintf(stderr, "sweep degraded: %s\n", R.summary().c_str());
+    PipelineConfig Base;
+    Base.Certify = On != 0;
+    EngineResult R = ExperimentEngine(1).run(Cells(Base));
+    if (degraded(R))
       return 1;
-    }
-    CertRuns[On] = R;
-    CertMs[On] = R.Engine.WallMillis;
+    CertMs[On] = R.Counters.WallMillis;
+    CertRuns[On] = std::move(R);
   }
-  bool CertIdentical = identicalSweepResults(CertRuns[0], CertRuns[1]);
+  bool CertIdentical = identicalEngineResults(CertRuns[0], CertRuns[1]);
   C.addRow({"off", formatDouble(CertMs[0], 0), "--", "--"});
   C.addRow({"on", formatDouble(CertMs[1], 0),
             formatDouble(100.0 * (CertMs[1] - CertMs[0]) /
@@ -157,21 +176,18 @@ int main(int argc, char **argv) {
   std::printf("\n");
   Table O("Observability overhead (serial sweep)");
   O.setHeader({"Cell metrics", "Wall ms", "Overhead", "Identical"});
-  SweepResult ObsRuns[2];
+  EngineResult ObsRuns[2];
   double ObsMs[2] = {0.0, 0.0};
   for (int On = 0; On <= 1; ++On) {
-    SweepOptions Options;
-    Options.Jobs = 1;
-    Options.CellMetrics = On != 0;
-    SweepResult R = runWorkloadSweep(Entries, Memory, Sim, Options);
-    if (R.degraded()) {
-      std::fprintf(stderr, "sweep degraded: %s\n", R.summary().c_str());
+    ExperimentEngine Engine(1);
+    Engine.setCollectCellMetrics(On != 0);
+    EngineResult R = Engine.run(Matrix);
+    if (degraded(R))
       return 1;
-    }
+    ObsMs[On] = R.Counters.WallMillis;
     ObsRuns[On] = std::move(R);
-    ObsMs[On] = ObsRuns[On].Engine.WallMillis;
   }
-  bool ObsIdentical = identicalSweepResults(ObsRuns[0], ObsRuns[1]);
+  bool ObsIdentical = identicalEngineResults(ObsRuns[0], ObsRuns[1]);
   double ObsOverheadPct = 100.0 * (ObsMs[1] - ObsMs[0]) /
                           (ObsMs[0] > 0.0 ? ObsMs[0] : 1.0);
   O.addRow({"off (idle)", formatDouble(ObsMs[0], 0), "--", "--"});
@@ -190,14 +206,10 @@ int main(int argc, char **argv) {
   // total time are printed — what scripts/profile.sh drives.
   if (!TraceOut.empty()) {
     TraceRecorder Trace;
-    SweepOptions Options;
-    Options.Jobs = 1;
-    Options.Obs.Trace = &Trace;
-    SweepResult R = runWorkloadSweep(Entries, Memory, Sim, Options);
-    if (R.degraded()) {
-      std::fprintf(stderr, "sweep degraded: %s\n", R.summary().c_str());
+    ObsContext Obs;
+    Obs.Trace = &Trace;
+    if (degraded(ExperimentEngine(1, Obs).run(Matrix)))
       return 1;
-    }
     std::string Error;
     if (!Trace.writeFile(TraceOut, &Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
@@ -217,7 +229,7 @@ int main(int argc, char **argv) {
   W.beginObject();
   W.key("name").value("engine_scaling");
   W.key("config").beginObject();
-  W.key("kernels").value(Entries.size());
+  W.key("kernels").value(Programs.size());
   W.key("memory_system").value(Memory.name());
   W.key("runs_per_block").value(Sim.NumRuns);
   W.endObject();

@@ -31,15 +31,9 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <unistd.h>
-
 using namespace bsched;
 
 namespace {
-
-volatile std::sig_atomic_t StopRequested = 0;
-
-void onSignal(int) { StopRequested = 1; }
 
 void usage(const char *Argv0) {
   std::fprintf(stderr,
@@ -167,6 +161,17 @@ int main(int argc, char **argv) {
   // that one connection, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
+  // In socket mode SIGINT/SIGTERM request a drain. They are blocked before
+  // the server creates any thread, so every thread inherits the mask and a
+  // stop signal stays pending until main collects it with sigwait: none
+  // can be lost, or kill the daemon before it drains.
+  sigset_t StopSignals;
+  sigemptyset(&StopSignals);
+  sigaddset(&StopSignals, SIGINT);
+  sigaddset(&StopSignals, SIGTERM);
+  if (!Stdio)
+    pthread_sigmask(SIG_BLOCK, &StopSignals, nullptr);
+
   MetricRegistry Metrics;
   BschedServer Server(Config, &Metrics);
 
@@ -187,8 +192,6 @@ int main(int argc, char **argv) {
                   {{"code", diagCodeString(D.Code)}});
     return 1;
   }
-  std::signal(SIGINT, onSignal);
-  std::signal(SIGTERM, onSignal);
   std::printf("bsched_server: listening on %s (workers=%u, cache=%llu MiB, "
               "shards=%u)\n",
               Config.SocketPath.c_str(), Server.config().Workers,
@@ -200,8 +203,8 @@ int main(int argc, char **argv) {
            {"workers", Server.config().Workers},
            {"slow_ms", Config.SlowRequestMs}});
 
-  while (!StopRequested)
-    pause();
+  int Signal = 0;
+  sigwait(&StopSignals, &Signal);
 
   Server.stop();
   CompileCacheStats Stats = Server.cache().stats();

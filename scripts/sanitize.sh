@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds and tests under sanitizers (the robustness gate): the whole tier-1
 # suite plus the 10k-iteration fuzz smoke must run clean under ASan and
-# UBSan, and the concurrency tests (experiment engine, sweeps, thread pool)
+# UBSan, and the concurrency tests (experiment engine, thread pool, server)
 # under TSan.
 #
 # Usage: scripts/sanitize.sh [address] [undefined] [thread] [noobs]

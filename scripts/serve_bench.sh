@@ -9,8 +9,8 @@
 #   scripts/serve_bench.sh --smoke SERVER LOADGEN
 #     ctest mode (label chaos): no build, run the given binaries once with
 #     64 concurrent chaos connections and assert every request was
-#     answered, none dropped, and the warm cache actually hit. Prints
-#     "SMOKE PASS" on success.
+#     answered, none dropped, the warm cache actually hit, and one SIGTERM
+#     drained the daemon to exit 0. Prints "SMOKE PASS" on success.
 set -euo pipefail
 
 # Launch a server on a fresh socket; echoes nothing, sets SERVER_PID/SOCK.
@@ -28,10 +28,26 @@ start_server() {
   done
 }
 
+# Send the server one SIGTERM. It must drain and exit 0 within 5 s;
+# otherwise it is killed and stop_server fails.
 stop_server() {
-  kill -TERM "$SERVER_PID" 2>/dev/null || true
-  wait "$SERVER_PID" 2>/dev/null || true
+  [ -n "${SERVER_PID:-}" ] || return 0
+  local PID=$SERVER_PID CODE=0
+  SERVER_PID=
+  kill -TERM "$PID" 2>/dev/null || true
+  for _ in $(seq 50); do
+    kill -0 "$PID" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$PID" 2>/dev/null; then
+    kill -KILL "$PID" 2>/dev/null || true
+  fi
+  wait "$PID" 2>/dev/null || CODE=$?
   rm -rf "$SOCK_DIR"
+  if [ "$CODE" -ne 0 ]; then
+    echo "server did not exit 0 within 5 s of one SIGTERM (status $CODE)"
+    return 1
+  fi
 }
 
 if [ "${1:-}" = "--smoke" ]; then
@@ -50,6 +66,10 @@ if [ "${1:-}" = "--smoke" ]; then
   fi
   if grep -q '"cache_hits":0,' "$OUT"; then
     echo "SMOKE FAIL: no cache hits on a repeating corpus"
+    exit 1
+  fi
+  if ! stop_server; then
+    echo "SMOKE FAIL: the daemon did not drain on SIGTERM"
     exit 1
   fi
   echo "SMOKE PASS"

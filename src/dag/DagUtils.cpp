@@ -256,25 +256,6 @@ bsched::levelsFromLeavesWithin(const DepDag &Dag, const BitVector &Subset) {
   return Levels;
 }
 
-const std::vector<unsigned> &
-bsched::levelsFromLeavesWithin(const DepDag &Dag, const BitVector &Subset,
-                               DagScratch &Scratch) {
-  Scratch.ensureSize(Dag.size());
-  // A reverse sweep writes a subset node's level before any predecessor
-  // reads it, and only subset levels are ever read, so stale entries from
-  // the previous call need no clearing.
-  for (unsigned I = Dag.size(); I-- > 0;) {
-    if (!Subset.test(I))
-      continue;
-    unsigned Level = 1;
-    for (const DepEdge &E : Dag.succs(I))
-      if (Subset.test(E.Other))
-        Level = std::max(Level, Scratch.Levels[E.Other] + 1);
-    Scratch.Levels[I] = Level;
-  }
-  return Scratch.Levels;
-}
-
 double bsched::criticalPathLength(const DepDag &Dag) {
   unsigned N = Dag.size();
   std::vector<double> Best(N, 0.0);

@@ -62,17 +62,10 @@ public:
            CompOf[Node] == C;
   }
 
-  /// Number of times this scratch has been driven through
-  /// connectedComponents — the reuse figure the pipeline reports.
-  uint64_t generations() const { return Epoch; }
-
 private:
   friend unsigned connectedComponents(const DepDag &Dag,
                                       const BitVector &Subset,
                                       DagScratch &Scratch);
-  friend const std::vector<unsigned> &
-  levelsFromLeavesWithin(const DepDag &Dag, const BitVector &Subset,
-                         DagScratch &Scratch);
   friend unsigned longestLoadPathIn(const DepDag &Dag, DagScratch &Scratch,
                                     unsigned C,
                                     const std::vector<char> &CountedLoads);
@@ -126,7 +119,7 @@ private:
   std::vector<uint64_t> CompStamp;
   std::vector<unsigned> Cursor;    ///< Per-component CSR fill cursor.
 
-  std::vector<unsigned> Levels; ///< levelsFromLeavesWithin result buffer.
+  std::vector<unsigned> Levels; ///< uniteComponentStats node levels.
   std::vector<unsigned> BestTo; ///< longestLoadPathIn DP cells.
 
   // Per-set aggregates maintained by uniteComponentStats, valid at roots.
@@ -183,15 +176,6 @@ std::vector<unsigned> levelsFromLeaves(const DepDag &Dag);
 /// of the paper's section 3 union-find construction.
 std::vector<unsigned> levelsFromLeavesWithin(const DepDag &Dag,
                                              const BitVector &Subset);
-
-/// Scratch variant of levelsFromLeavesWithin. The returned reference is
-/// into \p Scratch and valid until the next call; only entries of subset
-/// nodes are meaningful (entries outside the subset are stale, not 0 —
-/// every consumer reads levels of component members, which are always in
-/// the subset).
-const std::vector<unsigned> &levelsFromLeavesWithin(const DepDag &Dag,
-                                                    const BitVector &Subset,
-                                                    DagScratch &Scratch);
 
 /// The paper's O(n a(n)) Chances construction in one fused pass over the
 /// subset-induced edges: a single descending sweep computes each node's

@@ -7,6 +7,7 @@
 
 #include "pipeline/ExperimentEngine.h"
 
+#include "ir/IrPrinter.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
 
@@ -49,6 +50,55 @@ std::string EngineResult::summaryJson() const {
     W.key("metrics").rawValue(Metrics.toJson());
   W.endObject();
   return W.str();
+}
+
+namespace {
+
+bool identicalCompiled(const CompiledFunction &A, const CompiledFunction &B) {
+  return printFunction(A.Compiled) == printFunction(B.Compiled) &&
+         A.SpillPerBlock == B.SpillPerBlock &&
+         A.StaticInstructions == B.StaticInstructions &&
+         A.StaticSpills == B.StaticSpills &&
+         A.DynamicInstructions == B.DynamicInstructions &&
+         A.DynamicSpills == B.DynamicSpills &&
+         A.Degradation == B.Degradation;
+}
+
+bool identicalSim(const ProgramSimResult &A, const ProgramSimResult &B) {
+  return A.BootstrapRuntimes == B.BootstrapRuntimes &&
+         A.MeanRuntime == B.MeanRuntime &&
+         A.DynamicInstructions == B.DynamicInstructions &&
+         A.MeanInterlockCycles == B.MeanInterlockCycles;
+}
+
+} // namespace
+
+bool bsched::identicalEngineResults(const EngineResult &A,
+                                    const EngineResult &B) {
+  if (A.Cells.size() != B.Cells.size())
+    return false;
+  for (size_t I = 0; I != A.Cells.size(); ++I) {
+    const CellOutcome &CellA = A.Cells[I];
+    const CellOutcome &CellB = B.Cells[I];
+    if (CellA.Label != CellB.Label || CellA.ok() != CellB.ok())
+      return false;
+    if (!CellA.ok()) {
+      if (joinDiagnostics(CellA.Errors) != joinDiagnostics(CellB.Errors))
+        return false;
+      continue;
+    }
+    const SchedulerComparison &CA = *CellA.Comparison;
+    const SchedulerComparison &CB = *CellB.Comparison;
+    if (!identicalCompiled(CA.TraditionalCompiled, CB.TraditionalCompiled) ||
+        !identicalCompiled(CA.CandidateCompiled, CB.CandidateCompiled) ||
+        !identicalSim(CA.TraditionalSim, CB.TraditionalSim) ||
+        !identicalSim(CA.CandidateSim, CB.CandidateSim) ||
+        CA.Improvement.MeanPercent != CB.Improvement.MeanPercent ||
+        CA.Improvement.Ci95.Lo != CB.Improvement.Ci95.Lo ||
+        CA.Improvement.Ci95.Hi != CB.Improvement.Ci95.Hi)
+      return false;
+  }
+  return true;
 }
 
 ErrorOr<CompiledFunction>

@@ -106,6 +106,14 @@ struct EngineResult {
   std::string summaryJson() const;
 };
 
+/// True when two runs produced the same measurements: cell for cell, the
+/// same labels, the same compiled programs (printed form and spill
+/// statistics), bit-identical bootstrap runtimes and improvement
+/// estimates, and the same diagnostics for failed cells. Counters, wall
+/// times and cache hits are deliberately excluded — they are the only
+/// fields allowed to differ between a serial and a parallel run.
+bool identicalEngineResults(const EngineResult &A, const EngineResult &B);
+
 /// The engine. Owns a ThreadPool (Jobs = 0 resolves to BSCHED_JOBS or
 /// hardware concurrency; 1 runs inline on the caller's thread — the
 /// serial baseline) and a CompileCache shared across run() calls, so

@@ -30,12 +30,6 @@ std::vector<double> bsched::computePriorities(const DepDag &Dag) {
 
 namespace {
 
-/// Auto switches the ready list from the linear scan to the heap pair at
-/// this block size: below it the scan's cache behaviour wins, above it the
-/// O(n) pick becomes the block's n^2 wall (see bench_huge_dag's
-/// scheduler-selection sweep).
-constexpr unsigned HeapSelectionThreshold = 256;
-
 /// Consumed-minus-defined register count: the paper's first tie-break,
 /// which favours instructions that shrink register pressure.
 int registerPressureDelta(const Instruction &I) {
@@ -83,12 +77,6 @@ Schedule bsched::scheduleDag(const DepDag &Dag,
   // enough in front of all its already-scheduled consumers.
   std::vector<unsigned> SuccRemaining(N);
   std::vector<double> ReadyAt(N, 0.0);
-  std::vector<bool> Scheduled(N, false);
-
-  const bool UseHeap =
-      Options.Selection == ReadySelection::Heap ||
-      (Options.Selection == ReadySelection::Auto &&
-       N >= HeapSelectionThreshold);
 
   // Number of predecessors that scheduling I would newly expose — the
   // paper's second tie-break ("more instructions to select from").
@@ -122,106 +110,32 @@ Schedule bsched::scheduleDag(const DepDag &Dag,
   double ReverseSlot = 0.0;
   unsigned SlotsUsedThisCycle = 0;
 
-  // Scan state: one pending list (all-successors-scheduled, not yet
-  // placed), max-scanned in full each pick.
+  // The pending list: every node whose successors are all scheduled but
+  // which is not yet placed, max-scanned in full each pick.
   std::vector<unsigned> Pending;
-
-  // Heap state. A node's ReadyAt is final by the time its last successor
-  // schedules (updates only happen from successors), so a node entering
-  // the ready set can be keyed by it once and for all: nodes still
-  // waiting out a latency gap sit in Deferred (min-heap by ReadyAt) and
-  // migrate to Ready (max-heap by the static tie-break prefix) as the
-  // reverse slot reaches them. The dynamic tie-breaks (newly-exposed
-  // count, index) cannot be heap keys — they change as scheduling
-  // progresses — so each pick pops the whole static tie group and lets
-  // Beats arbitrate, which is exactly the scan's relation.
-  auto DeferredAfter = [&](unsigned A, unsigned B) {
-    return ReadyAt[A] > ReadyAt[B];
-  };
-  auto StaticWorse = [&](unsigned A, unsigned B) {
-    if (Priority[A] != Priority[B])
-      return Priority[A] < Priority[B];
-    if (PressureDelta[A] != PressureDelta[B])
-      return PressureDelta[A] < PressureDelta[B];
-    return A < B;
-  };
-  std::vector<unsigned> Ready;
-  std::vector<unsigned> Deferred;
-  std::vector<unsigned> Ties;
-
-  auto PushPending = [&](unsigned I) {
-    if (!UseHeap) {
-      Pending.push_back(I);
-      return;
-    }
-    if (ReadyAt[I] <= ReverseSlot + Eps) {
-      Ready.push_back(I);
-      std::push_heap(Ready.begin(), Ready.end(), StaticWorse);
-    } else {
-      Deferred.push_back(I);
-      std::push_heap(Deferred.begin(), Deferred.end(), DeferredAfter);
-    }
-  };
 
   for (unsigned I = 0; I != N; ++I) {
     SuccRemaining[I] = static_cast<unsigned>(Dag.succs(I).size());
     if (SuccRemaining[I] == 0)
-      PushPending(I);
+      Pending.push_back(I);
   }
 
   while (ReverseOrder.size() != N) {
     if (Options.Governor && !Options.Governor->poll())
       return Result; // Partial; caller must check Governor->tripped().
 
+    // Pick the best ready candidate by scanning the full pending list.
+    if (Options.Metrics)
+      ReadyOccupancy.record(Pending.size());
     int Best = -1;
     size_t BestPos = 0;
-    if (UseHeap) {
-      // Nodes whose latency gap the slot counter has reached become
-      // eligible; once migrated they stay (ReadyAt never changes again).
-      while (!Deferred.empty() &&
-             ReadyAt[Deferred.front()] <= ReverseSlot + Eps) {
-        std::pop_heap(Deferred.begin(), Deferred.end(), DeferredAfter);
-        Ready.push_back(Deferred.back());
-        Deferred.pop_back();
-        std::push_heap(Ready.begin(), Ready.end(), StaticWorse);
-      }
-      if (Options.Metrics)
-        ReadyOccupancy.record(Ready.size() + Deferred.size());
-      if (!Ready.empty()) {
-        // The Beats-maximum has the lexicographically largest
-        // (priority, pressure-delta) prefix, so it is in the top static
-        // tie group: pop the group, arbitrate, reinsert the losers.
-        std::pop_heap(Ready.begin(), Ready.end(), StaticWorse);
-        unsigned Winner = Ready.back();
-        Ready.pop_back();
-        Ties.clear();
-        while (!Ready.empty() && Priority[Ready.front()] == Priority[Winner] &&
-               PressureDelta[Ready.front()] == PressureDelta[Winner]) {
-          std::pop_heap(Ready.begin(), Ready.end(), StaticWorse);
-          Ties.push_back(Ready.back());
-          Ready.pop_back();
-        }
-        for (unsigned &T : Ties)
-          if (Beats(T, Winner))
-            std::swap(T, Winner); // The displaced winner rejoins the ties.
-        for (unsigned T : Ties) {
-          Ready.push_back(T);
-          std::push_heap(Ready.begin(), Ready.end(), StaticWorse);
-        }
-        Best = static_cast<int>(Winner);
-      }
-    } else {
-      // Pick the best ready candidate by scanning the full pending list.
-      if (Options.Metrics)
-        ReadyOccupancy.record(Pending.size());
-      for (size_t Pos = 0; Pos != Pending.size(); ++Pos) {
-        unsigned Candidate = Pending[Pos];
-        if (ReadyAt[Candidate] > ReverseSlot + Eps)
-          continue; // Deferred: its latency toward a consumer is unmet.
-        if (Best < 0 || Beats(Candidate, static_cast<unsigned>(Best))) {
-          Best = static_cast<int>(Candidate);
-          BestPos = Pos;
-        }
+    for (size_t Pos = 0; Pos != Pending.size(); ++Pos) {
+      unsigned Candidate = Pending[Pos];
+      if (ReadyAt[Candidate] > ReverseSlot + Eps)
+        continue; // Deferred: its latency toward a consumer is unmet.
+      if (Best < 0 || Beats(Candidate, static_cast<unsigned>(Best))) {
+        Best = static_cast<int>(Candidate);
+        BestPos = Pos;
       }
     }
 
@@ -236,14 +150,11 @@ Schedule bsched::scheduleDag(const DepDag &Dag,
     unsigned Node = static_cast<unsigned>(Best);
     ReverseOrder.push_back(Node);
     PlacedSlot[Node] = static_cast<unsigned>(ReverseSlot + Eps);
-    Scheduled[Node] = true;
-    if (!UseHeap) {
-      // Swap-and-pop: selection always scans the whole pending list and
-      // the Beats relation is a strict total order, so list order is
-      // irrelevant and O(1) removal replaces the O(n) erase(find(...)).
-      Pending[BestPos] = Pending.back();
-      Pending.pop_back();
-    }
+    // Swap-and-pop: selection always scans the whole pending list and the
+    // Beats relation is a strict total order, so list order is irrelevant
+    // and O(1) removal replaces the O(n) erase(find(...)).
+    Pending[BestPos] = Pending.back();
+    Pending.pop_back();
 
     for (const DepEdge &E : Dag.preds(Node)) {
       unsigned Pred = E.Other;
@@ -254,7 +165,7 @@ Schedule bsched::scheduleDag(const DepDag &Dag,
       ReadyAt[Pred] = std::max(ReadyAt[Pred], ReverseSlot + Gap);
       assert(SuccRemaining[Pred] > 0 && "successor count underflow");
       if (--SuccRemaining[Pred] == 0)
-        PushPending(Pred);
+        Pending.push_back(Pred);
     }
 
     if (++SlotsUsedThisCycle == Options.IssueWidth) {

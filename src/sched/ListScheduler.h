@@ -33,29 +33,11 @@ namespace bsched {
 class MetricRegistry;
 class ResourceGovernor;
 
-/// How scheduleDag picks the best ready node each step.
-///
-/// Scan is the legacy linear max-scan over one pending list with
-/// swap-and-pop removal — unbeatable at small n, where the list fits in a
-/// cache line or two and the scan is branch-predictable, but O(n) per pick
-/// and therefore O(n^2) per block. Heap keeps a deferred min-heap keyed by
-/// ready-slot plus a ready max-heap keyed by the *static* tie-break prefix
-/// (priority, pressure delta); the dynamic tie-breaks are resolved by
-/// popping the whole static tie group. Both produce identical schedules —
-/// the selection relation is the same strict total order — so the knob is
-/// pure performance, excluded from ConfigJson and the compile-cache key.
-/// Auto (the default) gates Heap on block size.
-enum class ReadySelection : uint8_t { Auto, Scan, Heap };
-
 /// Options for the shared list scheduler.
 struct SchedulerOptions {
   /// Instructions per issue slot (1 = the paper's machine; >1 models the
   /// section 6 superscalar extension).
   unsigned IssueWidth = 1;
-
-  /// Ready-candidate selection structure (pure performance; identical
-  /// schedules either way).
-  ReadySelection Selection = ReadySelection::Auto;
 
   /// Optional metric sink (DESIGN.md §3g). When set, each pass records
   /// `bsched.sched.passes`, `bsched.sched.virtual_nops`, and a

@@ -85,7 +85,6 @@ enum class DiagCode : uint16_t {
 
   // Experiment / simulation harness: 600-699.
   SimBadConfig = 600,
-  SweepKernelFailed = 601,
 
   // Dataflow analysis & lint: 700-709.
   LintUseBeforeDef = 700,

@@ -83,8 +83,9 @@ struct ResourceBudget {
 
   /// Largest per-block transitive closure, in matrix bits (both Pred* and
   /// Succ* matrices: 2*n^2 for an n-instruction block). Overrunning it
-  /// degrades the exact balanced policy to union-find Chances (which
-  /// builds no closure) when degradation is allowed.
+  /// degrades the exact balanced policy to union-find Chances when
+  /// degradation is allowed. Union-find builds the same closure; the
+  /// budget admits only the exact method so that the ladder can land.
   uint64_t MaxClosureBits = 0;
 
   /// Most spill slots the allocator may create per block.

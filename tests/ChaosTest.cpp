@@ -7,7 +7,8 @@
 // randomized deterministic budgets and armed fail points, checking the
 // global robustness contract — no crash, no hang, every non-success a
 // structured BS80x/BS810 diagnostic, every outcome reproducible, and
-// serial and parallel sweeps bit-identical under keyed fault injection.
+// serial and parallel engine runs bit-identical under keyed fault
+// injection.
 // The bulk 10k-iteration run rides on the fuzz harness (`fuzz_harness
 // --mode chaos`, registered as the chaos_fuzz_smoke ctest entry); these
 // tests pin the structured properties on workload-shaped inputs.
@@ -16,14 +17,15 @@
 
 #include "ir/IrPrinter.h"
 #include "parser/Parser.h"
-#include "pipeline/Sweep.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
+#include "tests/TestEngineHelpers.h"
 #include "workload/PerfectClub.h"
 
 #include <gtest/gtest.h>
 
 using namespace bsched;
+using namespace bsched::fixtures;
 
 namespace {
 
@@ -105,13 +107,13 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
 
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
   Rng R(0xC4A0'5E5Full);
   unsigned Degraded = 0;
   unsigned Failed = 0;
   const unsigned Rounds = 300;
   for (unsigned Round = 0; Round != Rounds; ++Round) {
-    const SweepEntry &Entry = Entries[R.nextBounded(Entries.size())];
+    const size_t Index = R.nextBounded(Programs.size());
     PipelineConfig Config;
     Config.Policy = R.nextBernoulli(0.5) ? SchedulerPolicy::Balanced
                                          : SchedulerPolicy::Traditional;
@@ -119,9 +121,9 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
     if (FailPointRegistry::compiledIn() && R.nextBernoulli(0.6))
       armRandomKeyedSites(R);
 
-    std::string Context =
-        Entry.Name + " round " + std::to_string(Round);
-    ErrorOr<CompiledFunction> A = runPipeline(Entry.Program, Config);
+    std::string Context = benchmarkName(allBenchmarks()[Index]) +
+                          " round " + std::to_string(Round);
+    ErrorOr<CompiledFunction> A = runPipeline(Programs[Index], Config);
     if (!A.has_value()) {
       ++Failed;
       expectStructured(A, Context);
@@ -129,7 +131,7 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
       ++Degraded;
     }
 
-    ErrorOr<CompiledFunction> B = runPipeline(Entry.Program, Config);
+    ErrorOr<CompiledFunction> B = runPipeline(Programs[Index], Config);
     EXPECT_EQ(outcomeString(A), outcomeString(B)) << Context;
     Reg.disableAll();
   }
@@ -140,7 +142,7 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
   EXPECT_LT(Failed, Rounds);
 }
 
-// The same chaos configuration swept serially and across a worker pool
+// The same chaos configuration run serially and across a worker pool
 // produces bit-identical results: keyed fail points and deterministic
 // budgets are pure functions of the kernel, not of execution order.
 TEST(ChaosTest, SerialAndParallelSweepsAgreeUnderChaos) {
@@ -149,34 +151,31 @@ TEST(ChaosTest, SerialAndParallelSweepsAgreeUnderChaos) {
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
 
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
+  NetworkSystem Memory(2, 5);
   Rng R(0xD15EA5Eull);
   for (unsigned Round = 0; Round != 6; ++Round) {
     Reg.disableAll();
     armRandomKeyedSites(R);
     Reg.enable(failpoints::EngineCell, 0.2, R.nextUInt64());
 
-    SweepOptions Serial;
-    Serial.Jobs = 1;
-    Serial.Base.Budget = randomBudget(R);
-    SweepOptions Parallel = Serial;
-    Parallel.Jobs = 8;
-
-    SweepResult A = runWorkloadSweep(Entries, NetworkSystem(2, 5),
-                                     smallSim(), Serial);
-    SweepResult B = runWorkloadSweep(Entries, NetworkSystem(2, 5),
-                                     smallSim(), Parallel);
-    EXPECT_TRUE(identicalSweepResults(A, B)) << "round " << Round;
+    PipelineConfig Base;
+    Base.Budget = randomBudget(R);
+    std::vector<ExperimentCell> Cells =
+        perfectClubCells(Programs, Memory, smallSim(), Base);
+    EngineResult A = ExperimentEngine(1).run(Cells);
+    EngineResult B = ExperimentEngine(8).run(Cells);
+    EXPECT_TRUE(identicalEngineResults(A, B)) << "round " << Round;
 
     // Failures, if any, are structured.
-    for (const SweepKernelOutcome &K : A.Kernels)
-      if (!K.ok()) {
-        ASSERT_FALSE(K.Errors.empty()) << K.Name;
+    for (const CellOutcome &Cell : A.Cells)
+      if (!Cell.ok()) {
+        ASSERT_FALSE(Cell.Errors.empty()) << Cell.Label;
         bool Structured = false;
-        for (const Diagnostic &D : K.Errors)
+        for (const Diagnostic &D : Cell.Errors)
           Structured |= isBudgetDiagCode(D.Code) ||
                         D.Code == DiagCode::InjectedFault;
-        EXPECT_TRUE(Structured) << K.Name << ": " << K.firstError();
+        EXPECT_TRUE(Structured) << Cell.Label << ": " << Cell.firstError();
       }
   }
   Reg.disableAll();

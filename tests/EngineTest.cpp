@@ -12,13 +12,14 @@
 
 #include "obs/Trace.h"
 #include "pipeline/ExperimentEngine.h"
-#include "pipeline/Sweep.h"
+#include "tests/TestEngineHelpers.h"
 
 #include <cstdlib>
 
 #include <gtest/gtest.h>
 
 using namespace bsched;
+using namespace bsched::fixtures;
 
 namespace {
 
@@ -35,7 +36,9 @@ WorkloadOptions smallWorkload() {
   return W;
 }
 
-/// Plants a branch to a nonexistent block (see SweepTest).
+/// Plants a branch to a nonexistent block in the entry block: a
+/// structural corruption the parser can never produce but a buggy
+/// producer could.
 void corruptFunction(Function &F) {
   ASSERT_GE(F.numBlocks(), 1u);
   std::vector<Instruction> Instrs = F.block(0).instructions();
@@ -50,37 +53,44 @@ void corruptFunction(Function &F) {
 //===----------------------------------------------------------------------===
 
 TEST(EngineTest, SerialMatchesParallel) {
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
   NetworkSystem Memory(3, 5);
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim());
 
-  SweepOptions Serial;
-  Serial.Jobs = 1;
-  SweepOptions Parallel;
-  Parallel.Jobs = 8;
+  EngineResult A = ExperimentEngine(1).run(Cells);
+  EngineResult B = ExperimentEngine(8).run(Cells);
 
-  SweepResult A = runWorkloadSweep(Entries, Memory, smallSim(), Serial);
-  SweepResult B = runWorkloadSweep(Entries, Memory, smallSim(), Parallel);
+  EXPECT_EQ(A.Counters.Workers, 1u);
+  EXPECT_EQ(B.Counters.Workers, 8u);
+  EXPECT_TRUE(identicalEngineResults(A, B));
 
-  EXPECT_EQ(A.Engine.Workers, 1u);
-  EXPECT_EQ(B.Engine.Workers, 8u);
-  EXPECT_TRUE(identicalSweepResults(A, B));
+  // Every kernel of the healthy suite completes with a full comparison.
+  ASSERT_EQ(A.Cells.size(), 8u);
+  EXPECT_EQ(A.Counters.Failed, 0u);
+  for (const CellOutcome &Cell : A.Cells) {
+    ASSERT_TRUE(Cell.ok()) << Cell.Label << ": " << Cell.firstError();
+    EXPECT_TRUE(Cell.firstError().empty());
+    EXPECT_GT(Cell.Comparison->TraditionalSim.MeanRuntime, 0.0);
+  }
 
   // Sanity for the helper itself: a different seed produces different
-  // bootstrap runtimes, which identicalSweepResults must notice.
+  // bootstrap runtimes, which identicalEngineResults must notice.
   SimulationConfig Reseeded = smallSim();
   Reseeded.Seed ^= 1;
-  SweepResult C = runWorkloadSweep(Entries, Memory, Reseeded, Serial);
-  EXPECT_FALSE(identicalSweepResults(A, C));
+  EngineResult C =
+      ExperimentEngine(1).run(perfectClubCells(Programs, Memory, Reseeded));
+  EXPECT_FALSE(identicalEngineResults(A, C));
 }
 
 TEST(EngineTest, RepeatedParallelRunsAreIdentical) {
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
   CacheSystem Memory(0.8, 2, 10);
-  SweepOptions Options;
-  Options.Jobs = 8;
-  SweepResult A = runWorkloadSweep(Entries, Memory, smallSim(), Options);
-  SweepResult B = runWorkloadSweep(Entries, Memory, smallSim(), Options);
-  EXPECT_TRUE(identicalSweepResults(A, B));
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim());
+  EngineResult A = ExperimentEngine(8).run(Cells);
+  EngineResult B = ExperimentEngine(8).run(Cells);
+  EXPECT_TRUE(identicalEngineResults(A, B));
 }
 
 //===----------------------------------------------------------------------===
@@ -166,30 +176,35 @@ TEST(EngineTest, CacheDistinguishesConfigs) {
 //===----------------------------------------------------------------------===
 
 TEST(EngineTest, FaultIsolationUnderConcurrency) {
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
-  ASSERT_EQ(Entries[4].Name, "MDG");
-  corruptFunction(Entries[4].Program);
-
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
   FixedSystem Memory(10);
-  SweepOptions Options;
-  Options.Jobs = 8;
-  SweepResult R = runWorkloadSweep(Entries, Memory, smallSim(), Options);
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim());
+  ASSERT_EQ(Cells[4].Label, "MDG");
+  corruptFunction(Programs[4]);
 
-  EXPECT_EQ(R.numSucceeded(), 7u);
-  EXPECT_EQ(R.numFailed(), 1u);
-  EXPECT_EQ(R.Engine.Failed, 1u);
-  EXPECT_FALSE(R.Kernels[4].ok());
+  EngineResult R = ExperimentEngine(8).run(Cells);
+
+  // The run finished: seven healthy kernels carry full comparisons.
+  EXPECT_EQ(R.Counters.Failed, 1u);
+  for (const CellOutcome &Cell : R.Cells) {
+    if (Cell.Label == "MDG")
+      continue;
+    ASSERT_TRUE(Cell.ok()) << Cell.Label << ": " << Cell.firstError();
+    EXPECT_GT(Cell.Comparison->TraditionalSim.MeanRuntime, 0.0);
+  }
+
+  // The corrupted kernel is recorded with its real cause.
+  const CellOutcome &Bad = R.Cells[4];
+  EXPECT_FALSE(Bad.ok());
   bool SawVerifierError = false;
-  for (const Diagnostic &D : R.Kernels[4].Errors)
+  for (const Diagnostic &D : Bad.Errors)
     SawVerifierError |= D.Code == DiagCode::VerifyBranchOutOfRange;
   EXPECT_TRUE(SawVerifierError);
+  EXPECT_NE(Bad.firstError().find("error[BS"), std::string::npos);
 
   // And the degradation is deterministic: the serial run agrees exactly.
-  SweepOptions SerialOptions = Options;
-  SerialOptions.Jobs = 1;
-  SweepResult Serial =
-      runWorkloadSweep(Entries, Memory, smallSim(), SerialOptions);
-  EXPECT_TRUE(identicalSweepResults(R, Serial));
+  EXPECT_TRUE(identicalEngineResults(R, ExperimentEngine(1).run(Cells)));
 }
 
 TEST(EngineTest, InvalidConfigFailsAtEntry) {
@@ -213,6 +228,22 @@ TEST(EngineTest, InvalidConfigFailsAtEntry) {
   EXPECT_EQ(Run.Cells[0].CacheMisses + Run.Cells[0].CacheHits, 0u);
   EXPECT_TRUE(Run.Cells[1].ok());
   EXPECT_EQ(Run.Counters.Failed, 1u);
+}
+
+TEST(EngineTest, BadSimulationConfigFailsEveryCellWithoutAborting) {
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
+  FixedSystem Memory(10);
+  SimulationConfig Sim = smallSim();
+  Sim.NumRuns = 0; // Invalid: validateSimulationConfig rejects it.
+  EngineResult R =
+      ExperimentEngine(1).run(perfectClubCells(Programs, Memory, Sim));
+  EXPECT_EQ(R.Counters.Failed, 8u);
+  for (const CellOutcome &Cell : R.Cells) {
+    bool SawConfigError = false;
+    for (const Diagnostic &D : Cell.Errors)
+      SawConfigError |= D.Code == DiagCode::SimBadConfig;
+    EXPECT_TRUE(SawConfigError) << Cell.Label;
+  }
 }
 
 //===----------------------------------------------------------------------===
@@ -269,25 +300,21 @@ TEST(EngineTest, SummaryJsonCarriesPerCellCounters) {
 //===----------------------------------------------------------------------===
 
 TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
   NetworkSystem Memory(3, 5);
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim());
 
-  SweepOptions Serial;
-  Serial.Jobs = 1;
-  SweepOptions Parallel;
-  Parallel.Jobs = 8;
-
-  SweepResult A = runWorkloadSweep(Entries, Memory, smallSim(), Serial);
-  SweepResult B = runWorkloadSweep(Entries, Memory, smallSim(), Parallel);
+  EngineResult A = ExperimentEngine(1).run(Cells);
+  EngineResult B = ExperimentEngine(8).run(Cells);
 
   // The merged totals and every per-kernel snapshot are exact across
   // worker counts — sharded registries merge to the serial counts, and
   // the compile cache replays stored compile metrics on every hit.
   EXPECT_EQ(A.Metrics, B.Metrics);
-  ASSERT_EQ(A.Kernels.size(), B.Kernels.size());
-  for (size_t I = 0; I != A.Kernels.size(); ++I)
-    EXPECT_EQ(A.Kernels[I].Metrics, B.Kernels[I].Metrics)
-        << A.Kernels[I].Name;
+  ASSERT_EQ(A.Cells.size(), B.Cells.size());
+  for (size_t I = 0; I != A.Cells.size(); ++I)
+    EXPECT_EQ(A.Cells[I].Metrics, B.Cells[I].Metrics) << A.Cells[I].Label;
 
 #ifndef BSCHED_NO_OBS
   // The snapshot carries the simulator's stall accounting and latency
@@ -300,8 +327,8 @@ TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
   EXPECT_GT(Latency.Count, 0u);
   EXPECT_GT(A.Metrics.Counters.at("bsched.pipeline.kernels"), 0u);
   EXPECT_GT(A.Metrics.Counters.at("bsched.sched.passes"), 0u);
-  for (const SweepKernelOutcome &K : A.Kernels)
-    EXPECT_GT(K.Metrics.Counters.at("bsched.sim.loads"), 0u) << K.Name;
+  for (const CellOutcome &Cell : A.Cells)
+    EXPECT_GT(Cell.Metrics.Counters.at("bsched.sim.loads"), 0u) << Cell.Label;
 #endif
 }
 

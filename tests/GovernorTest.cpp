@@ -15,10 +15,10 @@
 #include "obs/Metrics.h"
 #include "parser/Parser.h"
 #include "pipeline/ExperimentEngine.h"
-#include "pipeline/Sweep.h"
 #include "support/FailPoint.h"
 #include "support/ResourceGovernor.h"
 #include "support/ThreadPool.h"
+#include "tests/TestEngineHelpers.h"
 #include "workload/PerfectClub.h"
 
 #include <atomic>
@@ -27,6 +27,7 @@
 #include <gtest/gtest.h>
 
 using namespace bsched;
+using namespace bsched::fixtures;
 
 namespace {
 
@@ -53,14 +54,6 @@ uint64_t maxBlockSize(const Function &F) {
 
 DiagCode firstCode(const std::vector<Diagnostic> &Diags) {
   return Diags.empty() ? DiagCode::Unknown : Diags.front().Code;
-}
-
-/// First non-wrapper error code of a failed sweep kernel.
-DiagCode firstSweepCode(const SweepKernelOutcome &K) {
-  for (const Diagnostic &D : K.Errors)
-    if (D.isError() && D.Code != DiagCode::SweepKernelFailed)
-      return D.Code;
-  return DiagCode::Unknown;
 }
 
 } // namespace
@@ -494,24 +487,22 @@ TEST(EngineGovernorTest, EngineCellFaultIsIsolatedAndDeterministic) {
   FailPointRegistry::instance().disableAll();
   ScopedFailPoint Arm(failpoints::EngineCell, 0.5, 11);
 
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
-  SweepOptions Serial;
-  Serial.Jobs = 1;
-  SweepOptions Parallel;
-  Parallel.Jobs = 8;
-  SweepResult A = runWorkloadSweep(Entries, NetworkSystem(2, 5), smallSim(),
-                                   Serial);
-  SweepResult B = runWorkloadSweep(Entries, NetworkSystem(2, 5), smallSim(),
-                                   Parallel);
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
+  NetworkSystem Memory(2, 5);
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim());
+  EngineResult A = ExperimentEngine(1).run(Cells);
+  EngineResult B = ExperimentEngine(8).run(Cells);
 
   // The fault is keyed by cell label: the same cells fault serially and in
   // parallel, and the rest still complete.
-  EXPECT_TRUE(identicalSweepResults(A, B));
-  EXPECT_GT(A.numFailed(), 0u) << "seed 11 no longer faults any label";
-  EXPECT_GT(A.numSucceeded(), 0u) << "seed 11 faults every label";
-  for (const SweepKernelOutcome &K : A.Kernels)
-    if (!K.ok()) {
-      EXPECT_EQ(firstSweepCode(K), DiagCode::InjectedFault);
+  EXPECT_TRUE(identicalEngineResults(A, B));
+  EXPECT_GT(A.Counters.Failed, 0u) << "seed 11 no longer faults any label";
+  EXPECT_LT(A.Counters.Failed, A.Counters.Cells)
+      << "seed 11 faults every label";
+  for (const CellOutcome &Cell : A.Cells)
+    if (!Cell.ok()) {
+      EXPECT_EQ(firstCode(Cell.Errors), DiagCode::InjectedFault);
     }
 }
 
@@ -524,15 +515,14 @@ TEST(EngineGovernorTest, PoolLevelFaultNeverLosesACellSilently) {
   // Every pool task dies at entry, so every cell's slot would stay
   // default-constructed without the engine's backstop: each must come back
   // labelled with a structured BS811 diagnostic.
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
-  SweepOptions Options;
-  Options.Jobs = 4;
-  SweepResult Result = runWorkloadSweep(Entries, NetworkSystem(2, 5),
-                                        smallSim(), Options);
-  EXPECT_EQ(Result.numFailed(), Result.Kernels.size());
-  for (const SweepKernelOutcome &K : Result.Kernels) {
-    EXPECT_FALSE(K.Name.empty());
-    EXPECT_EQ(firstSweepCode(K), DiagCode::EngineCellFault);
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
+  NetworkSystem Memory(2, 5);
+  EngineResult Result = ExperimentEngine(4).run(
+      perfectClubCells(Programs, Memory, smallSim()));
+  EXPECT_EQ(Result.Counters.Failed, Result.Cells.size());
+  for (const CellOutcome &Cell : Result.Cells) {
+    EXPECT_FALSE(Cell.Label.empty());
+    EXPECT_EQ(firstCode(Cell.Errors), DiagCode::EngineCellFault);
   }
 }
 
@@ -545,14 +535,14 @@ TEST(SweepGovernorTest, MixedBudgetAndFaultSweepIsDeterministic) {
     GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
 
-  std::vector<SweepEntry> Entries = perfectClubSweepEntries(smallWorkload());
+  std::vector<Function> Programs = perfectClubPrograms(smallWorkload());
 
   // Split the suite by block size: kernels whose largest block exceeds the
   // median budget must fail BS802 at admission; the rest run under an
   // injected regalloc fault and either succeed or fail BS810.
   std::vector<uint64_t> Sizes;
-  for (const SweepEntry &E : Entries)
-    Sizes.push_back(maxBlockSize(E.Program));
+  for (const Function &F : Programs)
+    Sizes.push_back(maxBlockSize(F));
   std::vector<uint64_t> Sorted = Sizes;
   std::sort(Sorted.begin(), Sorted.end());
   uint64_t Limit = Sorted[Sorted.size() / 2];
@@ -560,35 +550,31 @@ TEST(SweepGovernorTest, MixedBudgetAndFaultSweepIsDeterministic) {
   for (uint64_t S : Sizes)
     ExpectOverBudget += S > Limit;
   ASSERT_GT(ExpectOverBudget, 0u);
-  ASSERT_LT(ExpectOverBudget, Entries.size());
+  ASSERT_LT(ExpectOverBudget, Programs.size());
 
   ScopedFailPoint Arm(failpoints::RegAlloc, 0.4, 17);
-  SweepOptions Serial;
-  Serial.Jobs = 1;
-  Serial.Base.Budget.MaxInstructionsPerBlock = Limit;
-  SweepOptions Parallel = Serial;
-  Parallel.Jobs = 8;
-
-  SweepResult A = runWorkloadSweep(Entries, CacheSystem(0.8, 2, 10),
-                                   smallSim(), Serial);
-  SweepResult B = runWorkloadSweep(Entries, CacheSystem(0.8, 2, 10),
-                                   smallSim(), Parallel);
-  EXPECT_TRUE(identicalSweepResults(A, B));
+  PipelineConfig Base;
+  Base.Budget.MaxInstructionsPerBlock = Limit;
+  CacheSystem Memory(0.8, 2, 10);
+  std::vector<ExperimentCell> Cells =
+      perfectClubCells(Programs, Memory, smallSim(), Base);
+  EngineResult A = ExperimentEngine(1).run(Cells);
+  EngineResult B = ExperimentEngine(8).run(Cells);
+  EXPECT_TRUE(identicalEngineResults(A, B));
 
   unsigned OverBudget = 0;
-  for (size_t I = 0; I != A.Kernels.size(); ++I) {
-    const SweepKernelOutcome &K = A.Kernels[I];
+  for (size_t I = 0; I != A.Cells.size(); ++I) {
+    const CellOutcome &Cell = A.Cells[I];
     if (Sizes[I] > Limit) {
       // Admission failure, before any fail point can fire.
-      ASSERT_FALSE(K.ok()) << K.Name;
-      EXPECT_EQ(firstSweepCode(K), DiagCode::GovernorBlockTooLarge)
-          << K.Name;
+      ASSERT_FALSE(Cell.ok()) << Cell.Label;
+      EXPECT_EQ(firstCode(Cell.Errors), DiagCode::GovernorBlockTooLarge)
+          << Cell.Label;
       ++OverBudget;
-    } else if (!K.ok()) {
-      EXPECT_EQ(firstSweepCode(K), DiagCode::InjectedFault) << K.Name;
+    } else if (!Cell.ok()) {
+      EXPECT_EQ(firstCode(Cell.Errors), DiagCode::InjectedFault) << Cell.Label;
     }
   }
   EXPECT_EQ(OverBudget, ExpectOverBudget);
-  EXPECT_TRUE(A.degraded());
-  EXPECT_NE(A.summary().find("kernels succeeded"), std::string::npos);
+  EXPECT_GE(A.Counters.Failed, OverBudget);
 }

@@ -598,13 +598,6 @@ TEST(CacheKeyTest, ObsAndWeighterPoolAreKeyNeutral) {
   PipelineConfig Pooled = PipelineConfig::paperDefault();
   Pooled.WeighterPool = &Pool;
   EXPECT_EQ(experimentCacheKey(F, Pooled), Base);
-
-  // Ready-list selection is a pure-performance knob (identical schedules
-  // by construction, pinned by SchedTest.HeapSelectionMatchesScan), so it
-  // must stay key-neutral too.
-  PipelineConfig Heaped = PipelineConfig::paperDefault();
-  Heaped.SchedOptions.Selection = ReadySelection::Heap;
-  EXPECT_EQ(experimentCacheKey(F, Heaped), Base);
 }
 
 TEST(CacheKeyTest, FunctionContentIsInTheKey) {

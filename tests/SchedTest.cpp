@@ -19,7 +19,6 @@
 #include "sched/TraditionalWeighter.h"
 #include "support/Rng.h"
 #include "tests/TestDagHelpers.h"
-#include "workload/HugeBlocks.h"
 
 #include <gtest/gtest.h>
 
@@ -559,69 +558,3 @@ TEST_P(SchedulerPropertyTest, AverageEqualsMeanOfBalanced) {
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, SchedulerPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55,
                                            89));
-
-//===----------------------------------------------------------------------===
-// Ready-selection: heap vs. scan differential
-//===----------------------------------------------------------------------===
-
-namespace {
-
-/// Both selection structures must emit the same schedule: the heap pops
-/// the whole static tie group and arbitrates with the full Beats relation,
-/// so it realizes exactly the scan's strict total order.
-void expectHeapMatchesScan(const DepDag &Dag) {
-  for (unsigned Width : {1u, 2u, 4u}) {
-    SchedulerOptions Scan, Heap;
-    Scan.IssueWidth = Heap.IssueWidth = Width;
-    Scan.Selection = ReadySelection::Scan;
-    Heap.Selection = ReadySelection::Heap;
-    Schedule FromScan = scheduleDag(Dag, Scan);
-    Schedule FromHeap = scheduleDag(Dag, Heap);
-    ASSERT_EQ(FromScan.Order, FromHeap.Order)
-        << "order drift at issue width " << Width;
-    EXPECT_EQ(FromScan.IssueCycle, FromHeap.IssueCycle);
-    EXPECT_EQ(FromScan.NumVirtualNops, FromHeap.NumVirtualNops);
-  }
-}
-
-} // namespace
-
-TEST(SchedTest, HeapSelectionMatchesScan) {
-  // Pinned by ProtocolTest (the selection knob is key-neutral *because*
-  // the schedules are identical). Random blocks under every weighter,
-  // sized both below and above the Auto threshold; quantized traditional
-  // weights maximize priority ties, balanced weights exercise the
-  // fractional deferred keys.
-  Rng R(0x5E1EC7);
-  for (unsigned Trial = 0; Trial != 40; ++Trial) {
-    unsigned N = 10 + static_cast<unsigned>(
-                          R.nextBounded(Trial % 4 == 0 ? 400 : 80));
-    BasicBlock BB = makeRandomBlock(R, N);
-    for (bool Balanced : {false, true}) {
-      DepDag Dag = buildDag(BB);
-      if (Balanced)
-        BalancedWeighter().assignWeights(Dag);
-      else
-        TraditionalWeighter(2.0).assignWeights(Dag);
-      expectHeapMatchesScan(Dag);
-      if (HasFailure())
-        return;
-    }
-  }
-}
-
-TEST(SchedTest, HeapSelectionMatchesScanOnHugeBlock) {
-  // The size regime Auto actually routes to the heap: a builder-produced
-  // huge-family DAG with balanced weights.
-  Function F = buildHugeBlock(2048);
-  DepDag Dag = buildDag(F.block(0));
-  BalancedWeighter(LatencyModel(), ChancesMethod::UnionFindLevels)
-      .assignWeights(Dag);
-  expectHeapMatchesScan(Dag);
-  // And Auto at this size must agree with both explicit modes.
-  SchedulerOptions Auto;
-  Schedule FromAuto = scheduleDag(Dag, Auto);
-  SchedulerOptions Scan;
-  Scan.Selection = ReadySelection::Scan;
-  EXPECT_EQ(FromAuto.Order, scheduleDag(Dag, Scan).Order);
-}
