@@ -7,10 +7,8 @@
 // paper's working set, over the deterministic huge-block family
 // (workload/HugeBlocks.h).
 //
-//  1. Closure-mode sweep at n ∈ {2048..16384}: union-find weighting under
-//     the materialized row kernel, the blocked/tiled kernel, and the
-//     matrix-free on-demand bands, with the N^2-bit matrix footprint each
-//     mode does (or does not) pay.
+//  1. Closure sweep at n ∈ {2048..16384}: union-find weighting time per
+//     pass and the Succ*/Pred* matrix footprint it allocates.
 //  2. Weighting throughput at the paper-scale working set (n <= 512) and
 //     at huge sizes — the >= 1M instr/s guard lives at n=512, where the
 //     per-contributor sweep is cache-resident.
@@ -28,7 +26,6 @@
 
 #include "bench/BenchCommon.h"
 #include "dag/DagBuilder.h"
-#include "dag/Reachability.h"
 #include "ir/IrPrinter.h"
 #include "pipeline/Pipeline.h"
 #include "sched/BalancedWeighter.h"
@@ -64,53 +61,32 @@ template <typename FnT> double timeMs(unsigned Iters, FnT Fn) {
   return (nowMillis() - Start) / Iters;
 }
 
-const char *closureLabel(ClosureMode Mode) {
-  return closureModeName(Mode);
-}
-
 //===----------------------------------------------------------------------===
-// 1. Closure-mode sweep
+// 1. Closure sweep
 //===----------------------------------------------------------------------===
 
 struct ClosureRow {
   unsigned Size;
-  ClosureMode Mode;
   double MillisPerPass;
   double NsPerInstr;
-  double InstrPerSec;
-  uint64_t MatrixBytes; ///< Resident closure footprint this mode pays.
+  uint64_t MatrixBytes; ///< Succ* + Pred* matrices the weighter allocates.
 };
 
 std::vector<ClosureRow> runClosureSweep(const std::vector<unsigned> &Sizes,
                                         unsigned Iters) {
   std::vector<ClosureRow> Rows;
   WeighterScratch Scratch;
+  BalancedWeighter W(LatencyModel(), ChancesMethod::UnionFindLevels);
   for (unsigned Size : Sizes) {
     Function F = buildHugeBlock(Size);
     DepDag Dag = buildDag(F.block(0));
-    for (ClosureMode Mode : {ClosureMode::Materialized, ClosureMode::Blocked,
-                             ClosureMode::OnDemand}) {
-      ClosureOptions Closure;
-      Closure.Mode = Mode;
-      BalancedWeighter W(LatencyModel(), ChancesMethod::UnionFindLevels, 1.0,
-                         true, Closure);
-      W.assignWeights(Dag, Scratch); // Warm the scratch once.
-      double Ms = timeMs(Iters, [&] { W.assignWeights(Dag, Scratch); });
-      uint64_t WordsPerRow = (Size + 63) / 64;
-      // Succ* + Pred* matrices for the materialized kernels; the banded
-      // form keeps two per-node band-mask planes plus two 64-row band
-      // buffers (BandedClosure's Down/Up/SuccRows/PredRows).
-      uint64_t Bytes = Mode == ClosureMode::OnDemand
-                           ? (2 * uint64_t{Size} + 2 * 64 * WordsPerRow) * 8
-                           : 2 * uint64_t{Size} * WordsPerRow * 8;
-      Rows.push_back({Size, Mode, Ms, Ms * 1e6 / Size,
-                      Size / (Ms / 1e3), Bytes});
-      std::printf("[closure] n=%-5u %-12s %9.2f ms/pass, %8.1f ns/instr, "
-                  "%.2fM instr/s, closure %.1f MiB\n",
-                  Size, closureLabel(Mode), Ms, Rows.back().NsPerInstr,
-                  Rows.back().InstrPerSec / 1e6,
-                  Bytes / (1024.0 * 1024.0));
-    }
+    W.assignWeights(Dag, Scratch); // Warm the scratch once.
+    double Ms = timeMs(Iters, [&] { W.assignWeights(Dag, Scratch); });
+    uint64_t Bytes = 2 * uint64_t{Size} * ((Size + 63) / 64) * 8;
+    Rows.push_back({Size, Ms, Ms * 1e6 / Size, Bytes});
+    std::printf("[closure] n=%-5u %9.2f ms/pass, %8.1f ns/instr, "
+                "matrices %.1f MiB\n",
+                Size, Ms, Rows.back().NsPerInstr, Bytes / (1024.0 * 1024.0));
   }
   return Rows;
 }
@@ -162,7 +138,7 @@ ThroughputRow timeWeighting(std::string Workload, std::vector<DepDag> &Dags,
 /// synthetic blocks. Balanced weighting is inherently
 /// Theta(sum |G_ind| + E_ind) per block, so per-instruction cost must grow
 /// with n; the huge sizes follow as the scaling tail — the interesting
-/// question there is how gently it grows, and what memory each closure mode
+/// question there is how gently it grows, and what memory the closure
 /// needs (the closure sweep above).
 std::vector<ThroughputRow>
 runThroughputGuard(const std::vector<unsigned> &HugeSizes, unsigned Iters) {
@@ -350,10 +326,8 @@ void writeArtifact(const std::vector<ClosureRow> &Closure,
   for (const ClosureRow &Row : Closure) {
     W.beginObject();
     W.key("block_size").value(Row.Size);
-    W.key("closure_mode").value(closureLabel(Row.Mode));
     W.key("ms_per_pass").valueFixed(Row.MillisPerPass, 3);
     W.key("ns_per_instr").valueFixed(Row.NsPerInstr, 1);
-    W.key("instr_per_sec").valueFixed(Row.InstrPerSec, 0);
     W.key("closure_bytes").value(Row.MatrixBytes);
     W.endObject();
   }
@@ -414,7 +388,7 @@ int main(int argc, char **argv) {
 
   if (Smoke) {
     // The perf-smoke gate: one n=4096 compile under an active governor
-    // budget plus one pass of each closure mode. No artifact, no timing
+    // budget plus one closure-sweep pass. No artifact, no timing
     // thresholds — this proves the huge path executes, not how fast — but
     // degradation is a failure: the budget must admit the exact policy.
     PipelineRow Row = compileHuge(4096, /*Governed=*/true);

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Protocol.h"
+#include "support/CliOptions.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -39,6 +40,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -118,15 +120,6 @@ struct WorkerResult {
   uint64_t TransportFailures = 0;
 };
 
-bool parseCount(const char *Text, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
-    return false;
-  Out = Value;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -143,17 +136,18 @@ int main(int argc, char **argv) {
     auto Value = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    constexpr uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
     uint64_t N = 0;
     const char *V = nullptr;
     if (Arg == "--connect" && (V = Value())) {
       SocketPath = V;
     } else if (Arg == "--requests" && (V = Value()) && parseCount(V, N)) {
       Requests = N;
-    } else if (Arg == "--concurrency" && (V = Value()) && parseCount(V, N) &&
-               N != 0) {
+    } else if (Arg == "--concurrency" && (V = Value()) &&
+               parseCount(V, N, MaxUnsigned) && N != 0) {
       Concurrency = static_cast<unsigned>(N);
-    } else if (Arg == "--kernels" && (V = Value()) && parseCount(V, N) &&
-               N != 0) {
+    } else if (Arg == "--kernels" && (V = Value()) &&
+               parseCount(V, N, MaxUnsigned) && N != 0) {
       Kernels = static_cast<unsigned>(N);
     } else if (Arg == "--seed" && (V = Value()) && parseCount(V, N)) {
       Seed = N;

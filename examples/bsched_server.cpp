@@ -27,9 +27,10 @@
 #include "support/CliOptions.h"
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 using namespace bsched;
 
@@ -42,15 +43,6 @@ void usage(const char *Argv0) {
                "[--max-deadline-ms N] [--max-instrs N] [--slow-ms N] "
                "[--log-file FILE] [--log-level LEVEL]\n",
                Argv0);
-}
-
-bool parseCount(const char *Text, uint64_t &Out) {
-  char *End = nullptr;
-  unsigned long long Value = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
-    return false;
-  Out = Value;
-  return true;
 }
 
 } // namespace
@@ -75,6 +67,7 @@ int main(int argc, char **argv) {
     auto Value = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    constexpr uint64_t MaxUnsigned = std::numeric_limits<unsigned>::max();
     uint64_t N = 0;
     if (Arg == "--listen") {
       const char *V = Value();
@@ -87,50 +80,44 @@ int main(int argc, char **argv) {
       Stdio = true;
     } else if (Arg == "--workers") {
       const char *V = Value();
-      if (!V || !parseCount(V, N)) {
+      if (!V || !parseCount(V, N, MaxUnsigned)) {
         usage(argv[0]);
         return 1;
       }
       Config.Workers = static_cast<unsigned>(N);
     } else if (Arg == "--cache-mb") {
       const char *V = Value();
-      if (!V || !parseCount(V, N)) {
+      if (!V || !parseCount(V, N, UINT64_MAX >> 20)) {
         usage(argv[0]);
         return 1;
       }
       Config.CacheMaxBytes = N << 20;
     } else if (Arg == "--cache-shards") {
       const char *V = Value();
-      if (!V || !parseCount(V, N) || N == 0) {
+      if (!V || !parseCount(V, N, MaxUnsigned) || N == 0) {
         usage(argv[0]);
         return 1;
       }
       Config.CacheShards = static_cast<unsigned>(N);
     } else if (Arg == "--max-frame-bytes") {
       const char *V = Value();
-      if (!V || !parseCount(V, N) || N == 0) {
+      if (!V || !parseCount(V, N, UINT32_MAX) || N == 0) {
         usage(argv[0]);
         return 1;
       }
       Config.MaxFrameBytes = static_cast<uint32_t>(N);
     } else if (Arg == "--max-deadline-ms") {
       const char *V = Value();
-      char *End = nullptr;
-      double Ms = V ? std::strtod(V, &End) : -1.0;
-      if (!V || End == V || *End != '\0' || Ms < 0) {
+      if (!V || !parseNonNegative(V, Config.MaxDeadlineMs)) {
         usage(argv[0]);
         return 1;
       }
-      Config.MaxDeadlineMs = Ms;
     } else if (Arg == "--slow-ms") {
       const char *V = Value();
-      char *End = nullptr;
-      double Ms = V ? std::strtod(V, &End) : -1.0;
-      if (!V || End == V || *End != '\0' || Ms < 0) {
+      if (!V || !parseNonNegative(V, Config.SlowRequestMs)) {
         usage(argv[0]);
         return 1;
       }
-      Config.SlowRequestMs = Ms;
     } else if (Arg == "--max-instrs") {
       const char *V = Value();
       if (!V || !parseCount(V, N)) {

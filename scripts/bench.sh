@@ -8,8 +8,9 @@
 # Usage: scripts/bench.sh [--all | --huge | bench_name...]
 #
 # --huge runs the huge-DAG scaling study (bench_huge_dag), which refreshes
-# BENCH_huge_dag.json — the closure-mode sweep, weighting throughput, the
-# governed n=8192 compile, and the 1/2/4/8-worker scaling curve.
+# BENCH_huge_dag.json — the closure sweep (time and matrix bytes per n),
+# weighting throughput, the governed n=8192 compile, and the
+# 1/2/4/8-worker scaling curve.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -7,9 +7,6 @@
 
 #include "dag/Reachability.h"
 
-#include <algorithm>
-#include <bit>
-
 using namespace bsched;
 
 const char *bsched::closureModeName(ClosureMode Mode) {
@@ -40,35 +37,13 @@ bool bsched::parseClosureModeName(std::string_view Name, ClosureMode &Mode) {
   return true;
 }
 
-namespace {
-
-/// Auto picks the blocked matrix kernel once the two matrices outgrow
-/// per-core cache; below that the row kernel's lower bookkeeping wins.
-constexpr unsigned BlockedKernelThreshold = 1024;
-
-} // namespace
-
-void TransitiveClosure::compute(const DepDag &Dag, bool StorePreds,
-                                ClosureKernel Kernel) {
+void TransitiveClosure::compute(const DepDag &Dag, bool StorePreds) {
   N = Dag.size();
   WordsPerRow = (N + 63) / 64;
   HavePreds = StorePreds;
   SuccWords.assign(size_t(N) * WordsPerRow, 0);
   PredWords.assign(HavePreds ? size_t(N) * WordsPerRow : 0, 0);
 
-  if (Kernel == ClosureKernel::Auto)
-    Kernel = N >= BlockedKernelThreshold ? ClosureKernel::Blocked
-                                         : ClosureKernel::Rows;
-  if (Kernel == ClosureKernel::Blocked)
-    computeBlocked(Dag);
-  else
-    computeRows(Dag);
-}
-
-/// The legacy kernel: whole-row ORs. Each edge pulls its endpoint's full
-/// row — ideal while rows (and the recently-touched row window) sit in
-/// cache, quadratically painful once the matrices spill.
-void TransitiveClosure::computeRows(const DepDag &Dag) {
   // Edges always point from lower to higher node index (program order is a
   // topological order), so one reverse sweep computes Succ* and one forward
   // sweep computes Pred*.
@@ -91,50 +66,6 @@ void TransitiveClosure::computeRows(const DepDag &Dag) {
       for (unsigned W = 0; W != WordsPerRow; ++W)
         Row[W] |= Other[W];
     }
-  }
-}
-
-/// The cache-blocked kernel: the same matrices, one 64-bit column block at
-/// a time. Within a block, node I's 64 closure bits live in Column[I] — a
-/// dense N-word buffer — so the per-edge random read (the sweep's hot
-/// access) always hits it instead of wandering an N^2/8-byte matrix. The
-/// finished column is scattered to its strided matrix slots in one
-/// streaming pass. Identical bits to the row kernel: per block this is
-/// the same recurrence restricted to 64 target columns.
-void TransitiveClosure::computeBlocked(const DepDag &Dag) {
-  Column.resize(N);
-  for (unsigned B = 0; B != WordsPerRow; ++B) {
-    const unsigned Base = B * 64;
-    // Succ*: reverse sweep. Column[I] = bits of {block-members directly
-    // succeeding I} | union of successors' columns.
-    for (unsigned I = N; I-- > 0;) {
-      uint64_t W = 0;
-      for (const DepEdge &E : Dag.succs(I)) {
-        unsigned Rel = E.Other - Base; // Wraps >= 64 when E.Other < Base.
-        if (Rel < 64)
-          W |= uint64_t(1) << Rel;
-        W |= Column[E.Other];
-      }
-      Column[I] = W;
-    }
-    for (unsigned I = 0; I != N; ++I)
-      SuccWords[size_t(I) * WordsPerRow + B] = Column[I];
-
-    if (!HavePreds)
-      continue;
-    // Pred*: forward sweep, mirrored.
-    for (unsigned I = 0; I != N; ++I) {
-      uint64_t W = 0;
-      for (const DepEdge &E : Dag.preds(I)) {
-        unsigned Rel = E.Other - Base;
-        if (Rel < 64)
-          W |= uint64_t(1) << Rel;
-        W |= Column[E.Other];
-      }
-      Column[I] = W;
-    }
-    for (unsigned I = 0; I != N; ++I)
-      PredWords[size_t(I) * WordsPerRow + B] = Column[I];
   }
 }
 
@@ -188,86 +119,4 @@ void TransitiveClosure::independentOf(unsigned Node, BitVector &Out) const {
   for (unsigned From = 0; From != Node; ++From)
     if (reaches(From, Node))
       Out.reset(From);
-}
-
-//===----------------------------------------------------------------------===//
-// BandedClosure
-//===----------------------------------------------------------------------===//
-
-void BandedClosure::attach(const DepDag &D) {
-  Dag = &D;
-  N = D.size();
-  WordsPerRow = (N + 63) / 64;
-  CurBand = ~0u;
-  Down.resize(N);
-  Up.resize(N);
-  SuccRows.resize(size_t(64) * WordsPerRow);
-  PredRows.resize(size_t(64) * WordsPerRow);
-}
-
-void BandedClosure::buildBand(unsigned Band) {
-  const unsigned Base = Band * 64;
-  const unsigned End = std::min(Base + 64, N);
-
-  // Forward sweep: Down[j] = mask of band members strictly reaching j.
-  // Nodes below the band have no band predecessors (topological order),
-  // so their masks are zero; the sweep starts at the band base but those
-  // zeros must be readable.
-  std::fill(Down.begin(), Down.begin() + Base, 0);
-  for (unsigned J = Base; J != N; ++J) {
-    uint64_t W = 0;
-    for (const DepEdge &E : Dag->preds(J)) {
-      unsigned Rel = E.Other - Base; // Wraps >= 64 when E.Other < Base.
-      if (Rel < 64)
-        W |= uint64_t(1) << Rel;
-      W |= Down[E.Other];
-    }
-    Down[J] = W;
-  }
-
-  // Reverse sweep: Up[j] = mask of band members strictly reachable from
-  // j. Nothing at or above the band end can reach into the band.
-  std::fill(Up.begin() + End, Up.end(), 0);
-  for (unsigned J = End; J-- > 0;) {
-    uint64_t W = 0;
-    for (const DepEdge &E : Dag->succs(J)) {
-      unsigned Rel = E.Other - Base;
-      if (Rel < 64)
-        W |= uint64_t(1) << Rel;
-      W |= Up[E.Other];
-    }
-    Up[J] = W;
-  }
-
-  // Transpose the masks into the band members' closure rows: member c
-  // reaches j  iff bit c of Down[j]; j reaches member c iff bit c of
-  // Up[j]. These rows are bit-identical to the materialized matrices'.
-  std::fill(SuccRows.begin(), SuccRows.end(), 0);
-  std::fill(PredRows.begin(), PredRows.end(), 0);
-  for (unsigned J = 0; J != N; ++J) {
-    const uint64_t JBit = uint64_t(1) << (J & 63);
-    const unsigned JWord = J >> 6;
-    for (uint64_t M = Down[J]; M; M &= M - 1)
-      SuccRows[size_t(std::countr_zero(M)) * WordsPerRow + JWord] |= JBit;
-    for (uint64_t M = Up[J]; M; M &= M - 1)
-      PredRows[size_t(std::countr_zero(M)) * WordsPerRow + JWord] |= JBit;
-  }
-  CurBand = Band;
-}
-
-void BandedClosure::independentOf(unsigned Node, BitVector &Out) {
-  assert(Dag && "independentOf before attach");
-  assert(Node < N && "closure query out of range");
-  const unsigned Band = Node >> 6;
-  if (Band != CurBand)
-    buildBand(Band);
-  const unsigned Member = Node & 63;
-  if (Out.size() != N)
-    Out.resize(N);
-  Out.setAll();
-  Out.reset(Node);
-  Out.andNotWords(SuccRows.data() + size_t(Member) * WordsPerRow,
-                  WordsPerRow);
-  Out.andNotWords(PredRows.data() + size_t(Member) * WordsPerRow,
-                  WordsPerRow);
 }

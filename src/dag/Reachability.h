@@ -11,29 +11,15 @@
 /// (section 3, step 3: G_ind = G - (Pred(i) u Succ(i))); computing all rows
 /// once as bit vectors makes that subtraction a few word operations.
 ///
-/// Three kernels serve that need (DESIGN.md §3m):
-///
-///  - the *row* kernel: one reverse sweep ORing whole successor rows —
-///    best while both matrices fit in cache;
-///  - the *blocked* kernel: the same matrices computed one 64-bit column
-///    block at a time through a dense N-word column buffer, so the random
-///    reads that dominate the sweep stay cache-resident at any N
-///    (bit-identical output, selected automatically above a size
-///    threshold);
-///  - the *banded on-demand* closure (BandedClosure below): no N x N
-///    matrices at all — the weighting loop visits contributors in
-///    ascending order, so the closure rows of one 64-contributor band are
-///    rebuilt O(N/64) times from the edges, for O(N) words of memory
-///    total.
-///
-/// The materialized rows live in two flat word arrays (one cache-resident
-/// allocation per direction instead of one vector per node), and the
-/// closure is reusable: `compute()` re-derives the rows for another DAG in
-/// the same storage, so a weighter scratch amortizes the allocation across
-/// every block of a compilation. Because node order is topological,
-/// Pred*(i) is exactly the set of j with i in Succ*(j); `StorePreds =
-/// false` drops the dense Pred matrix (halving closure memory) and derives
-/// predecessor bits from the Succ rows on demand.
+/// The rows live in two flat word arrays (one allocation per direction
+/// instead of one vector per node), filled by one reverse sweep that ORs
+/// whole successor rows (and one forward sweep over predecessor rows).
+/// The closure is reusable: `compute()` re-derives the rows for another
+/// DAG in the same storage, so a weighter scratch amortizes the allocation
+/// across every block of a compilation. Because node order is
+/// topological, Pred*(i) is exactly the set of j with i in Succ*(j);
+/// `StorePreds = false` drops the dense Pred matrix (halving closure
+/// memory) and derives predecessor bits from the Succ rows on demand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,17 +35,15 @@
 
 namespace bsched {
 
-/// How the balanced-weighting kernel obtains its G_ind rows.
+/// The closure modes ConfigJson v1 accepts. They have no effect: every
+/// mode runs the one row sweep below. They stay, with ClosureOptions,
+/// because perfbench passes them to BalancedWeighter and hashes their
+/// JSON into its input digests; they go when the benchmark next changes
+/// (ROADMAP.md).
 enum class ClosureMode : uint8_t {
-  /// Size-based selection (the default): materialized matrices below the
-  /// on-demand threshold, banded on-demand at or above it. The matrix
-  /// kernel (row vs blocked) is itself chosen by size.
   Auto,
-  /// Force full N x N matrices via the legacy row-sweep kernel.
   Materialized,
-  /// Force full N x N matrices via the cache-blocked column kernel.
   Blocked,
-  /// Force the banded on-demand closure (no matrices).
   OnDemand,
 };
 
@@ -69,23 +53,12 @@ const char *closureModeName(ClosureMode Mode);
 /// Parses a closureModeName spelling; returns false on anything else.
 bool parseClosureModeName(std::string_view Name, ClosureMode &Mode);
 
-/// Closure-strategy knobs carried by PipelineConfig. Every mode produces
-/// identical G_ind sets, hence bit-identical weights and schedules; the
-/// knobs only trade memory versus constant factors, but they are still
-/// part of the compile-cache key (a cheap invariant: anything on the
-/// config is keyed).
+/// The v1 `closure` config object, serialized byte-for-byte as before.
+/// No effect on compilation, and not part of the compile-cache key.
 struct ClosureOptions {
   ClosureMode Mode = ClosureMode::Auto;
-
-  /// Auto switches to the banded on-demand closure at N >= this. 2048 is
-  /// where the two matrices (2 * N^2 / 8 bytes = 1 MiB) start falling out
-  /// of per-core cache on commodity parts.
   unsigned OnDemandThreshold = 2048;
 };
-
-/// Which kernel TransitiveClosure::compute uses to fill the matrices.
-/// Both produce identical bits; Auto picks by size.
-enum class ClosureKernel : uint8_t { Auto, Rows, Blocked };
 
 /// Dense transitive closure of a DepDag.
 class TransitiveClosure {
@@ -101,8 +74,7 @@ public:
 
   /// Recomputes the closure for \p Dag, reusing the row storage (no
   /// allocation when \p Dag is no larger than any previously computed DAG).
-  void compute(const DepDag &Dag, bool StorePreds = true,
-               ClosureKernel Kernel = ClosureKernel::Auto);
+  void compute(const DepDag &Dag, bool StorePreds = true);
 
   /// Number of nodes in the closed DAG.
   unsigned size() const { return N; }
@@ -137,9 +109,6 @@ public:
   void independentOf(unsigned Node, BitVector &Out) const;
 
 private:
-  void computeRows(const DepDag &Dag);
-  void computeBlocked(const DepDag &Dag);
-
   const uint64_t *succRow(unsigned Node) const {
     return SuccWords.data() + size_t(Node) * WordsPerRow;
   }
@@ -152,53 +121,6 @@ private:
   bool HavePreds = false;
   std::vector<uint64_t> SuccWords; ///< N rows of WordsPerRow words.
   std::vector<uint64_t> PredWords; ///< Same shape; empty if !HavePreds.
-  std::vector<uint64_t> Column;    ///< Blocked-kernel column buffer.
-};
-
-/// Banded on-demand closure: serves the same independentOf queries as a
-/// materialized TransitiveClosure without ever holding N x N bits.
-///
-/// The balanced-weighting loop asks for G_ind of contributors 0, 1, ...,
-/// N-1 in order. This class groups contributors into bands of 64 and, per
-/// band, runs two O(E) mask sweeps over the DAG:
-///
-///   Down[j] = band members that strictly reach j   (forward sweep)
-///   Up[j]   = band members strictly reachable by j (reverse sweep)
-///
-/// (each mask one word: bit c set means band member base+c). Scattering
-/// the masks transposes them into 64 Succ* rows and 64 Pred* rows — bit
-///-for-bit the same rows the materialized matrices would hold — which
-/// serve the next 64 queries. Memory stays O(N) words; total work over
-/// all bands matches the full-matrix sweep's O(E * N / 64) word
-/// operations, so switching modes trades nothing but peak memory.
-///
-/// Queries outside the cached band transparently rebuild (correct for any
-/// access pattern; efficient for the weighter's ascending one).
-class BandedClosure {
-public:
-  /// Points the closure at \p Dag and sizes the buffers (no allocation
-  /// when \p Dag is no larger than previously attached DAGs). The DAG
-  /// must outlive queries and must not gain edges while attached.
-  void attach(const DepDag &Dag);
-
-  /// Number of nodes in the attached DAG.
-  unsigned size() const { return N; }
-
-  /// G_ind of \p Node, exactly as TransitiveClosure::independentOf. \p Out
-  /// is resized to the DAG and overwritten without allocating.
-  void independentOf(unsigned Node, BitVector &Out);
-
-private:
-  void buildBand(unsigned Band);
-
-  const DepDag *Dag = nullptr;
-  unsigned N = 0;
-  unsigned WordsPerRow = 0;
-  unsigned CurBand = ~0u;
-  std::vector<uint64_t> Down;     ///< Per-node reached-by-band masks.
-  std::vector<uint64_t> Up;       ///< Per-node reaches-band masks.
-  std::vector<uint64_t> SuccRows; ///< 64 rows x WordsPerRow words.
-  std::vector<uint64_t> PredRows; ///< Same shape.
 };
 
 } // namespace bsched

@@ -11,6 +11,7 @@
 #include "parser/Lexer.h"
 #include "support/FailPoint.h"
 #include "support/ResourceGovernor.h"
+#include "support/StringUtils.h"
 
 #include <cassert>
 
@@ -469,10 +470,8 @@ ParseResult bsched::parseIr(std::string_view Buffer,
   // Keyed on the buffer contents so an armed "parse" site fails the same
   // inputs no matter which thread or pass parses them.
   if (anyFailPointsEnabled()) {
-    uint64_t Key = 0xcbf29ce484222325ull;
-    for (char C : Buffer)
-      Key = (Key ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-    if (std::optional<Diagnostic> D = checkFailPoint(failpoints::Parse, Key)) {
+    if (std::optional<Diagnostic> D =
+            checkFailPoint(failpoints::Parse, stableHash(Buffer))) {
       ParseResult Result;
       Result.Diags.push_back(std::move(*D));
       return Result;

@@ -8,6 +8,7 @@
 #include "pipeline/CompileCache.h"
 
 #include "ir/IrPrinter.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -52,7 +53,8 @@ std::string bsched::experimentCacheKey(const Function &Program,
   Flag(Config.RenameAfterAllocation);
   Flag(Config.Certify);
   // Budget fields change compiled output (admission failures, degraded
-  // schedules), so they are part of the key — unlike Obs or WeighterPool.
+  // schedules), so they are part of the key — unlike Obs, WeighterPool
+  // or the closure knobs.
   Exact(Config.Budget.DeadlineMs);
   Key += ' ' + std::to_string(Config.Budget.MaxTicks) + ' ' +
          std::to_string(Config.Budget.MaxInstructionsPerBlock) + ' ' +
@@ -60,36 +62,10 @@ std::string bsched::experimentCacheKey(const Function &Program,
          std::to_string(Config.Budget.MaxClosureBits) + ' ' +
          std::to_string(Config.Budget.MaxSpillSlots);
   Flag(Config.Budget.Degrade);
-  // Closure mode never changes results (every mode yields bit-identical
-  // weights), but the invariant "everything on the config is keyed" is
-  // cheaper to keep than to reason about per field.
-  Key += ' ';
-  Key += closureModeName(Config.Closure.Mode);
-  Key += ' ' + std::to_string(Config.Closure.OnDemandThreshold);
   return Key;
 }
 
-uint64_t bsched::experimentContentHash(const Function &Program,
-                                       const PipelineConfig &Config) {
-  const std::string Key = experimentCacheKey(Program, Config);
-  uint64_t Hash = 0xCBF29CE484222325ULL; // FNV-1a offset basis.
-  for (char C : Key) {
-    Hash ^= static_cast<unsigned char>(C);
-    Hash *= 0x100000001B3ULL; // FNV prime.
-  }
-  return Hash;
-}
-
 namespace {
-
-uint64_t fnv1a(const std::string &Key) {
-  uint64_t Hash = 0xCBF29CE484222325ULL;
-  for (char C : Key) {
-    Hash ^= static_cast<unsigned char>(C);
-    Hash *= 0x100000001B3ULL;
-  }
-  return Hash;
-}
 
 uint64_t snapshotBytes(const MetricSnapshot &Metrics) {
   uint64_t Bytes = 0;
@@ -140,7 +116,7 @@ CompileCache::CompileCache(CompileCacheConfig Config, MetricRegistry *Metrics)
 }
 
 CompileCache::Shard &CompileCache::shardFor(const std::string &Key) {
-  return *Shards[fnv1a(Key) % Shards.size()];
+  return *Shards[stableHash(Key) % Shards.size()];
 }
 
 unsigned CompileCache::enforceBudget(Shard &S) {

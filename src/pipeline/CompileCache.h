@@ -165,16 +165,10 @@ private:
 /// function plus every compilation-relevant PipelineConfig knob, with all
 /// floating-point fields rendered in hex-exact form (block frequencies and
 /// FP immediates are re-appended exactly, since the printer rounds them).
-/// Obs and WeighterPool are deliberately excluded: observing a compile or
-/// parallelizing its weighting never changes the result (pinned by the
-/// cache-key coverage test).
+/// Obs, WeighterPool and Closure are deliberately excluded: observing a
+/// compile, parallelizing its weighting or setting the no-effect closure
+/// knobs never changes the result (pinned by the cache-key tests).
 std::string experimentCacheKey(const Function &Program,
-                               const PipelineConfig &Config);
-
-/// Stable FNV-1a content hash of experimentCacheKey (for reporting and
-/// shard selection; the cache itself keys on the full string, so hash
-/// collisions cannot mix up results).
-uint64_t experimentContentHash(const Function &Program,
                                const PipelineConfig &Config);
 
 } // namespace bsched

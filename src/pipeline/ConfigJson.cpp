@@ -253,6 +253,7 @@ ErrorOr<PipelineConfig> PipelineConfig::fromJsonValue(const JsonValue &Doc) {
       return true;
     }
     if (Key == "closure") {
+      // Accepted and round-tripped, with no effect (dag/Reachability.h).
       R.object(V, Key, [&](std::string_view K, const JsonValue &F) {
         std::string Path = ConfigReader::join(Key, K);
         if (K == "mode") {

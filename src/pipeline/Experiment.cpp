@@ -13,6 +13,7 @@
 #include "sim/Simulator.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <optional>
 
@@ -116,10 +117,8 @@ bsched::runSimulation(const CompiledFunction &Program,
   // the program name so a given simulation faults identically whether its
   // cell runs serially or across the engine pool.
   if (anyFailPointsEnabled()) {
-    uint64_t Key = 0xcbf29ce484222325ull;
-    for (char C : Program.Compiled.name())
-      Key = (Key ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-    if (std::optional<Diagnostic> D = checkFailPoint(failpoints::Sim, Key)) {
+    if (std::optional<Diagnostic> D = checkFailPoint(
+            failpoints::Sim, stableHash(Program.Compiled.name()))) {
       std::vector<Diagnostic> Diags;
       Diags.push_back(std::move(*D));
       return ErrorOr<ProgramSimResult>(std::move(Diags));

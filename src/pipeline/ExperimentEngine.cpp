@@ -10,6 +10,7 @@
 #include "ir/IrPrinter.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 
 #include <chrono>
 
@@ -101,13 +102,6 @@ bool bsched::identicalEngineResults(const EngineResult &A,
   return true;
 }
 
-ErrorOr<CompiledFunction>
-ExperimentEngine::compileCached(const Function &Program,
-                                const PipelineConfig &Config, bool *WasHit,
-                                MetricRegistry *CellMetrics) {
-  return Cache->compile(Program, Config, WasHit, CellMetrics);
-}
-
 CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
   BSCHED_CHECK(Cell.Program != nullptr,
                "experiment cell without a program");
@@ -127,9 +121,9 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
     CellReg.emplace(2);
 
   // The engine owns the cell's observability wiring: compile metrics flow
-  // through compileCached's replaying cache into the cell registry,
-  // simulation metrics record into it directly, and all spans go to the
-  // engine trace.
+  // through the cache into the cell registry (replayed from the entry on a
+  // hit), simulation metrics record into it directly, and all spans go to
+  // the engine trace.
   PipelineConfig Base = Cell.Base;
   Base.Obs.Metrics = nullptr;
   Base.Obs.Trace = Obs.Trace;
@@ -145,12 +139,8 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
     // by its label so the same cell faults serially and in parallel; a
     // cell body that throws for any other reason is captured the same
     // way — one bad cell degrades to diagnostics, the matrix completes.
-    uint64_t CellKey = 0xcbf29ce484222325ull;
-    for (char C : Cell.Label)
-      CellKey =
-          (CellKey ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
     std::optional<Diagnostic> Injected =
-        checkFailPoint(failpoints::EngineCell, CellKey);
+        checkFailPoint(failpoints::EngineCell, stableHash(Cell.Label));
     if (Injected) {
       Outcome.Errors.push_back(std::move(*Injected));
     } else try {
@@ -158,7 +148,7 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
           [&](const Function &F, const PipelineConfig &Config) {
             bool Hit = false;
             ErrorOr<CompiledFunction> Compiled =
-                compileCached(F, Config, &Hit, CellReg ? &*CellReg : nullptr);
+                Cache->compile(F, Config, &Hit, CellReg ? &*CellReg : nullptr);
             ++(Hit ? Outcome.CacheHits : Outcome.CacheMisses);
             return Compiled;
           },

@@ -153,30 +153,8 @@ public:
   /// pool. Outcome I corresponds to Cells[I] whatever the execution order.
   EngineResult run(const std::vector<ExperimentCell> &Cells);
 
-  /// The memoizing compiler (CompileCache::compile on the engine's
-  /// cache): returns the cached CompiledFunction for (Program, Config)
-  /// content or compiles and caches it. Failures are never cached (each
-  /// caller gets the full diagnostics). Thread-safe; \p WasHit (optional)
-  /// reports whether the cache served the result.
-  ///
-  /// Compilation metrics are recorded into a private registry and stored
-  /// with the cache entry; exactly one copy of that snapshot is merged
-  /// into \p CellMetrics (when non-null, else Config.Obs.Metrics) per
-  /// call, hit or miss. Compilation is deterministic, so racing
-  /// first-compiles store identical snapshots and every caller observes
-  /// the same totals as a serial run.
-  ErrorOr<CompiledFunction> compileCached(const Function &Program,
-                                          const PipelineConfig &Config,
-                                          bool *WasHit = nullptr,
-                                          MetricRegistry *CellMetrics = nullptr);
-
-  /// Distinct (function, config) keys currently cached.
-  size_t cacheSize() const { return Cache->size(); }
-
-  /// Drops every cached compilation.
-  void clearCache() { Cache->clear(); }
-
-  /// The underlying (possibly shared) cache.
+  /// The memoizing compiler every cell compiles through (possibly shared
+  /// with other engines or a server).
   CompileCache &cache() { return *Cache; }
 
 private:

@@ -26,6 +26,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -161,12 +162,12 @@ std::unique_ptr<Weighter> makeWeighter(const PipelineConfig &Config) {
     return std::make_unique<BalancedWeighter>(
         Config.Ops, ChancesMethod::ExactLongestPath,
         static_cast<double>(Config.SchedOptions.IssueWidth),
-        Config.HonorKnownLatency, Config.Closure);
+        Config.HonorKnownLatency);
   case SchedulerPolicy::BalancedUnionFind:
     return std::make_unique<BalancedWeighter>(
         Config.Ops, ChancesMethod::UnionFindLevels,
         static_cast<double>(Config.SchedOptions.IssueWidth),
-        Config.HonorKnownLatency, Config.Closure);
+        Config.HonorKnownLatency);
   case SchedulerPolicy::AverageLlp:
     return std::make_unique<AverageWeighter>(Config.Ops);
   case SchedulerPolicy::NoScheduling:
@@ -190,10 +191,7 @@ enum FaultSite : uint64_t {
 /// name and shape only, so a given compile faults identically whether the
 /// experiment engine runs serially or across a pool.
 uint64_t functionFaultKey(const Function &F) {
-  uint64_t Key = 0xcbf29ce484222325ull;
-  for (char C : F.name())
-    Key = (Key ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-  return failPointMix(Key, F.numBlocks());
+  return failPointMix(stableHash(F.name()), F.numBlocks());
 }
 
 /// Builds and weights the pass DAG of \p BB — the unit the block-parallel
@@ -540,6 +538,29 @@ Status bsched::validatePipelineConfig(const PipelineConfig &Config) {
       Config.OptimisticLatency <= 0.0)
     BadConfig("optimistic latency must be positive, got " +
               std::to_string(Config.OptimisticLatency));
+
+  // Caps far above any real machine, which keep one request from holding
+  // a worker or the heap: the list scheduler steps one slot at a time up
+  // to a load's weight, and the allocator sizes its tables by register
+  // count.
+  constexpr double MaxLatencyCycles = 1024.0;
+  constexpr unsigned MaxRegistersPerClass = 1024;
+  auto CheckLatency = [&](std::string_view What, double Cycles) {
+    if (!std::isfinite(Cycles) || Cycles > MaxLatencyCycles)
+      BadConfig(std::string(What) + " must be at most 1024 cycles, got " +
+                std::to_string(Cycles));
+  };
+  CheckLatency("optimistic latency", Config.OptimisticLatency);
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+    CheckLatency(std::string(opcodeName(static_cast<Opcode>(Op))) +
+                     " latency",
+                 Config.Ops.opLatency(static_cast<Opcode>(Op)));
+  if (Config.Target.NumIntRegs > MaxRegistersPerClass ||
+      Config.Target.NumFpRegs > MaxRegistersPerClass)
+    BadConfig("register files are capped at 1024 registers per class, got " +
+              std::to_string(Config.Target.NumIntRegs) + " integer and " +
+              std::to_string(Config.Target.NumFpRegs) + " floating-point");
+
   if (Config.RunRegAlloc) {
     // generalRegs() needs Total > Reserved + 2 per class; the integer
     // class additionally reserves the frame pointer.

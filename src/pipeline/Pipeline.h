@@ -101,12 +101,9 @@ struct PipelineConfig {
   /// (section 6 opt-out). Off = treat every load as uncertain.
   bool HonorKnownLatency = true;
 
-  /// How the balanced weighter obtains its G_ind sets
-  /// (dag/Reachability.h): materialized matrices, the cache-blocked
-  /// matrix kernel, the banded on-demand closure, or size-based Auto.
-  /// Every mode produces bit-identical weights and schedules; the knobs
-  /// are still serialized and cache-keyed (anything on the config is
-  /// keyed).
+  /// The v1 `closure` object (dag/Reachability.h). It has no effect: the
+  /// balanced weighter always uses the row-sweep closure. It is still
+  /// serialized, so toJson() is unchanged, but it is not cache-keyed.
   ClosureOptions Closure;
 
   /// Apply software register renaming between allocation and the second
@@ -179,7 +176,8 @@ struct PipelineConfig {
   static PipelineConfig superscalar(unsigned Width);
 
   /// Validates the caller-supplied knobs (nonzero issue width, positive
-  /// optimistic latency, register files large enough for the spill pool).
+  /// optimistic latency, finite latencies of at most 1024 cycles, register
+  /// files large enough for the spill pool and at most 1024 per class).
   /// The experiment engine calls this at entry for every cell.
   Status validate() const;
 
@@ -192,10 +190,11 @@ struct PipelineConfig {
   /// path; v1 is pinned by golden round-trip tests.
   static constexpr unsigned SchemaVersion = 1;
 
-  /// Serializes every behavior-affecting knob (plus "schema_version") as
-  /// one JSON object in a stable field order. Obs and WeighterPool are
-  /// runtime wiring, not configuration, and are not serialized — the same
-  /// fields the compile cache key excludes.
+  /// Serializes every behavior-affecting knob (plus "schema_version" and
+  /// the no-effect `closure` object) as one JSON object in a stable field
+  /// order. Obs and WeighterPool are runtime wiring, not configuration,
+  /// and are not serialized; the compile cache key excludes them and
+  /// Closure.
   std::string toJson() const;
 
   /// Parses a schema-v1 document produced by toJson() (or written by

@@ -86,32 +86,17 @@ void BalancedWeighter::runKernel(DepDag &Dag, WeighterScratch &Scratch,
         initialWeight(Dag.instruction(I), Model, HonorKnownLatency);
   }
 
-  // MaxClosureBits budgets the *exact* Chances analysis (the paper's
-  // expensive longest-path route); the union-find estimate is its
-  // documented cheap fallback, so only the exact method admits here —
-  // otherwise the degradation ladder could never land anywhere. The
-  // charge is the analysis's O(n^2) word work, so it applies in every
-  // closure mode, including on-demand where the bits are never resident.
+  // MaxClosureBits budgets the closure's Succ* and Pred* matrices, 2n^2
+  // bits, before they are allocated. Only the exact Chances method admits
+  // here: the union-find estimate builds the same matrices but is the
+  // degradation ladder's cheap fallback, and charging it too would leave
+  // the ladder nowhere to land.
   if (Gov && Method == ChancesMethod::ExactLongestPath &&
       !Gov->admit(BudgetKind::ClosureBits, ResourceBudget::closureBitsFor(N)))
     return; // Caller must check Gov->tripped().
 
-  // G_ind source (dag/Reachability.h): materialized matrices below the
-  // on-demand threshold, banded recomputation above it. Every mode hands
-  // back identical G_ind bits, so the weights stay bit-identical to the
-  // reference regardless of the selection.
-  const bool OnDemand =
-      Closure.Mode == ClosureMode::OnDemand ||
-      (Closure.Mode == ClosureMode::Auto && N >= Closure.OnDemandThreshold);
-  if (OnDemand)
-    Scratch.Bands.attach(Dag);
-  else
-    Scratch.Closure.compute(Dag, /*StorePreds=*/true,
-                            Closure.Mode == ClosureMode::Blocked
-                                ? ClosureKernel::Blocked
-                            : Closure.Mode == ClosureMode::Materialized
-                                ? ClosureKernel::Rows
-                                : ClosureKernel::Auto);
+  // G_ind source (dag/Reachability.h): the materialized row-sweep closure.
+  Scratch.Closure.compute(Dag);
 
   // Steps 2-7: every instruction distributes its issue slots over the
   // loads it could hide behind. A share's value depends only on its
@@ -129,10 +114,7 @@ void BalancedWeighter::runKernel(DepDag &Dag, WeighterScratch &Scratch,
   bool PrevValid = false;
 
   auto Contribute = [&](unsigned I) {
-    if (OnDemand)
-      Scratch.Bands.independentOf(I, Scratch.Independent);
-    else
-      Scratch.Closure.independentOf(I, Scratch.Independent);
+    Scratch.Closure.independentOf(I, Scratch.Independent);
     // Shares flow only to uncertain loads, so a G_ind without any (the
     // empty set included) contributes nothing — skip the whole analysis.
     if (!Scratch.Independent.intersects(Scratch.UncertainBits))

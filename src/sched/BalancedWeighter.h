@@ -53,16 +53,15 @@ public:
   /// latency is statically known (Instruction::hasKnownLatency) keep that
   /// fixed weight, absorb no load-level parallelism, and do not dilute
   /// the Chances divisor of the uncertain loads around them.
-  /// \p Closure selects how G_ind is obtained (dag/Reachability.h); every
-  /// mode yields bit-identical weights, trading memory for constants.
+  /// The unnamed ClosureOptions parameter has no effect
+  /// (dag/Reachability.h): G_ind always comes from the row-sweep closure.
   explicit BalancedWeighter(LatencyModel Model = LatencyModel(),
                             ChancesMethod Method =
                                 ChancesMethod::ExactLongestPath,
                             double SlotsPerCycle = 1.0,
-                            bool HonorKnownLatency = true,
-                            ClosureOptions Closure = {})
+                            bool HonorKnownLatency = true, ClosureOptions = {})
       : Model(Model), Method(Method), SlotsPerCycle(SlotsPerCycle),
-        HonorKnownLatency(HonorKnownLatency), Closure(Closure) {
+        HonorKnownLatency(HonorKnownLatency) {
     assert(SlotsPerCycle >= 1.0 && "issue width below one");
   }
 
@@ -111,7 +110,6 @@ private:
   ChancesMethod Method;
   double SlotsPerCycle;
   bool HonorKnownLatency;
-  ClosureOptions Closure;
 };
 
 } // namespace bsched

@@ -48,7 +48,6 @@ private:
   friend class BalancedWeighter;
 
   TransitiveClosure Closure;    ///< Pred*/Succ* rows, recomputed per DAG.
-  BandedClosure Bands;          ///< On-demand closure (huge DAGs).
   BitVector Independent;        ///< G_ind of the current instruction.
   std::vector<char> Uncertain;  ///< Per-node uncertain-load flags.
   BitVector UncertainBits;      ///< Same flags as a word-testable mask.

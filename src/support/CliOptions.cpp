@@ -7,33 +7,38 @@
 
 #include "support/CliOptions.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace bsched;
 
-namespace {
-
-/// Parses a non-negative integer flag value; false on garbage.
-bool parseCount(const char *Text, uint64_t &Out) {
+// Both parsers demand a leading digit: strtoull and strtod would skip
+// leading space and accept a sign, and strtoull negates a '-' value into
+// a huge count.
+bool bsched::parseCount(const char *Text, uint64_t &Out, uint64_t Max) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)))
+    return false;
+  errno = 0;
   char *End = nullptr;
   unsigned long long Value = std::strtoull(Text, &End, 10);
-  if (End == Text || *End != '\0')
+  if (*End != '\0' || errno == ERANGE || Value > Max)
     return false;
   Out = Value;
   return true;
 }
 
-/// Parses a non-negative double flag value; false on garbage.
-bool parseNonNegative(const char *Text, double &Out) {
+bool bsched::parseNonNegative(const char *Text, double &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(*Text)) && *Text != '.')
+    return false;
   char *End = nullptr;
   double Value = std::strtod(Text, &End);
-  if (End == Text || *End != '\0' || Value < 0)
+  if (End == Text || *End != '\0' || !std::isfinite(Value))
     return false;
   Out = Value;
   return true;
 }
-
-} // namespace
 
 CliOptionParser::Match CliOptionParser::tryParse(int Argc, char **Argv,
                                                  int &I) {

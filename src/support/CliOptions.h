@@ -8,7 +8,8 @@
 /// \file
 /// The one copy of the flag parsing every example CLI used to hand-roll:
 /// policy/candidate selection, `--json`, `--trace-out`, the resource-
-/// budget flags (`--deadline-ms`, `--max-instrs`) and `--config FILE`.
+/// budget flags (`--deadline-ms`, `--max-instrs`) and `--config FILE`,
+/// plus the numeric value parsers the CLIs' own flags use.
 /// A CLI constructs a CliOptionParser with the subset of common flags it
 /// accepts and offers each argv element to tryParse(); anything the
 /// parser does not own falls through to the CLI's own loop, so
@@ -27,10 +28,23 @@
 
 #include "support/ResourceGovernor.h"
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
 namespace bsched {
+
+/// Parses a decimal count of at most \p Max into \p Out; false (leaving
+/// \p Out alone) on empty text, a sign, leading space, trailing garbage,
+/// or a value above \p Max. The one integer flag parser of every CLI.
+bool parseCount(const char *Text, uint64_t &Out,
+                uint64_t Max = std::numeric_limits<uint64_t>::max());
+
+/// Parses a finite non-negative decimal number into \p Out; false on
+/// empty text, a sign, leading space, trailing garbage, inf or nan, or a
+/// value that overflows a double.
+bool parseNonNegative(const char *Text, double &Out);
 
 /// The flags shared across CLIs, as parsed. Fields a tool did not opt
 /// into keep their defaults.

@@ -81,11 +81,12 @@ struct ResourceBudget {
   /// Densest per-block dependence DAG, in edges.
   uint64_t MaxDagEdges = 0;
 
-  /// Largest per-block transitive closure, in matrix bits (both Pred* and
-  /// Succ* matrices: 2*n^2 for an n-instruction block). Overrunning it
-  /// degrades the exact balanced policy to union-find Chances when
-  /// degradation is allowed. Union-find builds the same closure; the
-  /// budget admits only the exact method so that the ladder can land.
+  /// Largest per-block transitive closure, in matrix bits: the Succ* and
+  /// Pred* matrices the balanced weighter allocates, 2*n^2 bits for an
+  /// n-instruction block. Overrunning it degrades the exact balanced
+  /// policy to union-find Chances when degradation is allowed. Union-find
+  /// allocates the same matrices; the budget admits only the exact method
+  /// so that the ladder can land.
   uint64_t MaxClosureBits = 0;
 
   /// Most spill slots the allocator may create per block.

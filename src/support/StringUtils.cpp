@@ -17,6 +17,13 @@ static bool isSpaceChar(char C) {
          C == '\v';
 }
 
+uint64_t bsched::stableHash(std::string_view Text) {
+  uint64_t Hash = 0xcbf29ce484222325ull; // FNV-1a offset basis.
+  for (char C : Text)
+    Hash = (Hash ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
+  return Hash;
+}
+
 std::string_view bsched::trim(std::string_view S) {
   size_t Begin = 0;
   while (Begin < S.size() && isSpaceChar(S[Begin]))

@@ -6,19 +6,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// String formatting and splitting helpers shared by the IR printer, the
-/// parser, and the benchmark table writers.
+/// String formatting, splitting and hashing helpers shared by the IR
+/// printer, the parser, the pipeline, and the benchmark table writers.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_SUPPORT_STRINGUTILS_H
 #define BSCHED_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace bsched {
+
+/// The 64-bit FNV-1a hash of \p Text. Stable across runs, builds and
+/// hosts, so it keys fail points, picks compile-cache shards and pins
+/// golden output.
+uint64_t stableHash(std::string_view Text);
 
 /// Returns \p S without leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view S);

@@ -9,10 +9,10 @@
 /// The huge-block family: deterministic single-block functions of exactly
 /// n schedulable instructions for n far beyond the paper's working set
 /// (their blocks top out in the hundreds). These are the inputs of the
-/// huge-DAG scaling work (DESIGN.md §3m): the closure-mode equivalence
-/// tests, the n=4096 differential oracle, bench_huge_dag, and the
-/// perf-smoke gate all draw from here, so the generator is part of the
-/// workload library rather than private to one bench binary.
+/// huge-DAG scaling work (DESIGN.md §3m): the n=4096 differential oracle,
+/// the n=2048 golden-output test, bench_huge_dag, and the perf-smoke gate
+/// all draw from here, so the generator is part of the workload library
+/// rather than private to one bench binary.
 ///
 /// Each block mixes the shapes that matter at scale: parallel load pairs
 /// feeding multiply/accumulate trees (abundant load-level parallelism),

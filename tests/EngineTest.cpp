@@ -121,7 +121,7 @@ TEST(EngineTest, CacheHitCorrectness) {
   EXPECT_EQ(Run.Cells[0].CacheHits, 0u);
   EXPECT_EQ(Run.Cells[1].CacheMisses, 0u);
   EXPECT_EQ(Run.Cells[1].CacheHits, 2u);
-  EXPECT_EQ(Engine.cacheSize(), 2u);
+  EXPECT_EQ(Engine.cache().size(), 2u);
 
   // A fresh engine (empty cache) must produce the identical outcome for
   // the cached cell.
@@ -140,35 +140,29 @@ TEST(EngineTest, CacheDistinguishesConfigs) {
 
   bool Hit = true;
   ErrorOr<CompiledFunction> A =
-      Engine.compileCached(F, PipelineConfig::paperDefault(), &Hit);
+      Engine.cache().compile(F, PipelineConfig::paperDefault(), &Hit);
   ASSERT_TRUE(A.has_value());
   EXPECT_FALSE(Hit);
 
   // Same content → hit, even through a distinct (equal) config object.
   ErrorOr<CompiledFunction> B =
-      Engine.compileCached(F, PipelineConfig::paperDefault(), &Hit);
+      Engine.cache().compile(F, PipelineConfig::paperDefault(), &Hit);
   ASSERT_TRUE(B.has_value());
   EXPECT_TRUE(Hit);
 
   // Any knob change must miss.
   ErrorOr<CompiledFunction> C =
-      Engine.compileCached(F, PipelineConfig::unlimitedRegisters(), &Hit);
+      Engine.cache().compile(F, PipelineConfig::unlimitedRegisters(), &Hit);
   ASSERT_TRUE(C.has_value());
   EXPECT_FALSE(Hit);
   ErrorOr<CompiledFunction> D =
-      Engine.compileCached(F, PipelineConfig::superscalar(2), &Hit);
+      Engine.cache().compile(F, PipelineConfig::superscalar(2), &Hit);
   ASSERT_TRUE(D.has_value());
   EXPECT_FALSE(Hit);
-  EXPECT_EQ(Engine.cacheSize(), 3u);
+  EXPECT_EQ(Engine.cache().size(), 3u);
 
-  Engine.clearCache();
-  EXPECT_EQ(Engine.cacheSize(), 0u);
-
-  // The content hash follows the key.
-  EXPECT_EQ(experimentContentHash(F, PipelineConfig::paperDefault()),
-            experimentContentHash(F, PipelineConfig::paperDefault()));
-  EXPECT_NE(experimentContentHash(F, PipelineConfig::paperDefault()),
-            experimentContentHash(F, PipelineConfig::superscalar(2)));
+  Engine.cache().clear();
+  EXPECT_EQ(Engine.cache().size(), 0u);
 }
 
 //===----------------------------------------------------------------------===

@@ -78,29 +78,6 @@ TEST(ParallelWeightingTest, PipelineMatchesSerialAcrossPolicies) {
   }
 }
 
-TEST(ParallelWeightingTest, OnDemandClosureMatchesMaterializedAcrossPool) {
-  // The closure mode never changes results (DESIGN.md §3m): a parallel
-  // on-demand run must be bit-identical to a serial materialized one.
-  // Forcing the modes (threshold-independent) also routes the banded
-  // closure through the worker threads, putting its per-scratch state
-  // under the race detector.
-  ThreadPool Pool(4);
-  for (Benchmark B : {Benchmark::MDG, Benchmark::QCD2}) {
-    Function F = testFunction(B);
-    PipelineConfig Serial;
-    Serial.Closure.Mode = ClosureMode::Materialized;
-    PipelineConfig Parallel;
-    Parallel.Closure.Mode = ClosureMode::OnDemand;
-    Parallel.WeighterPool = &Pool;
-
-    ErrorOr<CompiledFunction> SerialOr = runPipeline(F, Serial);
-    ErrorOr<CompiledFunction> ParallelOr = runPipeline(F, Parallel);
-    ASSERT_TRUE(SerialOr.has_value());
-    ASSERT_TRUE(ParallelOr.has_value());
-    expectIdenticalCompiles(*SerialOr, *ParallelOr);
-  }
-}
-
 TEST(ParallelWeightingTest, PipelineMatchesSerialWithoutRegAlloc) {
   ThreadPool Pool(4);
   Function F = testFunction();

@@ -11,10 +11,19 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Interpreter.h"
+#include "ir/IrPrinter.h"
 #include "ir/IrVerifier.h"
 #include "pipeline/Experiment.h"
 #include "pipeline/Pipeline.h"
+#include "support/StringUtils.h"
+#include "workload/HugeBlocks.h"
 #include "workload/PerfectClub.h"
+
+#include <cinttypes>
+#include <cstdio>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -247,6 +256,39 @@ TEST(PipelineConfigTest, ValidateRejectsBadKnobs) {
   ErrorOr<CompiledFunction> C = runPipeline(F, Bad);
   ASSERT_FALSE(C.has_value());
   EXPECT_EQ(C.errors().front().Code, DiagCode::PipelineBadConfig);
+
+  // Latencies and register files big enough to hang or exhaust a compile.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  const std::pair<const char *, std::function<void(PipelineConfig &)>>
+      Hostile[] = {
+          {"optimistic latency 1e8",
+           [](PipelineConfig &C) {
+             C.Policy = SchedulerPolicy::Traditional;
+             C.OptimisticLatency = 1e8;
+           }},
+          {"optimistic latency inf",
+           [](PipelineConfig &C) {
+             C.Policy = SchedulerPolicy::Traditional;
+             C.OptimisticLatency = Inf;
+           }},
+          {"fadd latency inf",
+           [](PipelineConfig &C) { C.Ops.setOpLatency(Opcode::FAdd, Inf); }},
+          {"fadd latency 1e9",
+           [](PipelineConfig &C) { C.Ops.setOpLatency(Opcode::FAdd, 1e9); }},
+          {"4e9 integer registers",
+           [](PipelineConfig &C) { C.Target.NumIntRegs = 4000000000u; }},
+          {"1e8 floating-point registers",
+           [](PipelineConfig &C) { C.Target.NumFpRegs = 100000000u; }},
+      };
+  for (const auto &[Name, Mutate] : Hostile) {
+    PipelineConfig Config = PipelineConfig::paperDefault();
+    Mutate(Config);
+    Status Rejected = Config.validate();
+    ASSERT_FALSE(Rejected.ok()) << Name;
+    EXPECT_EQ(Rejected.diagnostics().front().Code,
+              DiagCode::PipelineBadConfig)
+        << Name;
+  }
 }
 
 TEST(PipelineConfigTest, ParsePolicyNameRoundTripsEveryPolicy) {
@@ -273,4 +315,69 @@ TEST(PipelineConfigTest, ParsePolicyNameRejectsUnknownSpelling) {
   // The message teaches the accepted spellings.
   EXPECT_NE(Parsed.errorText().find("balanced"), std::string::npos);
   EXPECT_NE(Parsed.errorText().find("traditional"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===
+// Golden output: the compiled text of fixed inputs, pinned by hash
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// One pinned (input set, policy, config) case: Expected is stableHash of
+/// the concatenated printFunction(runPipeline(...)) text over the set.
+struct GoldenCase {
+  SchedulerPolicy Policy;
+  bool UnlimitedRegisters;
+  uint64_t Expected;
+};
+
+void expectGoldenOutput(const char *InputSet,
+                        const std::vector<Function> &Inputs,
+                        const std::vector<GoldenCase> &Cases) {
+  for (const GoldenCase &Case : Cases) {
+    PipelineConfig Config = Case.UnlimitedRegisters
+                                ? PipelineConfig::unlimitedRegisters()
+                                : PipelineConfig::paperDefault();
+    Config.Policy = Case.Policy;
+    const std::string Name =
+        std::string(InputSet) + " x " + policyName(Case.Policy) + " x " +
+        (Case.UnlimitedRegisters ? "unlimitedRegisters" : "paperDefault");
+    std::string Text;
+    for (const Function &F : Inputs) {
+      ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
+      ASSERT_TRUE(Compiled.has_value()) << Name << ": " << Compiled.errorText();
+      Text += printFunction(Compiled->Compiled);
+    }
+    char Got[24];
+    std::snprintf(Got, sizeof(Got), "0x%016" PRIx64, stableHash(Text));
+    EXPECT_EQ(stableHash(Text), Case.Expected)
+        << "compiled output changed for " << Name << " (now " << Got << ")";
+  }
+}
+
+} // namespace
+
+// Any change to compiled output (schedule order, spill placement, register
+// choice) moves one of these hashes, so a refactor that claims identical
+// output must pass unchanged. Regenerate a constant only for a change
+// that is meant to alter schedules, and say so.
+TEST(GoldenOutputTest, PerfectClubProgramsCompileToPinnedText) {
+  std::vector<Function> Programs;
+  for (Benchmark B : allBenchmarks())
+    Programs.push_back(buildBenchmark(B));
+  expectGoldenOutput(
+      "perfect-club", Programs,
+      {{SchedulerPolicy::Balanced, false, 0x27c9e05f4124a094ull},
+       {SchedulerPolicy::BalancedUnionFind, false, 0xd976d6ba7b4e5cf8ull},
+       {SchedulerPolicy::Traditional, false, 0x8058893702474cc4ull},
+       {SchedulerPolicy::Balanced, true, 0xf9d08fdec1cbd20cull},
+       {SchedulerPolicy::BalancedUnionFind, true, 0x70610b98474e09a4ull},
+       {SchedulerPolicy::Traditional, true, 0x0e8a08b719ea20d2ull}});
+}
+
+TEST(GoldenOutputTest, HugeBlockCompilesToPinnedText) {
+  expectGoldenOutput("huge-2048", {buildHugeBlock(2048)},
+                     {{SchedulerPolicy::Balanced, false, 0xdccaffa79bd82febull},
+                      {SchedulerPolicy::BalancedUnionFind, false,
+                       0x0c4913d7f13aefebull}});
 }

@@ -18,6 +18,7 @@
 #include "parser/Parser.h"
 #include "server/Server.h"
 #include "support/FailPoint.h"
+#include "support/Json.h"
 #include "support/JsonValue.h"
 #include "support/Socket.h"
 #include "support/Statistics.h"
@@ -317,6 +318,39 @@ TEST(ServerCoreTest, OperatorInstructionCeilingClampsRequests) {
   EXPECT_FALSE(Response->Ok);
   ASSERT_FALSE(Response->Diags.empty());
   EXPECT_EQ(Response->Diags.front().Code, DiagCode::GovernorBlockTooLarge);
+}
+
+TEST(ServerCoreTest, HugeLatenciesAndRegisterFilesRejectedAtOnce) {
+  // Each of these used to hold a worker for seconds or exhaust the heap;
+  // validation now answers BS500 before any compile work starts.
+  BschedServer Server({});
+  for (const char *Config :
+       {R"({"policy":"traditional","optimistic_latency":1e9})",
+        R"({"policy":"traditional","optimistic_latency":1e400})",
+        R"({"op_latencies":{"fadd":1e400}})",
+        R"({"target":{"int_regs":4000000000}})",
+        R"({"target":{"fp_regs":100000000}})"}) {
+    JsonWriter Request;
+    Request.beginObject();
+    Request.key("schema_version").value(CompileRequest::SchemaVersion);
+    Request.key("id").value("hostile");
+    Request.key("kernel").value(TinyKernel);
+    Request.key("config").rawValue(Config);
+    Request.endObject();
+
+    const auto Start = std::chrono::steady_clock::now();
+    ErrorOr<CompileResponse> Response =
+        CompileResponse::fromJson(Server.handleRequest(Request.str()));
+    const double Seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - Start)
+                               .count();
+    ASSERT_TRUE(Response.has_value()) << Config;
+    EXPECT_FALSE(Response->Ok) << Config;
+    ASSERT_FALSE(Response->Diags.empty()) << Config;
+    EXPECT_EQ(Response->Diags.front().Code, DiagCode::PipelineBadConfig)
+        << Config;
+    EXPECT_LT(Seconds, 1.0) << Config;
+  }
 }
 
 TEST(ServerCoreTest, MultiFunctionKernelRejected) {

@@ -14,8 +14,8 @@
 /// Bit-identity, not epsilon-closeness: the kernel adds the same shares in
 /// the same order, so any drift means the analyses diverged. One scratch is
 /// reused across every DAG and configuration, which is exactly the
-/// pipeline's reuse pattern. The Pred-matrix-free closure mode is checked
-/// against the dense one on the same DAGs.
+/// pipeline's reuse pattern. The transitive closure itself is checked
+/// against a depth-first search, with and without its Pred matrix.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "dag/Reachability.h"
 #include "ir/BasicBlock.h"
 #include "sched/BalancedWeighter.h"
-#include "sched/ListScheduler.h"
 #include "sched/WeighterScratch.h"
 #include "support/Rng.h"
 #include "workload/HugeBlocks.h"
@@ -193,6 +192,27 @@ TEST(WeighterDifferential, BreakdownWeightsMatchReference) {
   }
 }
 
+/// Reachability by depth-first search over the DAG's successor lists: an
+/// oracle independent of TransitiveClosure's row sweep.
+std::vector<std::vector<bool>> reachabilityByDfs(const DepDag &Dag) {
+  const unsigned N = Dag.size();
+  std::vector<std::vector<bool>> Reaches(N, std::vector<bool>(N, false));
+  std::vector<unsigned> Stack;
+  for (unsigned From = 0; From != N; ++From) {
+    Stack.assign(1, From);
+    while (!Stack.empty()) {
+      unsigned Node = Stack.back();
+      Stack.pop_back();
+      for (const DepEdge &E : Dag.succs(Node))
+        if (!Reaches[From][E.Other]) {
+          Reaches[From][E.Other] = true;
+          Stack.push_back(E.Other);
+        }
+    }
+  }
+  return Reaches;
+}
+
 TEST(WeighterDifferential, ClosureWithoutPredMatrixIsEquivalent) {
   Rng R(0xC105E);
   TransitiveClosure Dense, Lean; // Reused across DAGs like the scratch.
@@ -215,80 +235,69 @@ TEST(WeighterDifferential, ClosureWithoutPredMatrixIsEquivalent) {
   }
 }
 
-/// The three closure implementations — the materialized row sweep, the
-/// blocked/tiled kernel, and the matrix-free banded on-demand form — must
-/// agree bit-for-bit on every independence set. Sizes straddle the 64-bit
-/// word boundaries where the block/band edge cases live (partial last
-/// word, exactly full words, one node past a full word).
+/// The row sweep at sizes straddling the 64-bit word boundaries (partial
+/// last word, exactly full words, one node past a full word), with and
+/// without the Pred matrix, must match a DFS on every reaches(I, J), every
+/// Succ*/Pred* row and every independence set. One pair of closures is
+/// reused across all sizes, so rows shrinking and growing between DAGs
+/// must leave no stale tail bits.
 TEST(WeighterDifferential, ClosureKernelsAgreeAtWordBoundaries) {
   Rng R(0xB10CC);
-  TransitiveClosure Rows, Blocked;
-  BandedClosure Bands;
-  BitVector RowsInd, BlockedInd, BandInd;
+  TransitiveClosure Dense, Lean;
+  BitVector Ind;
   for (unsigned N : {1u, 2u, 63u, 64u, 65u, 127u, 128u, 130u, 257u}) {
     for (unsigned Trial = 0; Trial != 6; ++Trial) {
       DepDag Dag = randomSpecOfSize(R, N).instantiate();
-      Rows.compute(Dag, /*StorePreds=*/true, ClosureKernel::Rows);
-      Blocked.compute(Dag, /*StorePreds=*/true, ClosureKernel::Blocked);
-      Bands.attach(Dag);
-      ASSERT_EQ(Bands.size(), N);
-      // Ascending then descending, so the band cache both streams forward
-      // and is forced to rebuild on every backward 64-crossing.
-      for (unsigned Pass = 0; Pass != 2; ++Pass) {
-        for (unsigned Step = 0; Step != N; ++Step) {
-          unsigned I = Pass == 0 ? Step : N - 1 - Step;
-          Rows.independentOf(I, RowsInd);
-          Blocked.independentOf(I, BlockedInd);
-          Bands.independentOf(I, BandInd);
-          ASSERT_EQ(RowsInd, BlockedInd)
-              << "blocked-kernel G_ind mismatch at node " << I << " of " << N;
-          ASSERT_EQ(RowsInd, BandInd)
-              << "banded G_ind mismatch at node " << I << " of " << N;
-          ASSERT_EQ(Blocked.succsOf(I), Rows.succsOf(I));
-          ASSERT_EQ(Blocked.predsOf(I), Rows.predsOf(I));
+      Dense.compute(Dag, /*StorePreds=*/true);
+      Lean.compute(Dag, /*StorePreds=*/false);
+      ASSERT_EQ(Dense.size(), N);
+      ASSERT_EQ(Lean.size(), N);
+      const std::vector<std::vector<bool>> Reaches = reachabilityByDfs(Dag);
+      for (const TransitiveClosure *C : {&Dense, &Lean}) {
+        for (unsigned I = 0; I != N; ++I) {
+          BitVector Succs(N), Preds(N), Expected(N);
+          for (unsigned J = 0; J != N; ++J) {
+            ASSERT_EQ(C->reaches(I, J), Reaches[I][J])
+                << "reaches(" << I << ", " << J << ") of " << N;
+            if (Reaches[I][J])
+              Succs.set(J);
+            if (Reaches[J][I])
+              Preds.set(J);
+            if (J != I && !Reaches[I][J] && !Reaches[J][I])
+              Expected.set(J);
+          }
+          ASSERT_EQ(C->succsOf(I), Succs)
+              << "Succ* at node " << I << " of " << N;
+          ASSERT_EQ(C->predsOf(I), Preds)
+              << "Pred* at node " << I << " of " << N;
+          C->independentOf(I, Ind);
+          ASSERT_EQ(Ind, Expected) << "G_ind at node " << I << " of " << N;
         }
       }
     }
   }
 }
 
-/// The huge-DAG oracle (ISSUE 10 acceptance): on real builder-produced
-/// DAGs at n ∈ {64, 512, 4096}, every closure mode must reproduce the
-/// allocating reference's weights bit-for-bit, for both Chances methods —
-/// and since schedules are a pure function of weights, the schedules must
-/// match across modes too (checked directly at n=512).
-TEST(WeighterDifferential, HugeBlocksBitIdenticalAcrossClosureModes) {
+/// The huge-DAG oracle: on real builder-produced DAGs at n in {64, 512,
+/// 4096}, the scratch kernel must reproduce the allocating reference's
+/// weights bit-for-bit for both Chances methods.
+TEST(WeighterDifferential, HugeBlocksBitIdenticalToReference) {
   WeighterScratch Scratch;
   for (unsigned Size : {64u, 512u, 4096u}) {
     Function F = buildHugeBlock(Size);
     for (ChancesMethod Method :
          {ChancesMethod::ExactLongestPath, ChancesMethod::UnionFindLevels}) {
       DepDag Reference = buildDag(F.block(0));
-      BalancedWeighter RefW(LatencyModel(), Method, 1.0, true);
-      RefW.assignWeightsReference(Reference);
+      BalancedWeighter W(LatencyModel(), Method, 1.0, true);
+      W.assignWeightsReference(Reference);
 
-      std::vector<unsigned> FirstOrder;
-      for (ClosureMode Mode : {ClosureMode::Materialized, ClosureMode::Blocked,
-                               ClosureMode::OnDemand}) {
-        ClosureOptions Closure;
-        Closure.Mode = Mode;
-        BalancedWeighter W(LatencyModel(), Method, 1.0, true, Closure);
-        DepDag Dag = buildDag(F.block(0));
-        W.assignWeights(Dag, Scratch);
-        ASSERT_EQ(Dag.size(), Size);
-        for (unsigned I = 0; I != Dag.size(); ++I)
-          expectBitIdentical(Dag, Reference, I);
-        if (HasFailure())
-          return;
-        if (Size == 512) {
-          Schedule S = scheduleDag(Dag);
-          if (FirstOrder.empty())
-            FirstOrder = S.Order;
-          else
-            EXPECT_EQ(S.Order, FirstOrder)
-                << "schedule drift across closure modes";
-        }
-      }
+      DepDag Dag = buildDag(F.block(0));
+      W.assignWeights(Dag, Scratch);
+      ASSERT_EQ(Dag.size(), Size);
+      for (unsigned I = 0; I != Dag.size(); ++I)
+        expectBitIdentical(Dag, Reference, I);
+      if (HasFailure())
+        return;
     }
   }
 }
