@@ -99,9 +99,10 @@ private:
     }
   }
 
-  void error(std::string Message) {
-    Errors.push_back({Tok.Line, Tok.Col, std::move(Message), Severity::Error,
-                      DiagCode::FrontendSyntax});
+  void error(std::string Message,
+             DiagCode Code = DiagCode::FrontendSyntax) {
+    Errors.push_back(
+        {Tok.Line, Tok.Col, std::move(Message), Severity::Error, Code});
   }
 
   bool expect(TokenKind Kind, const char *What) {
@@ -156,11 +157,14 @@ private:
       return std::nullopt;
     if (Tok.is(TokenKind::Ident) && Tok.Text == "freq") {
       bump();
-      if (Tok.is(TokenKind::Int)) {
-        K.Freq = static_cast<double>(Tok.IntValue);
-        bump();
-      } else if (Tok.is(TokenKind::Float)) {
-        K.Freq = Tok.FloatValue;
+      if (Tok.is(TokenKind::Int) || Tok.is(TokenKind::Float)) {
+        K.Freq = Tok.is(TokenKind::Int) ? static_cast<double>(Tok.IntValue)
+                                        : Tok.FloatValue;
+        if (!isAcceptedBlockFrequency(K.Freq)) {
+          error("kernel frequency must be finite and at most 1e12",
+                DiagCode::ParseBadImmediate);
+          K.Freq = 1.0;
+        }
         bump();
       } else {
         error("expected a number after 'freq'");

@@ -19,10 +19,22 @@
 #include "ir/Instruction.h"
 
 #include <cassert>
+#include <cmath>
 #include <string>
 #include <vector>
 
 namespace bsched {
+
+/// The largest block frequency the front ends accept: far above any
+/// profile count in the suite (5000), and small enough that frequency x
+/// size stays finite in every report.
+constexpr double MaxBlockFrequency = 1e12;
+
+/// True for a frequency the front ends accept (they report BS204
+/// otherwise): finite and at most MaxBlockFrequency.
+inline bool isAcceptedBlockFrequency(double Freq) {
+  return std::isfinite(Freq) && Freq <= MaxBlockFrequency;
+}
 
 /// A straight-line instruction sequence plus profile metadata.
 class BasicBlock {

@@ -265,6 +265,9 @@ void MetricRegistry::histogramMerge(unsigned Index,
     return;
   HistogramStorage *Storage =
       HistogramTable[Index].load(std::memory_order_acquire);
+  BSCHED_CHECK(Data.UpperEdges == Storage->UpperEdges &&
+                   Data.Counts.size() == Storage->UpperEdges.size() + 1,
+               "merging a histogram with different bucket edges");
   HistogramStorage::Shard &Shard = Storage->Shards[threadShard()];
   for (size_t B = 0; B != Data.Counts.size(); ++B)
     Shard.Buckets[B].fetch_add(Data.Counts[B], std::memory_order_relaxed);

@@ -10,9 +10,12 @@
 /// `MetricRegistry` of named counters, gauges, and fixed-bucket
 /// histograms, designed for the experiment engine's hot paths.
 ///
-///  - **Zero locks on the hot path.** Recording is a relaxed atomic add
-///    into a per-shard slot; threads map onto shards via a process-wide
-///    thread index, so unrelated workers touch unrelated cache lines.
+///  - **Zero locks on the hot path.** Recording is relaxed atomics on a
+///    per-shard slot (one add for a counter; three adds plus an atomic
+///    min and max for a histogram sample); threads map onto shards via a
+///    process-wide thread index, so unrelated workers touch unrelated
+///    cache lines. A loop too hot even for that tallies into a plain
+///    `HistogramData` and folds it in once with `Histogram::merge`.
 ///    Registration (cold) takes a mutex; handles are pre-resolved once
 ///    and then record lock-free.
 ///  - **Exact merges.** `snapshot()` sums every shard; counter and
@@ -37,6 +40,7 @@
 #ifndef BSCHED_OBS_METRICS_H
 #define BSCHED_OBS_METRICS_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -50,6 +54,7 @@
 namespace bsched {
 
 class MetricRegistry;
+struct HistogramData;
 
 /// A monotonically increasing counter. Default-constructed (or under
 /// BSCHED_NO_OBS) it is inert.
@@ -85,6 +90,10 @@ public:
   Histogram() = default;
   inline void record(uint64_t Value);
 
+  /// Folds in a plain tally (HistogramData::record) with this histogram's
+  /// bucket edges, as if each of its samples had been recorded.
+  inline void merge(const HistogramData &Tally);
+
 private:
   friend class MetricRegistry;
   Histogram(MetricRegistry *Reg, unsigned Index) : Reg(Reg), Index(Index) {}
@@ -111,6 +120,20 @@ struct HistogramData {
   /// estimate is off by at most one bucket width — the agreement
   /// contract the server/loadgen cross-check pins.
   double estimateQuantile(double Q) const;
+
+  /// Tallies one sample into this plain copy, bucketed as
+  /// Histogram::record does. Single-threaded; Counts must hold
+  /// UpperEdges.size() + 1 buckets. A hot loop tallies here and folds the
+  /// result in once, with Histogram::merge.
+  void record(uint64_t Value) {
+    ++Counts[static_cast<size_t>(
+        std::lower_bound(UpperEdges.begin(), UpperEdges.end(), Value) -
+        UpperEdges.begin())];
+    Min = Count == 0 ? Value : std::min(Min, Value);
+    Max = std::max(Max, Value);
+    ++Count;
+    Sum += Value;
+  }
 };
 
 /// A point-in-time merge of every shard of a registry. Plain data:
@@ -144,8 +167,8 @@ struct MetricSnapshot {
 };
 
 /// The registry. Thread-safe throughout: registration takes an internal
-/// mutex, recording through handles is lock-free (one relaxed atomic RMW
-/// on the calling thread's shard). Capacity is fixed at construction
+/// mutex, recording through handles is lock-free (relaxed atomics on the
+/// calling thread's shard). Capacity is fixed at construction
 /// (shard count) and generous fixed caps bound the metric tables so the
 /// hot path never reallocates under readers.
 class MetricRegistry {
@@ -246,6 +269,15 @@ inline void Histogram::record(uint64_t Value) {
     Reg->histogramRecord(Index, Value);
 #else
   (void)Value;
+#endif
+}
+
+inline void Histogram::merge(const HistogramData &Tally) {
+#ifndef BSCHED_NO_OBS
+  if (Reg)
+    Reg->histogramMerge(Index, Tally);
+#else
+  (void)Tally;
 #endif
 }
 

@@ -121,11 +121,14 @@ private:
     double Freq = 1.0;
     if (Tok.is(TokenKind::Ident) && Tok.Text == "freq") {
       bump();
-      if (Tok.is(TokenKind::Int)) {
-        Freq = static_cast<double>(Tok.IntValue);
-        bump();
-      } else if (Tok.is(TokenKind::Float)) {
-        Freq = Tok.FloatValue;
+      if (Tok.is(TokenKind::Int) || Tok.is(TokenKind::Float)) {
+        Freq = Tok.is(TokenKind::Int) ? static_cast<double>(Tok.IntValue)
+                                      : Tok.FloatValue;
+        if (!isAcceptedBlockFrequency(Freq)) {
+          error(DiagCode::ParseBadImmediate,
+                "block frequency must be finite and at most 1e12");
+          Freq = 1.0;
+        }
         bump();
       } else {
         error(DiagCode::ParseBadImmediate, "expected a number after 'freq'");

@@ -43,26 +43,30 @@ ProgramSimResult simulateVerified(const CompiledFunction &Program,
   }
   ScopedSpan SimSpan(Config.Obs.Trace, "sim", "phase", std::move(SimArgs));
 
-  // Metric handles resolved once per program, outside the run loop.
+  // Tallied per program and folded into the registry when Instruments
+  // goes out of scope.
   std::optional<SimInstruments> Instruments;
   if (Config.Obs.Metrics)
     Instruments.emplace(*Config.Obs.Metrics);
   SimInstruments *Obs = Instruments ? &*Instruments : nullptr;
 
   const Function &F = Program.Compiled;
+  DecodedBlock Decoded;
+  std::vector<double> Samples;
+  Samples.reserve(Config.NumRuns);
   for (unsigned BlockIndex = 0; BlockIndex != F.numBlocks(); ++BlockIndex) {
     const BasicBlock &BB = F.block(BlockIndex);
 
-    // 30 independent full simulations of the block (section 4.3).
-    std::vector<double> Samples;
-    Samples.reserve(Config.NumRuns);
+    // 30 independent full simulations of the block (section 4.3), all
+    // from one decode.
+    Decoded.decode(BB, Config.Ops);
+    Samples.clear();
     double InterlockSum = 0.0;
     for (unsigned Run = 0; Run != Config.NumRuns; ++Run) {
       // A private, order-independent latency stream per (block, run).
       Rng R(Config.Seed ^ (0x9E3779B97F4A7C15ULL * (BlockIndex + 1)) ^
             (0xD1B54A32D192ED03ULL * (Run + 1)));
-      BlockSimResult Sim = simulateBlock(BB, Config.Processor, Memory, R,
-                                         Config.Ops, Obs);
+      BlockSimResult Sim = Decoded.run(Config.Processor, Memory, R, Obs);
       Samples.push_back(static_cast<double>(Sim.Cycles));
       InterlockSum += static_cast<double>(Sim.InterlockCycles);
     }

@@ -86,7 +86,9 @@ void BschedServer::stop() {
   if (Acceptor.joinable())
     Acceptor.join();
   // Half-close every live connection for reading: an idle reader sees EOF
-  // now; one mid-compile finishes, writes its response, then sees it. The
+  // now; one mid-compile finishes, writes its response, then sees it.
+  // Frames a peer queued before the half-close are still read first and
+  // refused with BS908, so no connection closes holding unread data. The
   // fd stays open (and its number reserved) until its own thread removes
   // it from LiveConns and closes — so this shutdown never hits a reused fd.
   {
@@ -114,7 +116,14 @@ void BschedServer::stop() {
 }
 
 void BschedServer::acceptLoop() {
-  while (!Stopping.load()) {
+  // Runs until accept() fails once stop() has begun. After stop() shuts
+  // the listener down, accept() (on Linux) still hands out the connections
+  // queued in its backlog before it fails, and each is served like any
+  // other: its
+  // queued requests get BS908, then it sees EOF (stop() joins this thread
+  // before half-closing). Dropping one instead, or leaving it queued when
+  // the listener closes, would reset its peer.
+  for (;;) {
     FdHandle Conn = Listener.accept();
     if (!Conn.valid()) {
       if (Stopping.load())
@@ -124,8 +133,6 @@ void BschedServer::acceptLoop() {
     if (Metrics)
       Metrics->counter("bsched.server.connections").add();
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    if (Stopping.load())
-      break; // Raced stop(): drop the connection, it closes on return.
     LiveConns.push_back(Conn.get());
     ConnThreads.emplace_back(
         [this, C = std::move(Conn)]() mutable { serveConnection(std::move(C)); });

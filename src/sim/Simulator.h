@@ -18,6 +18,10 @@
 /// machine they would overlap the next block), so all stall cost is
 /// charged at consumers. Interlock cycles = cycles - issue slots used.
 ///
+/// There is one timing model (DESIGN.md §3n): a block is decoded once
+/// (DecodedBlock) and run once per latency draw, and simulateBlock is a
+/// decode plus one run.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_SIM_SIMULATOR_H
@@ -28,6 +32,11 @@
 #include "sched/LatencyModel.h"
 #include "sim/MemorySystem.h"
 #include "sim/Processor.h"
+
+#include <array>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace bsched {
 
@@ -45,36 +54,97 @@ struct BlockSimResult {
   }
 };
 
-/// Pre-resolved metric handles for the simulator's hot loop (DESIGN.md
-/// §3g). Construct once per simulation and pass to every simulateBlock
-/// call; resolving names per block run would put a mutex on the hot path.
+/// The simulator's metrics (DESIGN.md §3g): `bsched.sim.*` counters and
+/// the load-latency / outstanding-load histograms. A simulation tallies
+/// into these plain integers and folds them into the registry once, when
+/// the instruments are destroyed, so the hot loop makes no atomic update.
+/// Construct one per simulation, on the thread that runs it, and pass it
+/// to every run.
 struct SimInstruments {
-  explicit SimInstruments(MetricRegistry &Reg)
-      : BlockRuns(Reg.counter("bsched.sim.block_runs")),
-        Cycles(Reg.counter("bsched.sim.cycles")),
-        InterlockCycles(Reg.counter("bsched.sim.interlock_cycles")),
-        Instructions(Reg.counter("bsched.sim.instructions")),
-        Loads(Reg.counter("bsched.sim.loads")),
-        LoadLatency(Reg.histogram(
-            "bsched.sim.load_latency_cycles",
-            {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128})),
-        OutstandingLoads(Reg.histogram(
-            "bsched.sim.outstanding_loads",
-            {0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32})) {}
+  explicit SimInstruments(MetricRegistry &Reg);
+  ~SimInstruments();
 
-  Counter BlockRuns;       ///< Simulated block executions.
-  Counter Cycles;          ///< Total simulated cycles.
-  Counter InterlockCycles; ///< Cycles in which nothing issued.
-  Counter Instructions;    ///< Instructions issued.
-  Counter Loads;           ///< Dynamic loads issued.
-  Histogram LoadLatency;   ///< Sampled latency of each dynamic load.
-  Histogram OutstandingLoads; ///< In-flight loads when each load issues.
+  SimInstruments(const SimInstruments &) = delete;
+  SimInstruments &operator=(const SimInstruments &) = delete;
+
+  uint64_t BlockRuns = 0;       ///< Simulated block executions.
+  uint64_t Cycles = 0;          ///< Total simulated cycles.
+  uint64_t InterlockCycles = 0; ///< Cycles in which nothing issued.
+  uint64_t Instructions = 0;    ///< Instructions issued.
+  uint64_t Loads = 0;           ///< Dynamic loads issued.
+  HistogramData LoadLatency;      ///< Sampled latency of each dynamic load.
+  HistogramData OutstandingLoads; ///< In-flight loads when each load issues.
+
+private:
+  // Resolved at construction, so the fold in the destructor only adds.
+  Counter BlockRunsMetric, CyclesMetric, InterlockCyclesMetric,
+      InstructionsMetric, LoadsMetric;
+  Histogram LoadLatencyMetric, OutstandingLoadsMetric;
+};
+
+/// A basic block decoded for repeated simulation: registers renumbered
+/// densely and each instruction reduced to what the timing model reads
+/// (its source and destination register numbers, whether it is a load,
+/// and its fixed latency or a marker to sample one from memory). Decode
+/// once, then run() once per latency draw; runs reuse the ready-time
+/// vector and the in-flight load list, so they allocate nothing once warm.
+class DecodedBlock {
+public:
+  /// Decodes \p BB, taking non-load latencies from \p Ops. Reuses this
+  /// object's storage; any register operand is accepted, virtual or
+  /// physical.
+  void decode(const BasicBlock &BB, const LatencyModel &Ops);
+
+  /// Simulates one execution of the decoded block on \p Processor with
+  /// latencies drawn from \p Memory via \p R. \p Obs, when non-null,
+  /// tallies the run's counters and per-load histogram samples.
+  BlockSimResult run(const ProcessorModel &Processor,
+                     const MemorySystem &Memory, Rng &R,
+                     SimInstruments *Obs = nullptr);
+
+private:
+  /// One decoded instruction. Register 0 stands for "no register": it is
+  /// never written, so it reads as ready at cycle 0, like any register
+  /// the block never writes.
+  struct Step {
+    std::array<uint32_t, 3> Srcs; ///< Source registers; unused ones are 0.
+    uint32_t Dest;                ///< Destination register; 0 if none.
+    bool IsLoad;
+    uint64_t Latency; ///< Result latency, or SampledLatency for a load
+                      ///< whose latency the memory system draws.
+  };
+  static constexpr uint64_t SampledLatency = ~uint64_t(0);
+
+  struct InFlightLoad {
+    uint64_t Issue;
+    uint64_t Complete;
+  };
+
+  static uint64_t advancePastLengthBlocks(
+      uint64_t T, const std::vector<InFlightLoad> &Loads, unsigned Limit);
+  static uint64_t advancePastOutstandingLimit(
+      uint64_t T, const std::vector<InFlightLoad> &Loads, unsigned Limit);
+
+  std::vector<Step> Steps;
+  uint32_t NumRegs = 0;
+
+  // Decode scratch: a sparse set numbering registers with small ids, and
+  // the operands of every other register, numbered after the loop.
+  std::vector<uint32_t> SparseIndex;
+  std::vector<uint32_t> DenseKeys;
+  std::vector<std::pair<uint32_t, uint32_t>> WideOperands;
+
+  // Run scratch.
+  std::vector<uint64_t> ReadyAt;
+  std::vector<InFlightLoad> InFlight;
 };
 
 /// Simulates one execution of \p BB on \p Processor with latencies drawn
-/// from \p Memory via \p R. \p Ops supplies non-load operation latencies
-/// (unit by default, as in the paper). \p Obs, when non-null, receives
-/// per-run counters and per-load histogram samples.
+/// from \p Memory via \p R: decodes \p BB and runs it once (callers that
+/// run a block many times should keep a DecodedBlock). \p Ops supplies
+/// non-load operation latencies (unit by default, as in the paper).
+/// \p Obs, when non-null, tallies per-run counters and per-load histogram
+/// samples.
 BlockSimResult simulateBlock(const BasicBlock &BB,
                              const ProcessorModel &Processor,
                              const MemorySystem &Memory, Rng &R,

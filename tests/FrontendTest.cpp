@@ -260,6 +260,16 @@ TEST(FrontendDiagTest, RejectsLoopVarSubscriptOutsideLoop) {
   EXPECT_FALSE(R.ok());
 }
 
+TEST(FrontendDiagTest, RejectsInfiniteOrHugeFrequency) {
+  for (const char *Freq : {"1e400", "1e308"}) {
+    KernelLangResult R = compileKernelLang(
+        std::string("kernel k(a) freq ") + Freq + " { a[0] = 1.0; }");
+    EXPECT_FALSE(R.ok()) << Freq;
+    ASSERT_FALSE(R.Diags.empty()) << Freq;
+    EXPECT_EQ(R.Diags[0].Code, DiagCode::ParseBadImmediate) << Freq;
+  }
+}
+
 TEST(FrontendDiagTest, MissingSemicolon) {
   KernelLangResult R = compileKernelLang("kernel k(a) { a[0] = 1.0 }");
   EXPECT_FALSE(R.ok());

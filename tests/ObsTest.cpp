@@ -208,6 +208,28 @@ TEST(ObsTest, HistogramBucketEdgesAreUpperInclusive) {
   EXPECT_EQ(Data.Max, 9u);
 }
 
+TEST(ObsTest, TallyMergeEqualsPerSampleRecording) {
+  // A plain HistogramData tally folded in once (what the simulator does)
+  // must equal recording every sample through the handle.
+  const std::vector<uint64_t> Edges = {2, 4, 8};
+  const uint64_t Samples[] = {9, 0, 2, 3, 4, 8, 9, 1, 100};
+  MetricRegistry PerSample, Tallied;
+  Histogram H = PerSample.histogram("bsched.test.hist", Edges);
+  HistogramData Tally;
+  Tally.UpperEdges = Edges;
+  Tally.Counts.assign(Edges.size() + 1, 0);
+  for (uint64_t V : Samples) {
+    H.record(V);
+    Tally.record(V);
+  }
+  Histogram T = Tallied.histogram("bsched.test.hist", Edges);
+  T.merge(Tally);
+  T.merge(HistogramData{Edges, {0, 0, 0, 0}, 0, 0, 0, 0}); // Empty: no-op.
+  EXPECT_EQ(Tallied.snapshot(), PerSample.snapshot());
+  EXPECT_EQ(Tally.Min, 0u);
+  EXPECT_EQ(Tally.Max, 100u);
+}
+
 TEST(ObsTest, RegistryMergeAcrossWorkersIsExact) {
   // N workers hammer the same counter and histogram; the snapshot must
   // equal the serial total exactly, whatever the shard mapping.

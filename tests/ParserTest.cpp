@@ -269,6 +269,21 @@ TEST(ParserDiagTest, MissingAliasClass) {
   EXPECT_FALSE(R.ok());
 }
 
+TEST(ParserDiagTest, RejectsInfiniteOrHugeFrequency) {
+  // 1e400 overflows to inf; 1e308 is finite but frequency x size is not.
+  for (const char *Freq : {"1e400", "1e308"}) {
+    ParseResult R = parseIr(std::string("func @f { block b freq ") + Freq +
+                            " { ret } }");
+    EXPECT_FALSE(R.ok()) << Freq;
+    ASSERT_FALSE(R.Diags.empty()) << Freq;
+    EXPECT_EQ(R.Diags[0].Code, DiagCode::ParseBadImmediate) << Freq;
+  }
+  // The cap itself is accepted.
+  ParseResult R = parseIr("func @f { block b freq 1e12 { ret } }");
+  ASSERT_TRUE(R.ok());
+  EXPECT_DOUBLE_EQ(R.Functions[0].block(0).frequency(), 1e12);
+}
+
 TEST(ParserDiagTest, DiagnosticCarriesLocation) {
   ParseResult R = parseIr("func @f { block b {\n  %i0 = bogus\n} }");
   ASSERT_FALSE(R.Diags.empty());

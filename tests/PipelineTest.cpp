@@ -13,6 +13,7 @@
 #include "ir/Interpreter.h"
 #include "ir/IrPrinter.h"
 #include "ir/IrVerifier.h"
+#include "obs/Metrics.h"
 #include "pipeline/Experiment.h"
 #include "pipeline/Pipeline.h"
 #include "support/StringUtils.h"
@@ -21,6 +22,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -380,4 +382,70 @@ TEST(GoldenOutputTest, HugeBlockCompilesToPinnedText) {
                      {{SchedulerPolicy::Balanced, false, 0xdccaffa79bd82febull},
                       {SchedulerPolicy::BalancedUnionFind, false,
                        0x0c4913d7f13aefebull}});
+}
+
+namespace {
+
+/// Appends the bit pattern of \p V to \p Out (exact, unlike printing).
+void appendBits(std::string &Out, double V) {
+  char Bytes[sizeof(double)];
+  std::memcpy(Bytes, &V, sizeof(V));
+  Out.append(Bytes, sizeof(Bytes));
+}
+
+} // namespace
+
+// The simulated side of the tables: every bootstrap runtime, mean, and
+// interlock figure runSimulation returns for the Perfect Club programs,
+// bit for bit, and the `bsched.sim.*` metrics it recorded. A change to the
+// simulator's loop that claims identical results must pass unchanged.
+TEST(GoldenOutputTest, PerfectClubSimulatesToPinnedBits) {
+  const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
+                                       ProcessorModel::maxOutstanding(8),
+                                       ProcessorModel::maxLength(8)};
+  const CacheSystem L80(0.8, 2, 10);
+  const NetworkSystem N3(3, 5), N30(30, 5);
+  const MemorySystem *Memories[] = {&L80, &N3, &N30};
+
+  MetricRegistry Registry;
+  std::string Bits;
+  for (Benchmark B : allBenchmarks()) {
+    Function F = buildBenchmark(B);
+    PipelineConfig Trad = PipelineConfig::paperDefault();
+    Trad.Policy = SchedulerPolicy::Traditional;
+    Trad.OptimisticLatency = 2;
+    PipelineConfig Bal = PipelineConfig::paperDefault();
+    Bal.Policy = SchedulerPolicy::Balanced;
+    for (const PipelineConfig &Config : {Trad, Bal}) {
+      ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
+      ASSERT_TRUE(Compiled.has_value()) << Compiled.errorText();
+      for (const ProcessorModel &P : Processors) {
+        for (const MemorySystem *Mem : Memories) {
+          SimulationConfig Sim;
+          Sim.Processor = P;
+          Sim.Obs.Metrics = &Registry;
+          ErrorOr<ProgramSimResult> Result =
+              runSimulation(*Compiled, *Mem, Sim);
+          ASSERT_TRUE(Result.has_value()) << Result.errorText();
+          for (double V : Result->BootstrapRuntimes)
+            appendBits(Bits, V);
+          appendBits(Bits, Result->MeanRuntime);
+          appendBits(Bits, Result->MeanInterlockCycles);
+          appendBits(Bits, Result->DynamicInstructions);
+        }
+      }
+    }
+  }
+  char Got[24];
+  std::snprintf(Got, sizeof(Got), "0x%016" PRIx64, stableHash(Bits));
+  EXPECT_EQ(stableHash(Bits), 0xa1769d6e8b1dd725ull)
+      << "simulated results changed (now " << Got << ")";
+#ifndef BSCHED_NO_OBS
+  // A BSCHED_NO_OBS build records nothing, so only the results are pinned
+  // there.
+  const std::string Metrics = Registry.snapshot().toJson();
+  std::snprintf(Got, sizeof(Got), "0x%016" PRIx64, stableHash(Metrics));
+  EXPECT_EQ(stableHash(Metrics), 0xa12576b6cf8809c2ull)
+      << "simulator metrics changed (now " << Got << ")";
+#endif
 }

@@ -279,6 +279,21 @@ TEST(ServerCoreTest, BadKernelGetsParserDiagnostics) {
   EXPECT_EQ(Response->Diags.front().Code, DiagCode::ParseExpectedToken);
 }
 
+TEST(ServerCoreTest, InfiniteFrequencyIsAParseError) {
+  // Accepted, it would answer ok:true with "dynamic_instructions":null,
+  // which CompileResponse::fromJson cannot read back.
+  BschedServer Server({});
+  std::string Kernel = TinyKernel;
+  const std::string Needle = "freq 1";
+  Kernel.replace(Kernel.find(Needle), Needle.size(), "freq 1e400");
+  ErrorOr<CompileResponse> Response = CompileResponse::fromJson(
+      Server.handleRequest(compileRequestJson("inf", Kernel)));
+  ASSERT_TRUE(Response.has_value());
+  EXPECT_FALSE(Response->Ok);
+  ASSERT_FALSE(Response->Diags.empty());
+  EXPECT_EQ(Response->Diags.front().Code, DiagCode::ParseBadImmediate);
+}
+
 TEST(ServerCoreTest, PingEchoesId) {
   BschedServer Server({});
   CompileRequest Ping;

@@ -11,6 +11,8 @@
 #include "sim/Simulator.h"
 #include "support/Statistics.h"
 
+#include "ReferenceSimulator.h"
+
 #include <gtest/gtest.h>
 
 using namespace bsched;
@@ -365,4 +367,185 @@ TEST(Figure3Test, BalancedBeatsGreedyAndLazyInMidRange) {
   // Large latencies: all equivalent again (asymptotically dominated by
   // the serial load chain).
   EXPECT_EQ(interlocksAt(Balanced, 12), interlocksAt(Greedy, 12));
+}
+
+//===----------------------------------------------------------------------===
+// Differential: simulateBlock and DecodedBlock against the test-only
+// reference simulator
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// A register for a random block: mostly one of a dozen ids, so sources
+/// usually read an earlier definition, sometimes an id at or past the
+/// 1024 boundary of a validated register file (and far past it).
+Reg randomReg(Rng &G, RegClass RC, bool Physical) {
+  static constexpr unsigned WideIds[] = {1023, 1024, 5000, 1u << 20,
+                                         (1u << 29) - 1};
+  unsigned Id = G.nextBounded(8) != 0
+                    ? static_cast<unsigned>(G.nextBounded(12))
+                    : WideIds[G.nextBounded(std::size(WideIds))];
+  return Physical ? Reg::makePhysical(RC, Id) : Reg::makeVirtual(RC, Id);
+}
+
+/// A random block of up to 60 instructions: int and fp loads (some with a
+/// known latency) and stores, int and fp arithmetic, and sometimes a
+/// terminator. A per-block load share of up to 90% lets long-latency
+/// memory systems keep more than 16 loads in flight.
+BasicBlock randomSimBlock(Rng &G) {
+  BasicBlock BB("rand");
+  const unsigned Size = static_cast<unsigned>(G.nextBounded(61));
+  const double LoadShare = 0.1 + 0.8 * G.nextDouble();
+  // Per block: all virtual, all physical, or a mix.
+  const unsigned RegMode = static_cast<unsigned>(G.nextBounded(3));
+  auto R = [&](RegClass RC) {
+    bool Physical = RegMode == 2 ? G.nextBernoulli(0.5) : RegMode == 1;
+    return randomReg(G, RC, Physical);
+  };
+  const RegClass I = RegClass::Int, F = RegClass::Fp;
+  for (unsigned K = 0; K != Size; ++K) {
+    if (K + 1 == Size && G.nextBernoulli(0.3)) {
+      BB.append(G.nextBernoulli(0.5)
+                    ? Instruction::makeRet()
+                    : Instruction::makeBranch(Opcode::BranchNotZero, R(I), 0));
+      break;
+    }
+    if (G.nextBernoulli(LoadShare)) {
+      bool Fp = G.nextBernoulli(0.5);
+      Instruction L = Instruction::makeLoad(Fp ? Opcode::FLoad : Opcode::Load,
+                                            R(Fp ? F : I), R(I), 8 * K, 0);
+      if (G.nextBernoulli(0.2))
+        L.setKnownLatency(1 + static_cast<unsigned>(G.nextBounded(12)));
+      BB.append(L);
+      continue;
+    }
+    switch (G.nextBounded(12)) {
+    case 0:
+      BB.append(Instruction::makeStore(Opcode::Store, R(I), R(I), 8 * K, 0));
+      break;
+    case 1:
+      BB.append(Instruction::makeStore(Opcode::FStore, R(F), R(I), 8 * K, 0));
+      break;
+    case 2:
+      BB.append(Instruction::makeBinary(Opcode::Add, R(I), R(I), R(I)));
+      break;
+    case 3:
+      BB.append(Instruction::makeBinary(Opcode::Mul, R(I), R(I), R(I)));
+      break;
+    case 4:
+      BB.append(Instruction::makeBinaryImm(Opcode::AddI, R(I), R(I), 1));
+      break;
+    case 5:
+      BB.append(Instruction::makeLoadImm(R(I), K));
+      break;
+    case 6:
+      BB.append(Instruction::makeBinary(Opcode::FAdd, R(F), R(F), R(F)));
+      break;
+    case 7:
+      BB.append(Instruction::makeBinary(Opcode::FMul, R(F), R(F), R(F)));
+      break;
+    case 8:
+      BB.append(Instruction::makeFMadd(R(F), R(F), R(F), R(F)));
+      break;
+    case 9:
+      BB.append(Instruction::makeUnary(Opcode::CvtIF, R(F), R(I)));
+      break;
+    case 10:
+      BB.append(Instruction::makeBinary(Opcode::FSlt, R(I), R(F), R(F)));
+      break;
+    default:
+      BB.append(Instruction::makeNop());
+      break;
+    }
+  }
+  return BB;
+}
+
+} // namespace
+
+TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
+  const std::vector<ProcessorModel> Processors = {
+      ProcessorModel::unlimited(),         ProcessorModel::maxOutstanding(1),
+      ProcessorModel::maxOutstanding(2),   ProcessorModel::maxOutstanding(8),
+      ProcessorModel::maxLength(1),        ProcessorModel::maxLength(2),
+      ProcessorModel::maxLength(8)};
+  const unsigned Widths[] = {1, 2, 4};
+  const FixedSystem Fixed(3);
+  const CacheSystem L80(0.8, 2, 10);
+  const NetworkSystem N3(3, 5), N30(30, 5);
+  const MixedSystem L80N30(0.8, 2, 30, 5);
+  const MemorySystem *Memories[] = {&Fixed, &L80, &N3, &N30, &L80N30};
+  LatencyModel HalfCycles; // llround's half case rounds away from zero.
+  HalfCycles.setOpLatency(Opcode::FAdd, 2.5);
+  HalfCycles.setOpLatency(Opcode::Mul, 1.5);
+  HalfCycles.setOpLatency(Opcode::CvtIF, 3.49);
+  const LatencyModel Models[] = {LatencyModel(),
+                                 LatencyModel::withFpLatency(4), HalfCycles};
+
+  const unsigned NumCombos = static_cast<unsigned>(
+      Processors.size() * std::size(Widths) * std::size(Memories) *
+      std::size(Models));
+  constexpr unsigned BlocksPerCombo = 16;
+  constexpr unsigned RunsPerBlock = 3;
+
+  // Registry gets simulateBlock's metrics (decode plus one run per call);
+  // DecodedRegistry those of one decode run RunsPerBlock times, as the
+  // experiment harness does.
+  MetricRegistry RefRegistry, Registry, DecodedRegistry;
+  ReferenceSimInstruments RefObs(RefRegistry);
+  DecodedBlock Decoded;
+  Rng G(0x51D1FF);
+  unsigned EmptyBlocks = 0;
+  for (unsigned Block = 0; Block != NumCombos * BlocksPerCombo; ++Block) {
+    unsigned Combo = Block % NumCombos;
+    ProcessorModel P = Processors[Combo % Processors.size()];
+    Combo /= static_cast<unsigned>(Processors.size());
+    P.IssueWidth = Widths[Combo % std::size(Widths)];
+    Combo /= static_cast<unsigned>(std::size(Widths));
+    const MemorySystem &Mem = *Memories[Combo % std::size(Memories)];
+    Combo /= static_cast<unsigned>(std::size(Memories));
+    const LatencyModel &Ops = Models[Combo];
+
+    BasicBlock BB = randomSimBlock(G);
+    EmptyBlocks += BB.empty();
+    // One instruments object per block: each folds into its registry
+    // when it goes out of scope, as one per simulation does in the engine.
+    SimInstruments Obs(Registry), DecodedObs(DecodedRegistry);
+    Decoded.decode(BB, Ops);
+    for (unsigned Run = 0; Run != RunsPerBlock; ++Run) {
+      const uint64_t Seed = Block * 31 + Run;
+      Rng RefR(Seed), R(Seed), DecodedR(Seed);
+      BlockSimResult Want =
+          referenceSimulateBlock(BB, P, Mem, RefR, Ops, &RefObs);
+      for (auto [Got, Stream] :
+           {std::pair(simulateBlock(BB, P, Mem, R, Ops, &Obs), &R),
+            std::pair(Decoded.run(P, Mem, DecodedR, &DecodedObs),
+                      &DecodedR)}) {
+        ASSERT_EQ(Got.Cycles, Want.Cycles)
+            << "block " << Block << " run " << Run << " on " << P.name()
+            << " width " << P.IssueWidth << " " << Mem.name();
+        ASSERT_EQ(Got.InterlockCycles, Want.InterlockCycles) << Block;
+        ASSERT_EQ(Got.Instructions, Want.Instructions) << Block;
+        // Both consumed the same number of latency draws.
+        Rng RefAfter = RefR;
+        ASSERT_EQ(Stream->nextUInt64(), RefAfter.nextUInt64()) << Block;
+      }
+    }
+  }
+  EXPECT_GT(EmptyBlocks, 0u);
+
+  MetricSnapshot Want = RefRegistry.snapshot();
+  for (const MetricRegistry *Reg : {&Registry, &DecodedRegistry}) {
+    MetricSnapshot Got = Reg->snapshot();
+    EXPECT_EQ(Got.toJson(), Want.toJson());
+    EXPECT_TRUE(Got == Want);
+  }
+#ifndef BSCHED_NO_OBS
+  // Some load issued with more than 16 loads in flight, so the in-flight
+  // list's prune ran.
+  EXPECT_GT(Want.Histograms.at("bsched.sim.outstanding_loads").Max, 16u);
+  EXPECT_EQ(Want.Counters.at("bsched.sim.block_runs"),
+            uint64_t(NumCombos) * BlocksPerCombo * RunsPerBlock -
+                uint64_t(EmptyBlocks) * RunsPerBlock);
+#endif
 }
