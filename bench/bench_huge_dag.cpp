@@ -14,12 +14,14 @@
 //     per-contributor sweep is cache-resident.
 //  3. A full default-config pipeline compile at n=8192 (the governor's
 //     default budget must admit it).
-//  4. Block-parallel weighting at 1/2/4/8 workers over an 8 x n=2048
+//  4. Block-parallel compile at 1/2/4/8 workers over an 8 x n=2048
 //     function: wall times, bootstrap 95% CIs against the 1-worker
 //     baseline, and a bit-identity check per worker count.
 //
-// `--smoke` compiles n=4096 through the default-governed pipeline and
-// runs one tiny sweep iteration, no artifact (the ctest perf-smoke gate).
+// `--smoke` compiles n=4096 through the default-governed pipeline, runs
+// one tiny sweep iteration, and compiles a 4 x n=1024 function serially
+// and on a 4-worker pool, failing unless the two outputs are identical;
+// no artifact (the ctest perf-smoke gate).
 // Full runs write BENCH_huge_dag.json next to EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
@@ -218,7 +220,7 @@ PipelineRow compileHuge(unsigned Size, bool Governed) {
 }
 
 //===----------------------------------------------------------------------===
-// 4. Block-parallel weighting worker scaling
+// 4. Block-parallel compile worker scaling
 //===----------------------------------------------------------------------===
 
 struct ScalingRow {
@@ -308,6 +310,26 @@ std::vector<ScalingRow> runWorkerScaling(unsigned BlocksCount, unsigned Size,
   return Rows;
 }
 
+/// Compiles buildHugeFunction(\p BlocksCount, \p Size) serially and on a
+/// \p Workers-worker pool, and reports whether both succeeded with the
+/// same printed function.
+bool pooledCompileMatchesSerial(unsigned BlocksCount, unsigned Size,
+                                unsigned Workers) {
+  Function F = buildHugeFunction(BlocksCount, Size);
+  PipelineConfig Serial = PipelineConfig::paperDefault();
+  ThreadPool Pool(Workers);
+  PipelineConfig Pooled = Serial;
+  Pooled.WeighterPool = &Pool;
+  ErrorOr<CompiledFunction> SerialOr = runPipeline(F, Serial);
+  ErrorOr<CompiledFunction> PooledOr = runPipeline(F, Pooled);
+  bool Identical = SerialOr && PooledOr &&
+                   printFunction(SerialOr->Compiled) ==
+                       printFunction(PooledOr->Compiled);
+  std::printf("[pooled] %u x n=%u on %u workers: %s\n", BlocksCount, Size,
+              Workers, Identical ? "identical to serial" : "MISMATCH");
+  return Identical;
+}
+
 //===----------------------------------------------------------------------===
 // Artifact
 //===----------------------------------------------------------------------===
@@ -388,14 +410,18 @@ int main(int argc, char **argv) {
 
   if (Smoke) {
     // The perf-smoke gate: one n=4096 compile under an active governor
-    // budget plus one closure-sweep pass. No artifact, no timing
-    // thresholds — this proves the huge path executes, not how fast — but
+    // budget, one closure-sweep pass, and one pooled compile (governed
+    // compiles stay serial, so it runs unbudgeted). No artifact, no timing
+    // thresholds — this proves the huge paths execute, not how fast — but
     // degradation is a failure: the budget must admit the exact policy.
     PipelineRow Row = compileHuge(4096, /*Governed=*/true);
     if (!Row.Succeeded || Row.Degraded)
       return 1;
     runClosureSweep({4096}, 1);
-    return 0;
+    return pooledCompileMatchesSerial(/*BlocksCount=*/4, /*Size=*/1024,
+                                      /*Workers=*/4)
+               ? 0
+               : 1;
   }
 
   std::printf("Huge-DAG scaling study (deterministic huge-block family).\n\n");

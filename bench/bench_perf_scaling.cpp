@@ -10,7 +10,7 @@
 // weighters (optimized scratch kernel and the retained allocating
 // reference) and the list scheduler, then emit BENCH_perf_scaling.json
 // with the before/after ns-per-instruction table, the pipeline's
-// weighter_* scratch-reuse counters, and block-parallel weighting wall
+// weighter_* scratch-reuse counters, and block-parallel compile wall
 // times. `--smoke` runs a one-iteration sweep with no artifact (the ctest
 // perf-smoke gate).
 //
@@ -287,9 +287,9 @@ struct ParallelTiming {
   double ParallelMillis = 0.0;
 };
 
-/// Wall time of a full compile, serial vs. block-parallel weighting, on a
+/// Wall time of a full compile, serial vs. block-parallel compile, on a
 /// many-block function.
-ParallelTiming timeParallelWeighting(unsigned Repeats) {
+ParallelTiming timeParallelCompile(unsigned Repeats) {
   WorkloadOptions Options;
   Options.UnrollFactor = 8; // Bigger blocks: weighting dominates.
   Function F = buildBenchmark(Benchmark::MDG, Options);
@@ -314,7 +314,7 @@ ParallelTiming timeParallelWeighting(unsigned Repeats) {
   T.ParallelMillis = (nowMillis() - Start) / Repeats;
 
   std::printf("[parallel] %u blocks, %u workers: serial %.1f ms, "
-              "block-parallel weighting %.1f ms (%.2fx)\n",
+              "block-parallel compile %.1f ms (%.2fx)\n",
               T.Blocks, T.Workers, T.SerialMillis, T.ParallelMillis,
               T.ParallelMillis == 0.0 ? 0.0
                                       : T.SerialMillis / T.ParallelMillis);
@@ -355,12 +355,11 @@ void writeArtifact(const std::vector<SweepRow> &Sweep,
   W.key("pipeline_counters").beginObject();
   for (const char *Name :
        {"bsched.sched.weighter_blocks",
-        "bsched.sched.weighter_scratch_reuses",
-        "bsched.sched.weighter_parallel_blocks"})
+        "bsched.sched.weighter_scratch_reuses"})
     W.key(Name).value(counterOrZero(Counters, Name));
   W.endObject();
 
-  W.key("parallel_weighting").beginObject();
+  W.key("parallel_compile").beginObject();
   W.key("blocks").value(Parallel.Blocks);
   W.key("workers").value(Parallel.Workers);
   W.key("serial_ms").valueFixed(Parallel.SerialMillis, 2);
@@ -426,7 +425,7 @@ int main(int argc, char **argv) {
   std::vector<SeedComparison> Seed =
       Smoke ? std::vector<SeedComparison>{} : compareAgainstSeed();
   MetricSnapshot Counters = meteredPipelineRun();
-  ParallelTiming Parallel = timeParallelWeighting(Smoke ? 1 : 5);
+  ParallelTiming Parallel = timeParallelCompile(Smoke ? 1 : 5);
 
   if (!Smoke)
     writeArtifact(Sweep, Seed, Counters, Parallel);

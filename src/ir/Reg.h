@@ -35,6 +35,9 @@ public:
   /// Constructs the invalid register (no operand).
   Reg() = default;
 
+  /// The largest register number the 29-bit encoding holds (2^29 - 1).
+  static constexpr unsigned MaxId = (1u << 29) - 1;
+
   /// Creates virtual register number \p Id in class \p RC.
   static Reg makeVirtual(RegClass RC, unsigned Id) {
     return Reg(encode(/*Physical=*/false, RC, Id));
@@ -94,9 +97,10 @@ private:
   static constexpr uint32_t PhysicalBit = 1u << 30;
   static constexpr uint32_t FpBit = 1u << 29;
   static constexpr uint32_t IdMask = FpBit - 1;
+  static_assert(MaxId == IdMask, "MaxId must match the encoding");
 
   static uint32_t encode(bool Physical, RegClass RC, unsigned Id) {
-    assert(Id <= IdMask && "register number too large");
+    assert(Id <= MaxId && "register number too large");
     uint32_t Bits = ValidBit | Id;
     if (Physical)
       Bits |= PhysicalBit;

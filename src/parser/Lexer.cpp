@@ -142,10 +142,21 @@ Token Lexer::lexRegister() {
   if (!isDigitChar(peek()))
     return errorToken(DiagCode::LexBadRegisterNumber,
                       "expected register number");
+  // Stop accumulating once past Reg::MaxId (Id stays below 2^33, so the
+  // sum never wraps) but consume every digit, so the token ends where the
+  // number does.
   uint64_t Id = 0;
   while (isDigitChar(peek())) {
-    Id = Id * 10 + static_cast<uint64_t>(peek() - '0');
+    if (Id <= Reg::MaxId)
+      Id = Id * 10 + static_cast<uint64_t>(peek() - '0');
     advance();
+  }
+  static_assert(Reg::MaxId == 536870911, "keep the message below in step");
+  if (Id > Reg::MaxId) {
+    T.Kind = TokenKind::Error;
+    T.Text = "register number too large (at most 536870911)";
+    T.Code = DiagCode::LexBadRegisterNumber;
+    return T;
   }
   T.Kind = TokenKind::RegTok;
   T.Text = Buffer.substr(Start, Pos - Start);

@@ -20,6 +20,7 @@
 #include "sched/TraditionalWeighter.h"
 #include "sched/WeighterScratch.h"
 
+#include "support/Check.h"
 #include "support/FailPoint.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -27,6 +28,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <memory>
 #include <optional>
 
@@ -120,9 +122,7 @@ struct PipelineInstruments {
         MemEdgesPruned(Reg.counter("bsched.dag.mem_edges_pruned")),
         WeighterBlocks(Reg.counter("bsched.sched.weighter_blocks")),
         WeighterScratchReuses(
-            Reg.counter("bsched.sched.weighter_scratch_reuses")),
-        WeighterParallelBlocks(
-            Reg.counter("bsched.sched.weighter_parallel_blocks")) {}
+            Reg.counter("bsched.sched.weighter_scratch_reuses")) {}
 
   Counter Kernels;
   Counter Blocks;
@@ -135,7 +135,7 @@ struct PipelineInstruments {
   /// Alias-query outcomes from DAG construction; EdgesPruned counts the
   /// NoAlias answers, i.e. memory edges the conservative builder would
   /// have added. Each block is built exactly once per pass regardless of
-  /// which worker claims it, so these stay serial-vs-parallel identical.
+  /// which worker compiles it, so these stay serial-vs-pooled identical.
   Counter AliasQueries;
   Counter AliasNo;
   Counter AliasMust;
@@ -143,14 +143,12 @@ struct PipelineInstruments {
   Counter MemEdgesPruned;
   /// Per-block weighting runs; WeighterScratchReuses counts the subset
   /// served by an already-warm scratch (the difference is the number of
-  /// cold scratch allocations), and WeighterParallelBlocks the subset
-  /// weighted by the block-parallel prepass. Scratch-reuse counts depend
-  /// on which worker claims which block, so they are the one pipeline
-  /// metric exempt from the serial-vs-parallel determinism guarantee when
+  /// cold scratch allocations). Scratch-reuse counts depend on which
+  /// worker compiles which block, so they are the one pipeline metric
+  /// exempt from the serial-vs-pooled determinism guarantee when
   /// WeighterPool is set.
   Counter WeighterBlocks;
   Counter WeighterScratchReuses;
-  Counter WeighterParallelBlocks;
 };
 
 std::unique_ptr<Weighter> makeWeighter(const PipelineConfig &Config) {
@@ -194,54 +192,21 @@ uint64_t functionFaultKey(const Function &F) {
   return failPointMix(stableHash(F.name()), F.numBlocks());
 }
 
-/// Builds and weights the pass DAG of \p BB — the unit the block-parallel
-/// prepass fans out. \p Scratch is the calling thread's workspace (its
-/// Governor member, when set, is polled by the weighting kernel; \p Gov
-/// additionally gates the DAG build).
-void buildWeightedDagInto(DepDag &D, BasicBlock &BB, const Weighter &W,
-                          const PipelineConfig &Config,
-                          PipelineInstruments *Metrics,
-                          WeighterScratch &Scratch, ResourceGovernor *Gov) {
-  ScopedSpan Span(Config.Obs.Trace, "dag");
-  if (Metrics) {
-    Metrics->WeighterBlocks.add();
-    if (Scratch.warm())
-      Metrics->WeighterScratchReuses.add();
-  }
-  DagBuildOptions DagOptions = Config.DagOptions;
-  DagOptions.Governor = Gov;
-  DagAliasStats AliasStats;
-  DagOptions.AliasStats = &AliasStats;
-  buildDagInto(D, BB, DagOptions);
-  if (Metrics) {
-    Metrics->AliasQueries.add(AliasStats.Queries);
-    Metrics->AliasNo.add(AliasStats.NoAlias);
-    Metrics->AliasMust.add(AliasStats.MustAlias);
-    Metrics->AliasMay.add(AliasStats.MayAlias);
-    Metrics->MemEdgesPruned.add(AliasStats.EdgesPruned);
-  }
-  if (!Gov || !Gov->tripped())
-    W.assignWeights(D, Scratch);
-}
-
 /// One scheduling pass over \p BB in place. When certifying, the schedule
 /// is validated *before* it is applied; on failure the block is left
-/// untouched and the violations are returned. \p DagArena is the caller's
-/// per-compile DAG buffer: the pass DAG is rebuilt into it in place so
-/// every pass of every block recycles one set of allocations. \p Prebuilt,
-/// when non-null, is the block's already-weighted pass-1 DAG from the
-/// parallel prepass; it is used in place of the arena (and is dead after
-/// the call). A governor trip or an injected fault returns its single
-/// structured BS8xx diagnostic (the caller distinguishes those from
-/// certification violations by code).
+/// untouched and the violations are returned. \p Dag is the caller's
+/// DAG buffer: the pass DAG is rebuilt into it in place so every pass of
+/// every block recycles one set of allocations. \p Scratch is the calling
+/// thread's weighting workspace (its Governor member, when set, is polled
+/// by the weighting kernel). A governor trip or an injected fault returns
+/// its single structured BS8xx diagnostic (the caller distinguishes those
+/// from certification violations by code).
 std::vector<Diagnostic> scheduleBlock(BasicBlock &BB, const Weighter &W,
                                       const PipelineConfig &Config,
                                       PipelineInstruments *Metrics,
-                                      WeighterScratch &Scratch,
-                                      DepDag &DagArena,
+                                      WeighterScratch &Scratch, DepDag &Dag,
                                       ResourceGovernor *Gov,
-                                      uint64_t PassKey,
-                                      DepDag *Prebuilt = nullptr) {
+                                      uint64_t PassKey) {
   if (anyFailPointsEnabled()) {
     if (auto D = checkFailPoint(failpoints::DagBuild,
                                 failPointMix(PassKey, FaultDagBuild)))
@@ -264,9 +229,28 @@ std::vector<Diagnostic> scheduleBlock(BasicBlock &BB, const Weighter &W,
                                                    "'")};
   };
 
-  if (!Prebuilt)
-    buildWeightedDagInto(DagArena, BB, W, Config, Metrics, Scratch, Gov);
-  DepDag &Dag = Prebuilt ? *Prebuilt : DagArena;
+  { // Build and weight the pass DAG.
+    ScopedSpan Span(Config.Obs.Trace, "dag");
+    if (Metrics) {
+      Metrics->WeighterBlocks.add();
+      if (Scratch.warm())
+        Metrics->WeighterScratchReuses.add();
+    }
+    DagBuildOptions DagOptions = Config.DagOptions;
+    DagOptions.Governor = Gov;
+    DagAliasStats AliasStats;
+    DagOptions.AliasStats = &AliasStats;
+    buildDagInto(Dag, BB, DagOptions);
+    if (Metrics) {
+      Metrics->AliasQueries.add(AliasStats.Queries);
+      Metrics->AliasNo.add(AliasStats.NoAlias);
+      Metrics->AliasMust.add(AliasStats.MustAlias);
+      Metrics->AliasMay.add(AliasStats.MayAlias);
+      Metrics->MemEdgesPruned.add(AliasStats.EdgesPruned);
+    }
+    if (!Gov || !Gov->tripped())
+      W.assignWeights(Dag, Scratch);
+  }
   if (Gov && Gov->tripped())
     return Overran();
   if (Metrics) {
@@ -317,20 +301,119 @@ std::vector<Diagnostic> scheduleBlock(BasicBlock &BB, const Weighter &W,
   return {};
 }
 
-/// True when \p Diags is a structured abort (injected fault or budget
-/// overrun) rather than a certification finding: passed through verbatim
-/// instead of being wrapped in PipelineCertificationFailed.
-bool isStructuredAbort(const std::vector<Diagnostic> &Diags) {
-  return !Diags.empty() && (Diags.front().Code == DiagCode::InjectedFault ||
-                            isBudgetDiagCode(Diags.front().Code));
+/// Compiles block \p BlockIndex of \p F in place through the whole
+/// section 4.1 chain: schedule, certify, allocate, certify, rename,
+/// reschedule, certify. Returns the block's static spill count, or the
+/// diagnostics that abort the compile: failed certificates (wrapped in
+/// PipelineCertificationFailed), an injected fault (BS810) or a governor
+/// trip (BS80x), the latter two as their single structured diagnostic.
+/// Outside its block the chain only reads \p F (its name, and the spill
+/// alias class compileUnverified interns up front), so the blocks of one
+/// function compile concurrently when each caller brings its own
+/// \p Scratch and \p DagArena. \p W is null for NoScheduling.
+ErrorOr<unsigned> compileBlock(Function &F, unsigned BlockIndex,
+                               const Weighter *W, const PipelineConfig &Config,
+                               PipelineInstruments *Metrics,
+                               WeighterScratch &Scratch, DepDag &DagArena,
+                               ResourceGovernor *Gov, uint64_t FuncKey) {
+  BasicBlock &BB = F.block(BlockIndex);
+  if (Metrics)
+    Metrics->Blocks.add();
+
+  // Per-(block, pass) fail-point keys, derived from kernel content so
+  // chaos runs fault identically however cells are distributed. They are
+  // only read while a fail point is armed.
+  const uint64_t BlockKey =
+      failPointMix(FuncKey, failPointMix(BlockIndex, BB.size()));
+
+  auto Overran = [&] {
+    return ErrorOr<unsigned>(Gov->diagnostic("block '" + BB.name() + "'"));
+  };
+  // A structured abort (injected fault or budget overrun) passes through
+  // verbatim; certification findings are wrapped.
+  auto Failed = [&](const char *Stage, std::vector<Diagnostic> Violations) {
+    const DiagCode First = Violations.front().Code;
+    if (First == DiagCode::InjectedFault || isBudgetDiagCode(First))
+      return ErrorOr<unsigned>(std::move(Violations));
+    std::vector<Diagnostic> Diags;
+    Diags.push_back({0, 0,
+                     std::string(Stage) + " certification failed for block '" +
+                         BB.name() + "' of function '" + F.name() + "'",
+                     Severity::Error, DiagCode::PipelineCertificationFailed});
+    for (Diagnostic &D : Violations)
+      Diags.push_back(std::move(D));
+    return ErrorOr<unsigned>(std::move(Diags));
+  };
+
+  // Pass 1: schedule over virtual registers.
+  if (W) {
+    std::vector<Diagnostic> Violations =
+        scheduleBlock(BB, *W, Config, Metrics, Scratch, DagArena, Gov,
+                      failPointMix(BlockKey, 1));
+    if (!Violations.empty())
+      return Failed("first-pass schedule", std::move(Violations));
+  }
+  if (!Config.RunRegAlloc)
+    return 0u;
+
+  // Register allocation inserts spill code and renames to physical.
+  if (auto D = checkFailPoint(failpoints::RegAlloc,
+                              failPointMix(BlockKey, FaultRegAlloc)))
+    return ErrorOr<unsigned>(std::move(*D));
+
+  // Snapshot the pre-allocation block: the allocation certificate
+  // re-executes the rewrite against it.
+  std::optional<BasicBlock> PreAlloc;
+  if (Config.Certify)
+    PreAlloc.emplace(BB);
+
+  RegAllocResult Alloc = [&] {
+    ScopedSpan Span(Config.Obs.Trace, "regalloc");
+    return allocateRegisters(F, BB, Config.Target, Gov);
+  }();
+  if (Gov && Gov->tripped())
+    return Overran();
+  const unsigned Spills = Alloc.spillInstructions();
+  if (Metrics && Spills != 0)
+    Metrics->SpillInstructions.add(Spills);
+
+  if (Config.Certify) {
+    ScopedSpan Span(Config.Obs.Trace, "certify");
+    if (Metrics)
+      Metrics->AllocationCerts.add();
+    if (auto D = checkFailPoint(failpoints::Certify,
+                                failPointMix(BlockKey, FaultCertify)))
+      return ErrorOr<unsigned>(std::move(*D));
+    std::vector<Diagnostic> Violations = certifyAllocation(
+        *PreAlloc, BB, Alloc, Config.Target,
+        F.getOrCreateAliasClass(SpillAliasClassName), Gov);
+    if (Gov && Gov->tripped())
+      return Overran();
+    if (!Violations.empty())
+      return Failed("register-allocation", std::move(Violations));
+  }
+
+  // Renaming rewrites physical registers wholesale, so it runs after the
+  // allocation certificate; the reordered result is still covered by the
+  // second-pass schedule certificate below.
+  if (Config.RenameAfterAllocation)
+    renameRegisters(BB, Config.Target);
+
+  // Pass 2: integrate the spill code into the schedule.
+  if (W && Config.SecondSchedulingPass) {
+    std::vector<Diagnostic> Violations =
+        scheduleBlock(BB, *W, Config, Metrics, Scratch, DagArena, Gov,
+                      failPointMix(BlockKey, 2));
+    if (!Violations.empty())
+      return Failed("second-pass schedule", std::move(Violations));
+  }
+  return Spills;
 }
 
 /// The raw two-pass compilation, with no validation of \p Config or
 /// verification of \p Input — runPipeline wraps it with both (and owns the
-/// governor's admission checks and degradation ladder). Failure modes:
-/// failed certificates (wrapped in PipelineCertificationFailed), injected
-/// faults (BS810) and governor trips (BS80x) — the latter two returned as
-/// their single structured diagnostic.
+/// governor's admission checks and degradation ladder). Fails with the
+/// first failing block's diagnostics (see compileBlock).
 ErrorOr<CompiledFunction> compileUnverified(const Function &Input,
                                             const PipelineConfig &Config,
                                             ResourceGovernor *Gov) {
@@ -360,165 +443,75 @@ ErrorOr<CompiledFunction> compileUnverified(const Function &Input,
                          std::move(CompileArgs));
 
   std::unique_ptr<Weighter> W = makeWeighter(Config);
+  const unsigned NumBlocks = F.numBlocks();
 
-  // One weighting workspace per compile: pass-1 and pass-2 weighting of
-  // every block reuse the same buffers (WeighterScratch is all
-  // generation-counted or overwritten state, so reuse never changes
-  // results).
-  WeighterScratch Scratch;
-  Scratch.Governor = Gov;
-
-  // One DAG arena per compile: each serial scheduling pass rebuilds its
-  // DAG into this buffer (DepDag::rebuild recycles the planes and edge
-  // arrays). Parallel-prepass DAGs necessarily live in their own storage.
-  DepDag DagArena;
+  // The allocator's spill slots share one alias class of the function.
+  // Interning it before the first block leaves allocation and its
+  // certificate only looking it up, so no block writes outside itself.
+  if (Config.RunRegAlloc && NumBlocks != 0)
+    F.getOrCreateAliasClass(SpillAliasClassName);
 
   const bool Chaos = anyFailPointsEnabled();
   const uint64_t FuncKey = Chaos ? functionFaultKey(F) : 0;
 
-  // Block-parallel pass-1 weighting (opt-in via Config.WeighterPool): the
-  // pass-1 DAG of a block is a pure function of that block — nothing
-  // scheduled, allocated, or renamed in an earlier block can change it —
-  // so all blocks build and weight concurrently. The fold back is
-  // deterministic: results land at their block's slot and the serial loop
-  // below consumes them in block order, making the compiled function
-  // bit-identical to the serial path. A governed compile stays serial (the
-  // governor's tick stream is single-threaded by design), as does a chaos
-  // run (fault sites are checked on the serial path).
-  std::vector<std::optional<DepDag>> PreDags;
+  // With a pool (Config.WeighterPool) the blocks compile concurrently,
+  // claimed dynamically because their sizes vary widely. Each worker
+  // thread keeps one scratch and one DAG arena; which worker compiles
+  // which block varies run to run, which is harmless because neither
+  // carries state into results. A governed compile stays serial (its tick
+  // budget is one single-threaded stream), as does a chaos run (fail-point
+  // evaluation counts would grow with the pool). A throwing block is
+  // caught here rather than left to parallelForEach, whose fault capture
+  // would return a half-compiled function.
   ThreadPool *Pool = Config.WeighterPool;
-  if (W && Pool && Pool->workerCount() > 1 && F.numBlocks() > 1 && !Gov &&
-      !Chaos) {
-    ScopedSpan Span(Config.Obs.Trace, "parallel-weight");
-    PreDags.resize(F.numBlocks());
-    parallelForEach(*Pool, F.numBlocks(), [&](size_t BlockIndex) {
-      // Workers keep a long-lived scratch each; blocks are claimed
-      // dynamically, so which scratch serves which block varies run to
-      // run — harmless, since scratch state never leaks into results.
+  const bool Pooled = Pool && Pool->workerCount() > 1 && NumBlocks > 1 &&
+                      !Gov && !Chaos;
+  std::vector<std::optional<ErrorOr<unsigned>>> PooledSpills;
+  std::vector<std::exception_ptr> Thrown;
+  if (Pooled) {
+    PooledSpills.resize(NumBlocks);
+    Thrown.resize(NumBlocks);
+    parallelForEach(*Pool, NumBlocks, [&](size_t I) {
       thread_local WeighterScratch WorkerScratch;
-      if (Metrics)
-        Metrics->WeighterParallelBlocks.add();
-      buildWeightedDagInto(PreDags[BlockIndex].emplace(),
-                           F.block(static_cast<unsigned>(BlockIndex)), *W,
-                           Config, Metrics, WorkerScratch,
-                           /*Gov=*/nullptr);
+      thread_local DepDag WorkerArena;
+      try {
+        PooledSpills[I].emplace(compileBlock(F, static_cast<unsigned>(I),
+                                             W.get(), Config, Metrics,
+                                             WorkerScratch, WorkerArena,
+                                             /*Gov=*/nullptr, FuncKey));
+      } catch (...) {
+        Thrown[I] = std::current_exception();
+      }
     });
   }
 
-  auto CertFailed = [&](const BasicBlock &BB, const char *Stage,
-                        std::vector<Diagnostic> Violations) {
-    std::vector<Diagnostic> Diags;
-    Diags.push_back({0, 0,
-                     std::string(Stage) + " certification failed for block '" +
-                         BB.name() + "' of function '" + F.name() + "'",
-                     Severity::Error, DiagCode::PipelineCertificationFailed});
-    for (Diagnostic &D : Violations)
-      Diags.push_back(std::move(D));
-    return ErrorOr<CompiledFunction>(std::move(Diags));
-  };
+  // A serial compile reuses one weighting workspace and one DAG arena for
+  // both passes of every block (all of their state is generation-counted
+  // or overwritten, so reuse never changes results).
+  WeighterScratch Scratch;
+  Scratch.Governor = Gov;
+  DepDag DagArena;
 
-  unsigned BlockIndex = 0;
-  for (BasicBlock &BB : F) {
-    if (Metrics)
-      Metrics->Blocks.add();
-
-    // Per-(block, pass) fail-point keys, derived from kernel content so
-    // chaos runs fault identically however cells are distributed.
-    uint64_t BlockKey =
-        Chaos ? failPointMix(FuncKey, failPointMix(BlockIndex, BB.size()))
-              : 0;
-    uint64_t Pass1Key = Chaos ? failPointMix(BlockKey, 1) : 0;
-    uint64_t Pass2Key = Chaos ? failPointMix(BlockKey, 2) : 0;
-
-    auto Overran = [&] {
-      return ErrorOr<CompiledFunction>(std::vector<Diagnostic>{
-          Gov->diagnostic("block '" + BB.name() + "'")});
-    };
-
-    // Pass 1: schedule over virtual registers (consuming the prepass DAG
-    // when one was built).
-    if (W) {
-      DepDag *Prebuilt = BlockIndex < PreDags.size() && PreDags[BlockIndex]
-                             ? &*PreDags[BlockIndex]
-                             : nullptr;
-      std::vector<Diagnostic> Violations =
-          scheduleBlock(BB, *W, Config, Metrics, Scratch, DagArena, Gov,
-                        Pass1Key, Prebuilt);
-      if (!Violations.empty())
-        return isStructuredAbort(Violations)
-                   ? ErrorOr<CompiledFunction>(std::move(Violations))
-                   : CertFailed(BB, "first-pass schedule",
-                                std::move(Violations));
-    }
-
-    // Register allocation inserts spill code and renames to physical.
-    unsigned Spills = 0;
-    if (Config.RunRegAlloc) {
-      if (auto D = checkFailPoint(failpoints::RegAlloc,
-                                  failPointMix(BlockKey, FaultRegAlloc)))
-        return ErrorOr<CompiledFunction>(
-            std::vector<Diagnostic>{std::move(*D)});
-
-      // Snapshot the pre-allocation block: the allocation certificate
-      // re-executes the rewrite against it.
-      std::optional<BasicBlock> PreAlloc;
-      if (Config.Certify)
-        PreAlloc.emplace(BB);
-
-      RegAllocResult Alloc = [&] {
-        ScopedSpan Span(Config.Obs.Trace, "regalloc");
-        return allocateRegisters(F, BB, Config.Target, Gov);
-      }();
-      if (Gov && Gov->tripped())
-        return Overran();
-      Spills = Alloc.spillInstructions();
-      if (Metrics && Spills != 0)
-        Metrics->SpillInstructions.add(Spills);
-
-      if (Config.Certify) {
-        ScopedSpan Span(Config.Obs.Trace, "certify");
-        if (Metrics)
-          Metrics->AllocationCerts.add();
-        if (auto D = checkFailPoint(failpoints::Certify,
-                                    failPointMix(BlockKey, FaultCertify)))
-          return ErrorOr<CompiledFunction>(
-              std::vector<Diagnostic>{std::move(*D)});
-        std::vector<Diagnostic> Violations = certifyAllocation(
-            *PreAlloc, BB, Alloc, Config.Target,
-            F.getOrCreateAliasClass(SpillAliasClassName), Gov);
-        if (Gov && Gov->tripped())
-          return Overran();
-        if (!Violations.empty())
-          return CertFailed(BB, "register-allocation",
-                            std::move(Violations));
-      }
-
-      // Renaming rewrites physical registers wholesale, so it runs after
-      // the allocation certificate; the reordered result is still covered
-      // by the second-pass schedule certificate below.
-      if (Config.RenameAfterAllocation)
-        renameRegisters(BB, Config.Target);
-
-      // Pass 2: integrate the spill code into the schedule. Always serial:
-      // the DAG depends on the spill code allocation just produced.
-      if (W && Config.SecondSchedulingPass) {
-        std::vector<Diagnostic> Violations =
-            scheduleBlock(BB, *W, Config, Metrics, Scratch, DagArena, Gov,
-                          Pass2Key);
-        if (!Violations.empty())
-          return isStructuredAbort(Violations)
-                     ? ErrorOr<CompiledFunction>(std::move(Violations))
-                     : CertFailed(BB, "second-pass schedule",
-                                  std::move(Violations));
-      }
-    }
-    ++BlockIndex;
-    Result.SpillPerBlock.push_back(Spills);
-
+  // Fold in block order. The serial loop stops at the first failing block;
+  // the pooled path reports the lowest-index failure (or re-raises its
+  // exception), so both fail alike, and the totals accumulate in the same
+  // order down to the bits of the double sums.
+  for (unsigned I = 0; I != NumBlocks; ++I) {
+    if (Pooled && Thrown[I])
+      std::rethrow_exception(Thrown[I]);
+    BSCHED_CHECK(!Pooled || PooledSpills[I], "pooled block task never ran");
+    ErrorOr<unsigned> Spills =
+        Pooled ? std::move(*PooledSpills[I])
+               : compileBlock(F, I, W.get(), Config, Metrics, Scratch,
+                              DagArena, Gov, FuncKey);
+    if (!Spills)
+      return ErrorOr<CompiledFunction>(Spills.errors());
+    const BasicBlock &BB = F.block(I);
+    Result.SpillPerBlock.push_back(*Spills);
     Result.StaticInstructions += BB.size();
-    Result.StaticSpills += Spills;
+    Result.StaticSpills += *Spills;
     Result.DynamicInstructions += BB.frequency() * BB.size();
-    Result.DynamicSpills += BB.frequency() * Spills;
+    Result.DynamicSpills += BB.frequency() * *Spills;
   }
   return Result;
 }
@@ -563,9 +556,10 @@ Status bsched::validatePipelineConfig(const PipelineConfig &Config) {
 
   if (Config.RunRegAlloc) {
     // generalRegs() needs Total > Reserved + 2 per class; the integer
-    // class additionally reserves the frame pointer.
-    unsigned IntReserved = Config.Target.SpillPoolSize + 1;
-    unsigned FpReserved = Config.Target.SpillPoolSize;
+    // class additionally reserves the frame pointer. 64-bit sums, so a
+    // pool near UINT_MAX cannot wrap past the check.
+    uint64_t IntReserved = uint64_t(Config.Target.SpillPoolSize) + 1;
+    uint64_t FpReserved = Config.Target.SpillPoolSize;
     if (Config.Target.NumIntRegs <= IntReserved + 2)
       BadConfig("integer register file too small: " +
                 std::to_string(Config.Target.NumIntRegs) +

@@ -142,17 +142,18 @@ struct PipelineConfig {
   /// changes its result.
   ObsContext Obs;
 
-  /// Optional borrowed worker pool for block-parallel first-pass weighting
-  /// (DESIGN.md §3h). When set and the pool has more than one worker, the
-  /// pass-1 DAG build + weighting of every block runs across the pool
-  /// (each worker with its own WeighterScratch) and the per-block results
-  /// are folded back in block order, so the compiled output is
-  /// bit-identical to the serial path. Null (the default) or a one-worker
-  /// pool keeps weighting exactly the serial code path. The second
-  /// (post-RA) pass is inherently serial — it consumes each block's spill
-  /// code as allocation produces it. Not part of the compiled result, so
-  /// excluded from experiment cache keys; the experiment engine leaves
-  /// this null (it already parallelizes across cells).
+  /// Optional borrowed worker pool for block-parallel compiles (DESIGN.md
+  /// §3h). When set, the pool has more than one worker and the function
+  /// more than one block, whole blocks run in parallel: each block's
+  /// schedule, allocation, renaming, second schedule and certificates run
+  /// on one worker (each worker with its own WeighterScratch and DAG
+  /// arena), and the per-block results are folded back in block order, so
+  /// the compiled output and statistics are bit-identical to the serial
+  /// path. Governed compiles (an active Budget) and compiles with an armed
+  /// fail point stay serial. Null (the default) or a one-worker pool keeps
+  /// exactly the serial loop. Not part of the compiled result, so excluded
+  /// from experiment cache keys; the experiment engine leaves this null (it
+  /// already parallelizes across cells).
   ThreadPool *WeighterPool = nullptr;
 
   //===--------------------------------------------------------------------===

@@ -23,6 +23,7 @@
 #include "support/Check.h"
 
 #include <cassert>
+#include <cstdint>
 
 namespace bsched {
 
@@ -52,9 +53,10 @@ struct TargetDescription {
   /// class additionally reserves one register as the spill-area base.
   unsigned generalRegs(RegClass RC) const {
     unsigned Total = RC == RegClass::Fp ? NumFpRegs : NumIntRegs;
-    unsigned Reserved = SpillPoolSize + (RC == RegClass::Int ? 1 : 0);
+    uint64_t Reserved =
+        uint64_t(SpillPoolSize) + (RC == RegClass::Int ? 1 : 0);
     BSCHED_CHECK(Total > Reserved + 2, "register file too small for the pool");
-    return Total - Reserved;
+    return Total - static_cast<unsigned>(Reserved);
   }
 
   /// The I-th spill-pool register of class \p RC.

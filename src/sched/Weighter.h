@@ -29,9 +29,9 @@ class WeighterScratch;
 /// operation latency; load weights embody the policy under study.
 ///
 /// Weighters are immutable: assignWeights on one instance may be called
-/// concurrently from several threads (the pipeline weights the blocks of a
-/// function in parallel). All mutable working state lives in the caller's
-/// WeighterScratch, one per thread.
+/// concurrently from several threads (a pooled pipeline compiles the blocks
+/// of a function in parallel, sharing one weighter). All mutable working
+/// state lives in the caller's WeighterScratch, one per thread.
 class Weighter {
 public:
   virtual ~Weighter();

@@ -12,9 +12,9 @@
 /// accumulators — allocated once and reused across instructions, blocks,
 /// and whole compilations. A weighter never owns one (weighters stay
 /// immutable and shareable across threads); callers own the scratch and
-/// pass it down, one per thread. The pipeline keeps one per compile (and
-/// one per worker when weighting blocks in parallel); dropping a scratch
-/// and starting fresh is always correct, just slower.
+/// pass it down, one per thread. The pipeline keeps one per serial compile
+/// (and one per worker thread when a pool compiles blocks in parallel);
+/// dropping a scratch and starting fresh is always correct, just slower.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -42,7 +42,7 @@ Function buildHugeBlock(unsigned Size, const WorkloadOptions &Options = {});
 /// Builds "huge<Size>x<NumBlocks>": \p NumBlocks blocks of exactly
 /// \p Size schedulable instructions each, every block drawing a distinct
 /// pattern stream. The multi-block shape is what the block-parallel
-/// weighting scaling study compiles (one worker per block). Deterministic
+/// compile scaling study compiles (one worker per block). Deterministic
 /// like buildHugeBlock; block 0 of buildHugeFunction(1, n) is identical in
 /// shape to buildHugeBlock(n).
 Function buildHugeFunction(unsigned NumBlocks, unsigned Size,

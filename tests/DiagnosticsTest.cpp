@@ -11,10 +11,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/KernelLang.h"
+#include "ir/IrPrinter.h"
 #include "ir/IrVerifier.h"
 #include "parser/Parser.h"
 #include "support/Diagnostic.h"
 #include "support/ErrorOr.h"
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -103,6 +106,40 @@ TEST(DiagnosticsTest, LexerBadRegisterNumber) {
   ASSERT_NE(D, nullptr);
   EXPECT_EQ(D->Code, DiagCode::LexBadRegisterNumber);
   EXPECT_EQ(D->Message, "expected register number");
+
+  // Numbers past the 29-bit encoding are rejected at the register, not
+  // wrapped onto a smaller one (2^32 used to become %i0, 2^30 $i0).
+  for (const char *Number :
+       {"536870912", "1073741824", "4294967296", "1234567890123456789012345"})
+    for (const char *Sigil : {"%i", "$f"}) {
+      const std::string Src = std::string("func @f { block b {\n") + Sigil +
+                              Number + " = li 8192\nret } }";
+      ParseResult Big = parseIr(Src);
+      ASSERT_FALSE(Big.ok()) << Src;
+      const Diagnostic *E = firstError(Big.Diags);
+      ASSERT_NE(E, nullptr) << Src;
+      EXPECT_EQ(E->Code, DiagCode::LexBadRegisterNumber) << Src;
+      EXPECT_EQ(E->Message, "register number too large (at most 536870911)");
+      EXPECT_EQ(E->Line, 2u);
+      EXPECT_EQ(E->Col, 1u);
+    }
+
+  // The largest encodable numbers still parse and print back unchanged.
+  ErrorOr<Function> Max = parseSingleFunction(
+      "func @f { block b {\n%i536870911 = li 1\n$f536870911 = fli 2.5\n"
+      "ret } }");
+  ASSERT_TRUE(Max.has_value()) << Max.errorText();
+  EXPECT_EQ(Max->block(0)[0].dest(),
+            Reg::makeVirtual(RegClass::Int, Reg::MaxId));
+  EXPECT_EQ(Max->block(0)[1].dest(),
+            Reg::makePhysical(RegClass::Fp, Reg::MaxId));
+  const std::string Printed = printFunction(*Max);
+  EXPECT_NE(Printed.find("%i536870911 = li 1"), std::string::npos)
+      << Printed;
+  EXPECT_NE(Printed.find("$f536870911 = fli"), std::string::npos) << Printed;
+  ErrorOr<Function> Reparsed = parseSingleFunction(Printed);
+  ASSERT_TRUE(Reparsed.has_value()) << Reparsed.errorText();
+  EXPECT_EQ(printFunction(*Reparsed), Printed);
 }
 
 //===----------------------------------------------------------------------===//

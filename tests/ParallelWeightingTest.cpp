@@ -6,13 +6,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The block-parallel weighting contract (DESIGN.md §3h): a pipeline run
-/// with Config.WeighterPool set produces a compiled function *bit-identical*
-/// to the serial run — same instruction text, same statistics — because the
-/// prepass results are folded back in block order. The suite runs under the
-/// TSan preset, so it also exercises the weighter and scratch sharing
-/// discipline (immutable weighter shared across workers, one scratch per
-/// thread) under the race detector.
+/// The block-parallel compile contract (DESIGN.md §3h): a pipeline run
+/// with Config.WeighterPool set compiles whole blocks on the pool's workers
+/// and produces a compiled function *bit-identical* to the serial run —
+/// same instruction text, same statistics, same metrics — because every
+/// block runs the same per-block chain and the results are folded back in
+/// block order. The suite runs under the TSan preset, so it also exercises
+/// the sharing discipline (immutable weighter and function-level state
+/// shared across workers, one scratch and DAG arena per thread) under the
+/// race detector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,7 @@
 #include "sched/BalancedWeighter.h"
 #include "sched/WeighterScratch.h"
 #include "support/ThreadPool.h"
+#include "workload/HugeBlocks.h"
 #include "workload/PerfectClub.h"
 
 #include <bit>
@@ -94,7 +97,7 @@ TEST(ParallelWeightingTest, PipelineMatchesSerialWithoutRegAlloc) {
 
 TEST(ParallelWeightingTest, OneWorkerPoolStaysSerialPath) {
   // A one-worker pool must behave exactly like no pool: the pipeline takes
-  // the serial branch (workerCount() > 1 gate), so no prepass runs at all.
+  // the serial loop (workerCount() > 1 gate) and never enters the pool.
   ThreadPool Pool(1);
   Function F = testFunction();
   PipelineConfig Config;
@@ -147,22 +150,48 @@ TEST(ParallelWeightingTest, SharedWeighterConcurrentScratchesAgree) {
   }
 }
 
-TEST(ParallelWeightingTest, ParallelRunRecordsPrepassMetrics) {
-  MetricRegistry Registry;
-  ThreadPool Pool(4);
+TEST(ParallelWeightingTest, PooledRunRecordsSerialMetrics) {
+  // Each block runs its whole chain once, whichever worker compiles it, so
+  // a pooled compile records the serial compile's metrics. The exception
+  // is scratch reuse, which depends on how many blocks each worker served.
   Function F = testFunction();
-  PipelineConfig Config;
-  Config.WeighterPool = &Pool;
-  Config.Obs.Metrics = &Registry;
-
-  ASSERT_TRUE(runPipeline(F, Config).has_value());
+  ThreadPool Pool(4);
+  auto Snapshot = [&](ThreadPool *Blocks) {
+    MetricRegistry Registry;
+    PipelineConfig Config;
+    Config.WeighterPool = Blocks;
+    Config.Obs.Metrics = &Registry;
+    EXPECT_TRUE(runPipeline(F, Config).has_value());
+    MetricSnapshot Snap = Registry.snapshot();
+    Snap.Counters.erase("bsched.sched.weighter_scratch_reuses");
+    return Snap;
+  };
+  MetricSnapshot Serial = Snapshot(nullptr);
+  MetricSnapshot Pooled = Snapshot(&Pool);
+  EXPECT_EQ(Serial.toJson(), Pooled.toJson());
 #ifndef BSCHED_NO_OBS
-  MetricSnapshot Snap = Registry.snapshot();
-  // Every block goes through the prepass exactly once...
-  EXPECT_EQ(Snap.Counters["bsched.sched.weighter_parallel_blocks"],
-            F.numBlocks());
-  // ...and is weighted twice in total (prepass + post-RA second pass).
-  EXPECT_EQ(Snap.Counters["bsched.sched.weighter_blocks"],
+  // Every block is weighted twice: before and after allocation.
+  EXPECT_EQ(Pooled.Counters["bsched.sched.weighter_blocks"],
             2u * F.numBlocks());
 #endif
+}
+
+TEST(ParallelWeightingTest, HugeFunctionMatchesSerial) {
+  // Four blocks of 1024 instructions with allocation and certification on:
+  // both scheduling passes, allocation and every certificate run
+  // concurrently on the pool's workers.
+  Function F = buildHugeFunction(4, 1024);
+  PipelineConfig Serial = PipelineConfig::paperDefault();
+  ASSERT_TRUE(Serial.RunRegAlloc && Serial.Certify);
+  ThreadPool Pool(4);
+  PipelineConfig Pooled = Serial;
+  Pooled.WeighterPool = &Pool;
+
+  ErrorOr<CompiledFunction> SerialOr = runPipeline(F, Serial);
+  ErrorOr<CompiledFunction> PooledOr = runPipeline(F, Pooled);
+  ASSERT_TRUE(SerialOr.has_value()) << SerialOr.errorText();
+  ASSERT_TRUE(PooledOr.has_value()) << PooledOr.errorText();
+  expectIdenticalCompiles(*SerialOr, *PooledOr);
+  EXPECT_EQ(SerialOr->Compiled.numAliasClasses(),
+            PooledOr->Compiled.numAliasClasses());
 }

@@ -17,6 +17,7 @@
 #include "pipeline/Experiment.h"
 #include "pipeline/Pipeline.h"
 #include "support/StringUtils.h"
+#include "support/ThreadPool.h"
 #include "workload/HugeBlocks.h"
 #include "workload/PerfectClub.h"
 
@@ -281,6 +282,11 @@ TEST(PipelineConfigTest, ValidateRejectsBadKnobs) {
            [](PipelineConfig &C) { C.Target.NumIntRegs = 4000000000u; }},
           {"1e8 floating-point registers",
            [](PipelineConfig &C) { C.Target.NumFpRegs = 100000000u; }},
+          // Pool sizes whose reserved-register sums wrap in 32 bits.
+          {"spill pool 4294967295",
+           [](PipelineConfig &C) { C.Target.SpillPoolSize = 4294967295u; }},
+          {"spill pool 4294967294",
+           [](PipelineConfig &C) { C.Target.SpillPoolSize = 4294967294u; }},
       };
   for (const auto &[Name, Mutate] : Hostile) {
     PipelineConfig Config = PipelineConfig::paperDefault();
@@ -333,17 +339,22 @@ struct GoldenCase {
   uint64_t Expected;
 };
 
+/// Checks every case, compiling through \p Pool when it is set: a pooled
+/// compile must hash to the same constants as the serial one.
 void expectGoldenOutput(const char *InputSet,
                         const std::vector<Function> &Inputs,
-                        const std::vector<GoldenCase> &Cases) {
+                        const std::vector<GoldenCase> &Cases,
+                        ThreadPool *Pool = nullptr) {
   for (const GoldenCase &Case : Cases) {
     PipelineConfig Config = Case.UnlimitedRegisters
                                 ? PipelineConfig::unlimitedRegisters()
                                 : PipelineConfig::paperDefault();
     Config.Policy = Case.Policy;
+    Config.WeighterPool = Pool;
     const std::string Name =
         std::string(InputSet) + " x " + policyName(Case.Policy) + " x " +
-        (Case.UnlimitedRegisters ? "unlimitedRegisters" : "paperDefault");
+        (Case.UnlimitedRegisters ? "unlimitedRegisters" : "paperDefault") +
+        (Pool ? " (pooled)" : "");
     std::string Text;
     for (const Function &F : Inputs) {
       ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
@@ -367,14 +378,17 @@ TEST(GoldenOutputTest, PerfectClubProgramsCompileToPinnedText) {
   std::vector<Function> Programs;
   for (Benchmark B : allBenchmarks())
     Programs.push_back(buildBenchmark(B));
-  expectGoldenOutput(
-      "perfect-club", Programs,
-      {{SchedulerPolicy::Balanced, false, 0x27c9e05f4124a094ull},
-       {SchedulerPolicy::BalancedUnionFind, false, 0xd976d6ba7b4e5cf8ull},
-       {SchedulerPolicy::Traditional, false, 0x8058893702474cc4ull},
-       {SchedulerPolicy::Balanced, true, 0xf9d08fdec1cbd20cull},
-       {SchedulerPolicy::BalancedUnionFind, true, 0x70610b98474e09a4ull},
-       {SchedulerPolicy::Traditional, true, 0x0e8a08b719ea20d2ull}});
+  ThreadPool Pool(4);
+  for (ThreadPool *Blocks : {static_cast<ThreadPool *>(nullptr), &Pool})
+    expectGoldenOutput(
+        "perfect-club", Programs,
+        {{SchedulerPolicy::Balanced, false, 0x27c9e05f4124a094ull},
+         {SchedulerPolicy::BalancedUnionFind, false, 0xd976d6ba7b4e5cf8ull},
+         {SchedulerPolicy::Traditional, false, 0x8058893702474cc4ull},
+         {SchedulerPolicy::Balanced, true, 0xf9d08fdec1cbd20cull},
+         {SchedulerPolicy::BalancedUnionFind, true, 0x70610b98474e09a4ull},
+         {SchedulerPolicy::Traditional, true, 0x0e8a08b719ea20d2ull}},
+        Blocks);
 }
 
 TEST(GoldenOutputTest, HugeBlockCompilesToPinnedText) {

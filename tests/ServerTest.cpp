@@ -344,7 +344,8 @@ TEST(ServerCoreTest, HugeLatenciesAndRegisterFilesRejectedAtOnce) {
         R"({"policy":"traditional","optimistic_latency":1e400})",
         R"({"op_latencies":{"fadd":1e400}})",
         R"({"target":{"int_regs":4000000000}})",
-        R"({"target":{"fp_regs":100000000}})"}) {
+        R"({"target":{"fp_regs":100000000}})",
+        R"({"target":{"spill_pool_size":4294967295}})"}) {
     JsonWriter Request;
     Request.beginObject();
     Request.key("schema_version").value(CompileRequest::SchemaVersion);
