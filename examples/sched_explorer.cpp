@@ -34,7 +34,6 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -229,9 +228,19 @@ int main(int argc, char **argv) {
       Source = DemoSource;
     else if (std::strcmp(argv[I], "--dot") == 0)
       EmitDot = true;
-    else if (std::strcmp(argv[I], "--latency") == 0 && I + 1 < argc)
-      TraditionalLatency = std::atof(argv[++I]);
-    else
+    else if (std::strcmp(argv[I], "--latency") == 0) {
+      // The range the pipeline accepts for a traditional load weight
+      // (BS500): positive, finite, at most 1024 cycles.
+      const char *Text = I + 1 < argc ? argv[++I] : "";
+      double Value = 0.0;
+      if (!parseNonNegative(Text, Value) || Value <= 0.0 || Value > 1024.0) {
+        Log.console(LogLevel::Error, "sched_explorer",
+                    "error: bad --latency value '" + std::string(Text) +
+                        "': want a number of cycles in (0, 1024]");
+        return 2;
+      }
+      TraditionalLatency = Value;
+    } else
       Path = argv[I];
   }
   JsonMode = Cli.options().Json;

@@ -15,30 +15,37 @@
 
 using namespace bsched;
 
-std::string bsched::experimentCacheKey(const Function &Program,
-                                       const PipelineConfig &Config) {
-  std::string Key = printFunction(Program);
+namespace {
 
-  // The printer rounds frequencies and FP immediates for readability;
-  // re-append them hex-exact so distinct programs never share a key.
-  auto Exact = [&Key](double Value) {
-    char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), " %a", Value);
-    Key += Buf;
-  };
+/// Appends \p Value in hex-exact form: the printer rounds frequencies and
+/// FP immediates for readability, and distinct programs or configs must
+/// never share a key.
+void appendExact(std::string &Key, double Value) {
+  char Buf[40];
+  std::snprintf(Buf, sizeof(Buf), " %a", Value);
+  Key += Buf;
+}
+
+} // namespace
+
+std::string bsched::programCacheKey(const Function &Program) {
+  std::string Key = printFunction(Program);
   Key += "#freqs";
   for (const BasicBlock &BB : Program) {
-    Exact(BB.frequency());
+    appendExact(Key, BB.frequency());
     for (const Instruction &I : BB)
       if (opcodeHasFpImm(I.opcode()))
-        Exact(I.fpImm());
+        appendExact(Key, I.fpImm());
   }
+  return Key;
+}
 
-  Key += "\n#config ";
+std::string bsched::configCacheKey(const PipelineConfig &Config) {
+  std::string Key = "\n#config ";
   Key += policyName(Config.Policy);
-  Exact(Config.OptimisticLatency);
+  appendExact(Key, Config.OptimisticLatency);
   for (unsigned Op = 0; Op != NumOpcodes; ++Op)
-    Exact(Config.Ops.opLatency(static_cast<Opcode>(Op)));
+    appendExact(Key, Config.Ops.opLatency(static_cast<Opcode>(Op)));
   Key += ' ' + std::to_string(Config.Target.NumIntRegs) + ' ' +
          std::to_string(Config.Target.NumFpRegs) + ' ' +
          std::to_string(Config.Target.SpillPoolSize) + ' ' +
@@ -55,7 +62,7 @@ std::string bsched::experimentCacheKey(const Function &Program,
   // Budget fields change compiled output (admission failures, degraded
   // schedules), so they are part of the key — unlike Obs, WeighterPool
   // or the closure knobs.
-  Exact(Config.Budget.DeadlineMs);
+  appendExact(Key, Config.Budget.DeadlineMs);
   Key += ' ' + std::to_string(Config.Budget.MaxTicks) + ' ' +
          std::to_string(Config.Budget.MaxInstructionsPerBlock) + ' ' +
          std::to_string(Config.Budget.MaxDagEdges) + ' ' +
@@ -63,6 +70,11 @@ std::string bsched::experimentCacheKey(const Function &Program,
          std::to_string(Config.Budget.MaxSpillSlots);
   Flag(Config.Budget.Degrade);
   return Key;
+}
+
+std::string bsched::experimentCacheKey(const Function &Program,
+                                       const PipelineConfig &Config) {
+  return programCacheKey(Program) + configCacheKey(Config);
 }
 
 namespace {
@@ -140,12 +152,20 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
                                                 const PipelineConfig &Config,
                                                 bool *WasHit,
                                                 MetricRegistry *Sink) {
+  return compile(Program, programCacheKey(Program), Config, WasHit, Sink);
+}
+
+ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
+                                                const std::string &ProgramKey,
+                                                const PipelineConfig &Config,
+                                                bool *WasHit,
+                                                MetricRegistry *Sink) {
   // The metric sink for this request: explicit registry if the caller
   // passed one, else whatever the config carries. (The key never includes
   // Obs — observation cannot change what is cached.)
   MetricRegistry *Out = Sink ? Sink : Config.Obs.Metrics;
 
-  std::string Key = experimentCacheKey(Program, Config);
+  const std::string Key = ProgramKey + configCacheKey(Config);
   Shard &S = shardFor(Key);
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
@@ -191,8 +211,6 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
 
   uint64_t Bytes = entryBytes(Key, *Result, CompileMetrics);
   unsigned Evicted = 0;
-  uint64_t ShardBytes = 0;
-  size_t ShardEntries = 0;
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
     // Two workers may race to first-compile the same key; both computed
@@ -211,16 +229,19 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
       InsertCounter.add();
       Evicted = enforceBudget(S);
     }
-    ShardBytes = S.Bytes;
-    ShardEntries = S.Map.size();
   }
   if (Evicted)
     EvictCounter.add(Evicted);
-  // Gauges report high-water marks per shard; good enough to watch a
-  // daemon's cache stay bounded without a cross-shard lock.
-  BytesGauge.set(static_cast<double>(ShardBytes));
-  EntriesGauge.set(static_cast<double>(ShardEntries));
+  // This follows a full compile, so summing every shard costs nothing
+  // measurable.
+  publishOccupancy();
   return Result;
+}
+
+void CompileCache::publishOccupancy() {
+  CompileCacheStats Totals = stats();
+  BytesGauge.set(static_cast<double>(Totals.Bytes));
+  EntriesGauge.set(static_cast<double>(Totals.Entries));
 }
 
 size_t CompileCache::size() const {
@@ -262,4 +283,5 @@ void CompileCache::clear() {
     S->Lru.clear();
     S->Bytes = 0;
   }
+  publishOccupancy();
 }

@@ -26,7 +26,9 @@
 ///
 /// Observability: hit/miss/eviction/insertion counters and byte/entry
 /// gauges are published as `bsched.engine.cache_*` into the registry the
-/// cache is constructed with (aggregate stats() works without one).
+/// cache is constructed with (aggregate stats() works without one). The
+/// gauges hold the whole cache's bytes and entries as of the latest
+/// insert or clear().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,6 +105,16 @@ public:
                                     bool *WasHit = nullptr,
                                     MetricRegistry *Sink = nullptr);
 
+  /// The same, with the program half of the key precomputed: \p
+  /// ProgramKey must equal programCacheKey(Program). A caller compiling
+  /// one program under many configs prints it once instead of per call;
+  /// the full key, and so the entry, is the same either way.
+  ErrorOr<CompiledFunction> compile(const Function &Program,
+                                    const std::string &ProgramKey,
+                                    const PipelineConfig &Config,
+                                    bool *WasHit = nullptr,
+                                    MetricRegistry *Sink = nullptr);
+
   /// Distinct keys currently cached.
   size_t size() const;
 
@@ -151,6 +163,9 @@ private:
   /// Caller holds S.Mutex; returns evicted count.
   unsigned enforceBudget(Shard &S);
 
+  /// Sets the byte and entry gauges from the cache-wide totals.
+  void publishOccupancy();
+
   CompileCacheConfig Config;
   uint64_t ShardMaxBytes;   ///< Per-shard slice of MaxBytes (0 = none).
   uint64_t ShardMaxEntries; ///< Per-shard slice of MaxEntries (0 = none).
@@ -168,8 +183,17 @@ private:
 /// Obs, WeighterPool and Closure are deliberately excluded: observing a
 /// compile, parallelizing its weighting or setting the no-effect closure
 /// knobs never changes the result (pinned by the cache-key tests).
+/// It is programCacheKey(Program) + configCacheKey(Config).
 std::string experimentCacheKey(const Function &Program,
                                const PipelineConfig &Config);
+
+/// The program half of the key: the printed function, then `#freqs` and
+/// every block frequency and FP immediate, hex-exact.
+std::string programCacheKey(const Function &Program);
+
+/// The config half of the key: `\n#config ` and every
+/// compilation-relevant knob.
+std::string configCacheKey(const PipelineConfig &Config);
 
 } // namespace bsched
 

@@ -15,6 +15,7 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <cmath>
 #include <optional>
 
 using namespace bsched;
@@ -177,6 +178,22 @@ bsched::runComparisonWith(const CompileFn &Compile, const Function &Program,
   if (!CandSim)
     return ErrorOr<SchedulerComparison>(CandSim.takeErrors());
   Comparison.CandidateSim = std::move(*CandSim);
+
+  // An improvement is a percentage of the traditional runtime, so a
+  // program that executes nothing (every block at frequency 0) has none.
+  // pairedImprovement only asserts this, and NDEBUG compiles that out.
+  for (double Runtime : Comparison.TraditionalSim.BootstrapRuntimes)
+    if (!(Runtime > 0.0 && std::isfinite(Runtime))) {
+      std::vector<Diagnostic> Diags;
+      Diags.push_back({0, 0,
+                       "cannot compare schedules of program '" +
+                           Program.name() +
+                           "': its traditional runtime is " +
+                           formatDouble(Runtime, 2) +
+                           " cycles, not positive and finite",
+                       Severity::Error, DiagCode::PipelineInvalidInput});
+      return ErrorOr<SchedulerComparison>(std::move(Diags));
+    }
 
   Comparison.Improvement =
       pairedImprovement(Comparison.TraditionalSim.BootstrapRuntimes,

@@ -89,7 +89,9 @@ struct SchedulerComparison {
 /// \p OptimisticLatency) and under \p Candidate's policy, simulates both,
 /// and pairs the bootstrap runtimes. \p Base supplies every other pipeline
 /// knob (target registers, aliasing, op latencies). One malformed kernel
-/// yields diagnostics rather than aborting a whole sweep.
+/// yields diagnostics rather than aborting a whole sweep; so does one
+/// whose traditional runtime is not positive and finite (BS501), which
+/// has no percentage improvement.
 ErrorOr<SchedulerComparison>
 runComparison(const Function &Program, const MemorySystem &Memory,
               double OptimisticLatency, const SimulationConfig &SimConfig,
@@ -103,7 +105,8 @@ using CompileFn = std::function<ErrorOr<CompiledFunction>(
     const Function &, const PipelineConfig &)>;
 
 /// runComparison with \p Compile supplying both compilations (the engine's
-/// cache-aware hook; runComparison itself passes runPipeline).
+/// cache-aware hook; runComparison itself passes runPipeline). Both calls
+/// pass \p Program itself.
 ErrorOr<SchedulerComparison>
 runComparisonWith(const CompileFn &Compile, const Function &Program,
                   const MemorySystem &Memory, double OptimisticLatency,

@@ -12,7 +12,10 @@
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
+#include <cassert>
 #include <chrono>
+#include <mutex>
+#include <unordered_map>
 
 using namespace bsched;
 
@@ -102,7 +105,34 @@ bool bsched::identicalEngineResults(const EngineResult &A,
   return true;
 }
 
-CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
+/// The program half of a run's cache keys (programCacheKey), printed at
+/// most once per distinct program, on the worker that first compiles it.
+/// Cells borrow their programs for the whole run and the pool joins before
+/// run() returns, so a program's address names it, and its key stays
+/// current, for as long as the table lives.
+class ExperimentEngine::ProgramKeys {
+public:
+  const std::string &of(const Function &Program) {
+    Slot *S;
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      S = &Slots[&Program];
+    }
+    std::call_once(S->Once, [&] { S->Key = programCacheKey(Program); });
+    return S->Key;
+  }
+
+private:
+  struct Slot {
+    std::once_flag Once;
+    std::string Key;
+  };
+  std::mutex Mutex;
+  std::unordered_map<const Function *, Slot> Slots;
+};
+
+CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
+                                      ProgramKeys &Keys) {
   BSCHED_CHECK(Cell.Program != nullptr,
                "experiment cell without a program");
   BSCHED_CHECK(Cell.Memory != nullptr,
@@ -146,9 +176,11 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell) {
     } else try {
       ErrorOr<SchedulerComparison> Comparison = runComparisonWith(
           [&](const Function &F, const PipelineConfig &Config) {
+            assert(&F == Cell.Program && "a cell compiles its own program");
             bool Hit = false;
             ErrorOr<CompiledFunction> Compiled =
-                Cache->compile(F, Config, &Hit, CellReg ? &*CellReg : nullptr);
+                Cache->compile(F, Keys.of(F), Config, &Hit,
+                               CellReg ? &*CellReg : nullptr);
             ++(Hit ? Outcome.CacheHits : Outcome.CacheMisses);
             return Compiled;
           },
@@ -183,8 +215,9 @@ EngineResult ExperimentEngine::run(const std::vector<ExperimentCell> &Cells) {
   Result.Cells.resize(Cells.size());
 
   const auto Start = std::chrono::steady_clock::now();
+  ProgramKeys Keys;
   parallelForEach(Pool, Cells.size(), [&](size_t Index) {
-    Result.Cells[Index] = runCell(Cells[Index]);
+    Result.Cells[Index] = runCell(Cells[Index], Keys);
   });
   const auto End = std::chrono::steady_clock::now();
 

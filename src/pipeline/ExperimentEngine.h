@@ -158,7 +158,9 @@ public:
   CompileCache &cache() { return *Cache; }
 
 private:
-  CellOutcome runCell(const ExperimentCell &Cell);
+  class ProgramKeys;
+
+  CellOutcome runCell(const ExperimentCell &Cell, ProgramKeys &Keys);
 
   ThreadPool Pool;
   ObsContext Obs;

@@ -23,18 +23,37 @@ const std::vector<uint64_t> LoadLatencyEdges = {1,  2,  3,  4,  6,  8,  12,
 const std::vector<uint64_t> OutstandingLoadsEdges = {0, 1,  2,  3,  4, 6,
                                                      8, 12, 16, 24, 32};
 
-HistogramData emptyTally(const std::vector<uint64_t> &UpperEdges) {
-  HistogramData Tally;
-  Tally.UpperEdges = UpperEdges;
-  Tally.Counts.assign(UpperEdges.size() + 1, 0);
+} // namespace
+
+SimInstruments::ValueTally::ValueTally(
+    const std::vector<uint64_t> &UpperEdges) {
+  Wide.UpperEdges = UpperEdges;
+  Wide.Counts.assign(UpperEdges.size() + 1, 0);
+}
+
+HistogramData SimInstruments::ValueTally::fold() const {
+  HistogramData Tally = Wide;
+  // Values rise through the loop, so the bucket (the first edge >= the
+  // value, as in record) only moves forward.
+  size_t Bucket = 0;
+  for (uint64_t Value = 0; Value != Direct; ++Value) {
+    const uint64_t N = ByValue[Value];
+    if (N == 0)
+      continue;
+    while (Bucket != Tally.UpperEdges.size() &&
+           Tally.UpperEdges[Bucket] < Value)
+      ++Bucket;
+    Tally.Counts[Bucket] += N;
+    Tally.Min = Tally.Count == 0 ? Value : std::min(Tally.Min, Value);
+    Tally.Max = std::max(Tally.Max, Value);
+    Tally.Count += N;
+    Tally.Sum += Value * N;
+  }
   return Tally;
 }
 
-} // namespace
-
 SimInstruments::SimInstruments(MetricRegistry &Reg)
-    : LoadLatency(emptyTally(LoadLatencyEdges)),
-      OutstandingLoads(emptyTally(OutstandingLoadsEdges)),
+    : LoadLatency(LoadLatencyEdges), OutstandingLoads(OutstandingLoadsEdges),
       BlockRunsMetric(Reg.counter("bsched.sim.block_runs")),
       CyclesMetric(Reg.counter("bsched.sim.cycles")),
       InterlockCyclesMetric(Reg.counter("bsched.sim.interlock_cycles")),
@@ -51,8 +70,8 @@ SimInstruments::~SimInstruments() {
   InterlockCyclesMetric.add(InterlockCycles);
   InstructionsMetric.add(Instructions);
   LoadsMetric.add(Loads);
-  LoadLatencyMetric.merge(LoadLatency);
-  OutstandingLoadsMetric.merge(OutstandingLoads);
+  LoadLatencyMetric.merge(LoadLatency.fold());
+  OutstandingLoadsMetric.merge(OutstandingLoads.fold());
 }
 
 //===----------------------------------------------------------------------===

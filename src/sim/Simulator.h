@@ -67,13 +67,38 @@ struct SimInstruments {
   SimInstruments(const SimInstruments &) = delete;
   SimInstruments &operator=(const SimInstruments &) = delete;
 
+  /// A histogram tally that counts each sample below Direct by value and
+  /// buckets the counts once, in fold(), so a sample costs one increment
+  /// instead of a search of the bucket edges. Larger samples go through
+  /// HistogramData::record.
+  class ValueTally {
+  public:
+    explicit ValueTally(const std::vector<uint64_t> &UpperEdges);
+
+    void record(uint64_t Value) {
+      if (Value < Direct)
+        ++ByValue[Value];
+      else
+        Wide.record(Value);
+    }
+
+    /// The tally exactly as HistogramData::record of every sample leaves
+    /// it: bucket counts, Count, Sum, Min and Max.
+    HistogramData fold() const;
+
+  private:
+    static constexpr uint64_t Direct = 256;
+    std::array<uint64_t, Direct> ByValue{};
+    HistogramData Wide; ///< The samples of Direct and above.
+  };
+
   uint64_t BlockRuns = 0;       ///< Simulated block executions.
   uint64_t Cycles = 0;          ///< Total simulated cycles.
   uint64_t InterlockCycles = 0; ///< Cycles in which nothing issued.
   uint64_t Instructions = 0;    ///< Instructions issued.
   uint64_t Loads = 0;           ///< Dynamic loads issued.
-  HistogramData LoadLatency;      ///< Sampled latency of each dynamic load.
-  HistogramData OutstandingLoads; ///< In-flight loads when each load issues.
+  ValueTally LoadLatency;       ///< Sampled latency of each dynamic load.
+  ValueTally OutstandingLoads;  ///< In-flight loads when each load issues.
 
 private:
   // Resolved at construction, so the fold in the destructor only adds.

@@ -123,6 +123,20 @@ TEST(EngineTest, CacheHitCorrectness) {
   EXPECT_EQ(Run.Cells[1].CacheHits, 2u);
   EXPECT_EQ(Engine.cache().size(), 2u);
 
+  // The engine keys from each program's key half, printed once per run;
+  // a direct compile keys from scratch. Both must name the same entries.
+  PipelineConfig Trad = PipelineConfig::paperDefault();
+  Trad.Policy = SchedulerPolicy::Traditional;
+  Trad.OptimisticLatency = Cells[1].OptimisticLatency;
+  PipelineConfig Cand = PipelineConfig::paperDefault();
+  Cand.Policy = Cells[1].Candidate;
+  for (const PipelineConfig &Config : {Trad, Cand}) {
+    bool Hit = false;
+    ASSERT_TRUE(Engine.cache().compile(F, Config, &Hit).has_value());
+    EXPECT_TRUE(Hit) << policyName(Config.Policy);
+  }
+  EXPECT_EQ(Engine.cache().size(), 2u);
+
   // A fresh engine (empty cache) must produce the identical outcome for
   // the cached cell.
   ExperimentEngine Fresh(1);
@@ -238,6 +252,33 @@ TEST(EngineTest, BadSimulationConfigFailsEveryCellWithoutAborting) {
       SawConfigError |= D.Code == DiagCode::SimBadConfig;
     EXPECT_TRUE(SawConfigError) << Cell.Label;
   }
+}
+
+TEST(EngineTest, ProgramThatExecutesNothingFailsItsCellOnly) {
+  // With every block at frequency 0 a program executes nothing: its
+  // traditional runtime is 0 and a percentage improvement does not
+  // exist. Its cell fails with BS501; the cell beside it succeeds.
+  Function F = buildBenchmark(Benchmark::TRACK, smallWorkload());
+  Function Idle = F;
+  for (unsigned I = 0; I != Idle.numBlocks(); ++I)
+    Idle.block(I).setFrequency(0.0);
+  CacheSystem L80(0.8, 2, 10);
+
+  EngineResult R = ExperimentEngine(1).run(
+      {{"idle", &Idle, &L80, 2, SchedulerPolicy::Balanced,
+        PipelineConfig::paperDefault(), smallSim()},
+       {"track", &F, &L80, 2, SchedulerPolicy::Balanced,
+        PipelineConfig::paperDefault(), smallSim()}});
+
+  EXPECT_EQ(R.Counters.Failed, 1u);
+  ASSERT_FALSE(R.Cells[0].ok());
+  ASSERT_FALSE(R.Cells[0].Errors.empty());
+  EXPECT_EQ(R.Cells[0].Errors.front().Code, DiagCode::PipelineInvalidInput);
+  EXPECT_NE(R.Cells[0].firstError().find("'" + Idle.name() + "'"),
+            std::string::npos);
+  ASSERT_TRUE(R.Cells[1].ok()) << R.Cells[1].firstError();
+  EXPECT_GT(R.Cells[1].Comparison->TraditionalSim.MeanRuntime, 0.0);
+  EXPECT_TRUE(identicalEngineResults(R, R));
 }
 
 //===----------------------------------------------------------------------===

@@ -575,6 +575,16 @@ TEST(CacheKeyTest, EveryBehaviorAffectingFieldIsInTheKey) {
     EXPECT_NE(experimentCacheKey(F, Config), Base)
         << "mutating '" << Name << "' must change the cache key";
 
+  // The engine prints the program half once per run and appends each
+  // config's half: the two halves must make up the key byte for byte.
+  const std::string ProgramHalf = programCacheKey(F);
+  EXPECT_EQ(ProgramHalf + configCacheKey(PipelineConfig::paperDefault()),
+            Base);
+  for (const auto &[Name, Config] : Mutants)
+    EXPECT_EQ(ProgramHalf + configCacheKey(Config),
+              experimentCacheKey(F, Config))
+        << "the halves of the key for '" << Name << "'";
+
   // And distinct mutants must not collide with each other.
   std::vector<std::string> Keys;
   for (const auto &[Name, Config] : Mutants)

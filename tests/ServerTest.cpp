@@ -181,6 +181,43 @@ TEST(CompileCacheTest, ClearDropsEntriesKeepsHistory) {
   EXPECT_EQ(Cache.stats().Misses, 1u);
 }
 
+TEST(CompileCacheTest, OccupancyGaugesReportTheWholeCache) {
+  MetricRegistry Metrics;
+  CompileCacheConfig Geometry; // 8 shards.
+  Geometry.MaxBytes = 0;
+  Geometry.MaxEntries = Geometry.Shards; // One entry per shard.
+  CompileCache Cache(Geometry, &Metrics);
+  PipelineConfig Config = PipelineConfig::paperDefault();
+
+  auto ExpectGaugesMatchStats = [&](const char *When) {
+#ifndef BSCHED_NO_OBS
+    CompileCacheStats Stats = Cache.stats();
+    MetricSnapshot Snapshot = Metrics.snapshot();
+    EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_entries"),
+              static_cast<double>(Stats.Entries))
+        << When;
+    EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_bytes"),
+              static_cast<double>(Stats.Bytes))
+        << When;
+#else
+    (void)When;
+#endif
+  };
+
+  // Twelve kernels over eight one-entry shards: inserts land in several
+  // shards, and some evict.
+  for (unsigned N = 0; N != 12; ++N) {
+    ASSERT_TRUE(Cache.compile(parseOne(kernelVariant(N)), Config)
+                    .has_value());
+    ExpectGaugesMatchStats("after an insert");
+  }
+  EXPECT_GT(Cache.stats().Entries, 1u);
+  EXPECT_GT(Cache.stats().Evictions, 0u);
+
+  Cache.clear();
+  ExpectGaugesMatchStats("after clear");
+}
+
 TEST(CompileCacheTest, ConcurrentHammeringStaysConsistent) {
   CompileCache Cache(CompileCacheConfig::unlimited());
   PipelineConfig Config = PipelineConfig::paperDefault();

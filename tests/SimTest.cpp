@@ -549,3 +549,63 @@ TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
                 uint64_t(EmptyBlocks) * RunsPerBlock);
 #endif
 }
+
+TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
+  // SimInstruments counts a histogram sample below 256 by value and
+  // records a larger one as it comes; together they must fold to what
+  // the reference's per-sample recording gives. Latencies of a few
+  // hundred cycles, alone and mixed with short ones in one histogram,
+  // and a block with more than 256 loads in flight take both histograms
+  // past the by-value table.
+  const FixedSystem Fixed(300);
+  const CacheSystem Straddle(0.5, 2, 400);
+  const NetworkSystem Wide(250, 30);
+  const MemorySystem *Memories[] = {&Fixed, &Straddle, &Wide};
+  const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
+                                       ProcessorModel::maxOutstanding(300),
+                                       ProcessorModel::maxLength(280)};
+
+  // 320 independent loads, one issued per cycle.
+  BasicBlock Burst("burst");
+  const Reg Base = Reg::makeVirtual(RegClass::Int, 0);
+  for (unsigned K = 0; K != 320; ++K)
+    Burst.append(Instruction::makeLoad(
+        Opcode::FLoad, Reg::makeVirtual(RegClass::Fp, K + 1), Base, 8 * K, 0));
+
+  MetricRegistry RefRegistry, Registry;
+  ReferenceSimInstruments RefObs(RefRegistry);
+  DecodedBlock Decoded;
+  Rng G(0xB16B10C);
+  unsigned Block = 0;
+  for (const MemorySystem *Mem : Memories)
+    for (const ProcessorModel &P : Processors)
+      for (unsigned K = 0; K != 4; ++K, ++Block) {
+        const BasicBlock BB = K == 0 ? Burst : randomSimBlock(G);
+        SimInstruments Obs(Registry);
+        Decoded.decode(BB, LatencyModel());
+        for (unsigned Run = 0; Run != 3; ++Run) {
+          const uint64_t Seed = Block * 31 + Run;
+          Rng RefR(Seed), R(Seed);
+          BlockSimResult Want = referenceSimulateBlock(
+              BB, P, *Mem, RefR, LatencyModel(), &RefObs);
+          BlockSimResult Got = Decoded.run(P, *Mem, R, &Obs);
+          ASSERT_EQ(Got.Cycles, Want.Cycles)
+              << "block " << Block << " run " << Run << " on " << P.name()
+              << " " << Mem->name();
+          ASSERT_EQ(Got.InterlockCycles, Want.InterlockCycles) << Block;
+          ASSERT_EQ(Got.Instructions, Want.Instructions) << Block;
+        }
+      }
+
+  MetricSnapshot Want = RefRegistry.snapshot(), Got = Registry.snapshot();
+  EXPECT_EQ(Got.toJson(), Want.toJson());
+  EXPECT_TRUE(Got == Want);
+#ifndef BSCHED_NO_OBS
+  for (const char *Name :
+       {"bsched.sim.load_latency_cycles", "bsched.sim.outstanding_loads"}) {
+    const HistogramData &H = Want.Histograms.at(Name);
+    EXPECT_LT(H.Min, 256u) << Name;
+    EXPECT_GT(H.Max, 256u) << Name;
+  }
+#endif
+}
