@@ -11,64 +11,18 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace bsched;
-
-namespace {
-
-/// Appends \p Value in hex-exact form: the printer rounds frequencies and
-/// FP immediates for readability, and distinct programs or configs must
-/// never share a key.
-void appendExact(std::string &Key, double Value) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), " %a", Value);
-  Key += Buf;
-}
-
-} // namespace
 
 std::string bsched::programCacheKey(const Function &Program) {
   std::string Key = printFunction(Program);
   Key += "#freqs";
   for (const BasicBlock &BB : Program) {
-    appendExact(Key, BB.frequency());
+    appendHexExact(Key, BB.frequency());
     for (const Instruction &I : BB)
       if (opcodeHasFpImm(I.opcode()))
-        appendExact(Key, I.fpImm());
+        appendHexExact(Key, I.fpImm());
   }
-  return Key;
-}
-
-std::string bsched::configCacheKey(const PipelineConfig &Config) {
-  std::string Key = "\n#config ";
-  Key += policyName(Config.Policy);
-  appendExact(Key, Config.OptimisticLatency);
-  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
-    appendExact(Key, Config.Ops.opLatency(static_cast<Opcode>(Op)));
-  Key += ' ' + std::to_string(Config.Target.NumIntRegs) + ' ' +
-         std::to_string(Config.Target.NumFpRegs) + ' ' +
-         std::to_string(Config.Target.SpillPoolSize) + ' ' +
-         std::to_string(Config.SchedOptions.IssueWidth);
-  auto Flag = [&Key](bool Value) { Key += Value ? " 1" : " 0"; };
-  Flag(Config.Target.FifoSpillPool);
-  Flag(Config.DagOptions.DisambiguateSameBase);
-  Flag(Config.DagOptions.AliasAnalysis);
-  Flag(Config.RunRegAlloc);
-  Flag(Config.SecondSchedulingPass);
-  Flag(Config.HonorKnownLatency);
-  Flag(Config.RenameAfterAllocation);
-  Flag(Config.Certify);
-  // Budget fields change compiled output (admission failures, degraded
-  // schedules), so they are part of the key — unlike Obs, WeighterPool
-  // or the closure knobs.
-  appendExact(Key, Config.Budget.DeadlineMs);
-  Key += ' ' + std::to_string(Config.Budget.MaxTicks) + ' ' +
-         std::to_string(Config.Budget.MaxInstructionsPerBlock) + ' ' +
-         std::to_string(Config.Budget.MaxDagEdges) + ' ' +
-         std::to_string(Config.Budget.MaxClosureBits) + ' ' +
-         std::to_string(Config.Budget.MaxSpillSlots);
-  Flag(Config.Budget.Degrade);
   return Key;
 }
 

@@ -191,8 +191,9 @@ std::string experimentCacheKey(const Function &Program,
 /// every block frequency and FP immediate, hex-exact.
 std::string programCacheKey(const Function &Program);
 
-/// The config half of the key: `\n#config ` and every
-/// compilation-relevant knob.
+/// The config half of the key: `\n#config`, then the value of every
+/// keyed row of the config field list, in list order, each after a space
+/// (doubles hex-exact). Defined beside the list, in ConfigJson.cpp.
 std::string configCacheKey(const PipelineConfig &Config);
 
 } // namespace bsched

@@ -27,7 +27,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -517,62 +516,6 @@ ErrorOr<CompiledFunction> compileUnverified(const Function &Input,
 }
 
 } // namespace
-
-Status bsched::validatePipelineConfig(const PipelineConfig &Config) {
-  std::vector<Diagnostic> Diags;
-  auto BadConfig = [&](std::string Message) {
-    Diags.push_back({0, 0, std::move(Message), Severity::Error,
-                     DiagCode::PipelineBadConfig});
-  };
-
-  if (Config.SchedOptions.IssueWidth == 0)
-    BadConfig("issue width must be at least 1");
-  if (Config.Policy == SchedulerPolicy::Traditional &&
-      Config.OptimisticLatency <= 0.0)
-    BadConfig("optimistic latency must be positive, got " +
-              std::to_string(Config.OptimisticLatency));
-
-  // Caps far above any real machine, which keep one request from holding
-  // a worker or the heap: the list scheduler steps one slot at a time up
-  // to a load's weight, and the allocator sizes its tables by register
-  // count.
-  constexpr double MaxLatencyCycles = 1024.0;
-  constexpr unsigned MaxRegistersPerClass = 1024;
-  auto CheckLatency = [&](std::string_view What, double Cycles) {
-    if (!std::isfinite(Cycles) || Cycles > MaxLatencyCycles)
-      BadConfig(std::string(What) + " must be at most 1024 cycles, got " +
-                std::to_string(Cycles));
-  };
-  CheckLatency("optimistic latency", Config.OptimisticLatency);
-  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
-    CheckLatency(std::string(opcodeName(static_cast<Opcode>(Op))) +
-                     " latency",
-                 Config.Ops.opLatency(static_cast<Opcode>(Op)));
-  if (Config.Target.NumIntRegs > MaxRegistersPerClass ||
-      Config.Target.NumFpRegs > MaxRegistersPerClass)
-    BadConfig("register files are capped at 1024 registers per class, got " +
-              std::to_string(Config.Target.NumIntRegs) + " integer and " +
-              std::to_string(Config.Target.NumFpRegs) + " floating-point");
-
-  if (Config.RunRegAlloc) {
-    // generalRegs() needs Total > Reserved + 2 per class; the integer
-    // class additionally reserves the frame pointer. 64-bit sums, so a
-    // pool near UINT_MAX cannot wrap past the check.
-    uint64_t IntReserved = uint64_t(Config.Target.SpillPoolSize) + 1;
-    uint64_t FpReserved = Config.Target.SpillPoolSize;
-    if (Config.Target.NumIntRegs <= IntReserved + 2)
-      BadConfig("integer register file too small: " +
-                std::to_string(Config.Target.NumIntRegs) +
-                " registers cannot hold a spill pool of " +
-                std::to_string(Config.Target.SpillPoolSize));
-    if (Config.Target.NumFpRegs <= FpReserved + 2)
-      BadConfig("floating-point register file too small: " +
-                std::to_string(Config.Target.NumFpRegs) +
-                " registers cannot hold a spill pool of " +
-                std::to_string(Config.Target.SpillPoolSize));
-  }
-  return Status(std::move(Diags));
-}
 
 ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
                                               const PipelineConfig &Config) {

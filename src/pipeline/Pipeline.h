@@ -176,10 +176,15 @@ struct PipelineConfig {
   /// scheduler (the simulator's ProcessorModel carries its own width).
   static PipelineConfig superscalar(unsigned Width);
 
-  /// Validates the caller-supplied knobs (nonzero issue width, positive
-  /// optimistic latency, finite latencies of at most 1024 cycles, register
-  /// files large enough for the spill pool and at most 1024 per class).
-  /// The experiment engine calls this at entry for every cell.
+  /// Validates the caller-supplied knobs: every numeric field lies in the
+  /// range its row of the field list gives (ConfigJson.cpp) — an issue
+  /// width of at least 1, an optimistic latency in (0, 1024] under every
+  /// policy, op latencies in [1, 1024], at most 1024 registers per class,
+  /// a finite deadline of at least 0 — and, with RunRegAlloc, the register
+  /// files hold the spill pool. Each violation is a BS500 naming the v1
+  /// key. A config that validates round-trips through toJson/fromJson
+  /// with identical bytes and cache key. The experiment engine calls this
+  /// at entry for every cell.
   Status validate() const;
 
   //===--------------------------------------------------------------------===
@@ -192,18 +197,19 @@ struct PipelineConfig {
   static constexpr unsigned SchemaVersion = 1;
 
   /// Serializes every behavior-affecting knob (plus "schema_version" and
-  /// the no-effect `closure` object) as one JSON object in a stable field
-  /// order. Obs and WeighterPool are runtime wiring, not configuration,
-  /// and are not serialized; the compile cache key excludes them and
-  /// Closure.
+  /// the no-effect `closure` object) as one JSON object in the field
+  /// list's order. Obs and WeighterPool are runtime wiring, not
+  /// configuration, and are not serialized; the compile cache key excludes
+  /// them and Closure.
   std::string toJson() const;
 
   /// Parses a schema-v1 document produced by toJson() (or written by
   /// hand: every field is optional and defaults to paperDefault()).
   /// Failures are structured diagnostics: BS900 malformed JSON, BS901
   /// unsupported schema_version, BS902 unknown key, BS903 wrong
-  /// type/value. Unknown keys are errors by design — a misspelled knob
-  /// must not silently compile with defaults.
+  /// type/value, BS503 unknown policy. Unknown keys are errors by design —
+  /// a misspelled knob must not silently compile with defaults. A value
+  /// out of its field's range parses; validate() rejects it.
   static ErrorOr<PipelineConfig> fromJson(std::string_view Json);
 
   /// Same, over an already-parsed document — the server protocol embeds

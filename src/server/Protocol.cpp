@@ -28,76 +28,6 @@ std::string_view bsched::requestOpName(RequestOp Op) {
   return "compile";
 }
 
-namespace {
-
-void pushError(std::vector<Diagnostic> &Diags, DiagCode Code,
-               std::string Message) {
-  Diags.push_back({0, 0, std::move(Message), Severity::Error, Code});
-}
-
-void typeError(std::vector<Diagnostic> &Diags, std::string_view Key,
-               std::string_view Expected, const JsonValue &V) {
-  pushError(Diags, DiagCode::ProtocolBadValue,
-            "request key '" + std::string(Key) + "' expects a " +
-                std::string(Expected) + ", got " + std::string(V.kindName()));
-}
-
-bool readBool(std::vector<Diagnostic> &Diags, std::string_view Key,
-              const JsonValue &V, bool &Out) {
-  if (!V.isBool()) {
-    typeError(Diags, Key, "boolean", V);
-    return false;
-  }
-  Out = V.asBool();
-  return true;
-}
-
-bool readString(std::vector<Diagnostic> &Diags, std::string_view Key,
-                const JsonValue &V, std::string &Out) {
-  if (!V.isString()) {
-    typeError(Diags, Key, "string", V);
-    return false;
-  }
-  Out = V.asString();
-  return true;
-}
-
-bool readDouble(std::vector<Diagnostic> &Diags, std::string_view Key,
-                const JsonValue &V, double &Out) {
-  if (!V.isNumber()) {
-    typeError(Diags, Key, "number", V);
-    return false;
-  }
-  Out = V.asNumber();
-  return true;
-}
-
-bool readUnsigned(std::vector<Diagnostic> &Diags, std::string_view Key,
-                  const JsonValue &V, unsigned &Out) {
-  uint64_t Wide;
-  if (!V.isNumber() || !V.asUInt64(Wide) || Wide > 0xFFFFFFFFull) {
-    typeError(Diags, Key, "non-negative integer", V);
-    return false;
-  }
-  Out = static_cast<unsigned>(Wide);
-  return true;
-}
-
-void checkSchemaVersion(std::vector<Diagnostic> &Diags, const JsonValue &V) {
-  uint64_t Version = 0;
-  if (!V.isNumber() || !V.asUInt64(Version)) {
-    typeError(Diags, "schema_version", "non-negative integer", V);
-    return;
-  }
-  if (Version != CompileRequest::SchemaVersion)
-    pushError(Diags, DiagCode::ProtocolSchemaVersion,
-              "unsupported schema_version " + std::to_string(Version) +
-                  " (this build speaks v" +
-                  std::to_string(CompileRequest::SchemaVersion) + ")");
-}
-
-} // namespace
-
 std::string CompileRequest::toJson() const {
   JsonWriter W;
   W.beginObject();
@@ -127,17 +57,17 @@ ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json) {
                       Severity::Error, DiagCode::ProtocolBadValue};
 
   CompileRequest Request;
-  std::vector<Diagnostic> Diags;
+  JsonReader R("request");
   for (const JsonValue::Member &M : Doc->members()) {
     const std::string &Key = M.first;
     const JsonValue &V = M.second;
     if (Key == "schema_version") {
-      checkSchemaVersion(Diags, V);
+      R.checkSchemaVersion(V, SchemaVersion);
     } else if (Key == "id") {
-      readString(Diags, Key, V, Request.Id);
+      R.read(V, Key, Request.Id);
     } else if (Key == "op") {
       std::string Name;
-      if (readString(Diags, Key, V, Name)) {
+      if (R.read(V, Key, Name)) {
         if (Name == "compile")
           Request.Op = RequestOp::Compile;
         else if (Name == "stats")
@@ -147,12 +77,12 @@ ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json) {
         else if (Name == "ping")
           Request.Op = RequestOp::Ping;
         else
-          pushError(Diags, DiagCode::ProtocolBadValue,
-                    "unknown op '" + Name +
-                        "' (expected compile, stats, metrics or ping)");
+          R.error(DiagCode::ProtocolBadValue,
+                  "unknown op '" + Name +
+                      "' (expected compile, stats, metrics or ping)");
       }
     } else if (Key == "kernel") {
-      readString(Diags, Key, V, Request.Kernel);
+      R.read(V, Key, Request.Kernel);
     } else if (Key == "config") {
       // One schema implementation: the embedded config subtree goes
       // through PipelineConfig's own parser.
@@ -161,25 +91,24 @@ ErrorOr<CompileRequest> CompileRequest::fromJson(std::string_view Json) {
         Request.Config = std::move(*Parsed);
       else
         for (const Diagnostic &D : Parsed.errors())
-          Diags.push_back(D);
+          R.Diags.push_back(D);
     } else if (Key == "want_schedule") {
-      readBool(Diags, Key, V, Request.WantSchedule);
+      R.read(V, Key, Request.WantSchedule);
     } else if (Key == "want_metrics") {
-      readBool(Diags, Key, V, Request.WantMetrics);
+      R.read(V, Key, Request.WantMetrics);
     } else if (Key == "metrics_format") {
-      if (readString(Diags, Key, V, Request.MetricsFormat) &&
+      if (R.read(V, Key, Request.MetricsFormat) &&
           Request.MetricsFormat != "json" &&
           Request.MetricsFormat != "prometheus")
-        pushError(Diags, DiagCode::ProtocolBadValue,
-                  "unknown metrics_format '" + Request.MetricsFormat +
-                      "' (expected json or prometheus)");
+        R.error(DiagCode::ProtocolBadValue,
+                "unknown metrics_format '" + Request.MetricsFormat +
+                    "' (expected json or prometheus)");
     } else {
-      pushError(Diags, DiagCode::ProtocolUnknownKey,
-                "unknown request key '" + Key + "'");
+      R.unknownKey(Key);
     }
   }
-  if (!Diags.empty())
-    return Diags;
+  if (!R.Diags.empty())
+    return std::move(R.Diags);
   return Request;
 }
 
@@ -228,40 +157,42 @@ ErrorOr<CompileResponse> CompileResponse::fromJson(std::string_view Json) {
                       Severity::Error, DiagCode::ProtocolBadValue};
 
   CompileResponse Response;
-  std::vector<Diagnostic> Diags;
+  // Type errors say "request key", as they always have; unknown keys say
+  // "response key".
+  JsonReader R("request");
   for (const JsonValue::Member &M : Doc->members()) {
     const std::string &Key = M.first;
     const JsonValue &V = M.second;
     if (Key == "schema_version") {
-      checkSchemaVersion(Diags, V);
+      R.checkSchemaVersion(V, CompileRequest::SchemaVersion);
     } else if (Key == "id") {
-      readString(Diags, Key, V, Response.Id);
+      R.read(V, Key, Response.Id);
     } else if (Key == "ok") {
-      readBool(Diags, Key, V, Response.Ok);
+      R.read(V, Key, Response.Ok);
     } else if (Key == "cache_hit") {
-      readBool(Diags, Key, V, Response.CacheHit);
+      R.read(V, Key, Response.CacheHit);
     } else if (Key == "degradation") {
-      readString(Diags, Key, V, Response.Degradation);
+      R.read(V, Key, Response.Degradation);
     } else if (Key == "static_instructions") {
-      readUnsigned(Diags, Key, V, Response.StaticInstructions);
+      R.read(V, Key, Response.StaticInstructions);
     } else if (Key == "static_spills") {
-      readUnsigned(Diags, Key, V, Response.StaticSpills);
+      R.read(V, Key, Response.StaticSpills);
     } else if (Key == "dynamic_instructions") {
-      readDouble(Diags, Key, V, Response.DynamicInstructions);
+      R.read(V, Key, Response.DynamicInstructions);
     } else if (Key == "dynamic_spills") {
-      readDouble(Diags, Key, V, Response.DynamicSpills);
+      R.read(V, Key, Response.DynamicSpills);
     } else if (Key == "wall_ms") {
-      readDouble(Diags, Key, V, Response.WallMs);
+      R.read(V, Key, Response.WallMs);
     } else if (Key == "schedule") {
-      readString(Diags, Key, V, Response.Schedule);
+      R.read(V, Key, Response.Schedule);
     } else if (Key == "diagnostics") {
       if (!V.isArray()) {
-        typeError(Diags, Key, "array", V);
+        R.typeError(Key, "array", V);
         continue;
       }
       for (const JsonValue &E : V.elements()) {
         if (!E.isObject()) {
-          typeError(Diags, "diagnostics[]", "object", E);
+          R.typeError("diagnostics[]", "object", E);
           continue;
         }
         Diagnostic D;
@@ -280,12 +211,12 @@ ErrorOr<CompileResponse> CompileResponse::fromJson(std::string_view Json) {
         }
         if (const JsonValue *Line = E.find("line")) {
           uint64_t N = 0;
-          if (Line->isNumber() && Line->asUInt64(N))
+          if (Line->asUInt64(N))
             D.Line = static_cast<unsigned>(N);
         }
         if (const JsonValue *Col = E.find("col")) {
           uint64_t N = 0;
-          if (Col->isNumber() && Col->asUInt64(N))
+          if (Col->asUInt64(N))
             D.Col = static_cast<unsigned>(N);
         }
         if (const JsonValue *Msg = E.find("message"); Msg && Msg->isString())
@@ -295,13 +226,13 @@ ErrorOr<CompileResponse> CompileResponse::fromJson(std::string_view Json) {
     } else if (Key == "stats") {
       // Kept opaque: clients treat stats as a raw document.
     } else if (Key == "metrics_text") {
-      readString(Diags, Key, V, Response.MetricsText);
+      R.read(V, Key, Response.MetricsText);
     } else {
-      pushError(Diags, DiagCode::ProtocolUnknownKey,
-                "unknown response key '" + Key + "'");
+      R.error(DiagCode::ProtocolUnknownKey,
+              "unknown response key '" + Key + "'");
     }
   }
-  if (!Diags.empty())
-    return Diags;
+  if (!R.Diags.empty())
+    return std::move(R.Diags);
   return Response;
 }

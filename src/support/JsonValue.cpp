@@ -8,6 +8,7 @@
 #include "support/JsonValue.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -39,6 +40,10 @@ const JsonValue *JsonValue::find(std::string_view Key) const {
 }
 
 bool JsonValue::asUInt64(uint64_t &Out) const {
+  if (HasInteger) {
+    Out = Integer;
+    return true;
+  }
   if (K != Kind::Number || Number < 0.0 ||
       Number > 18446744073709549568.0 /* largest double < 2^64 */ ||
       Number != std::floor(Number))
@@ -58,6 +63,13 @@ JsonValue JsonValue::makeNumber(double V) {
   JsonValue J;
   J.K = Kind::Number;
   J.Number = V;
+  return J;
+}
+
+JsonValue JsonValue::makeInteger(uint64_t V) {
+  JsonValue J = makeNumber(static_cast<double>(V));
+  J.HasInteger = true;
+  J.Integer = V;
   return J;
 }
 
@@ -307,6 +319,17 @@ private:
       return failBool("expected a value");
     while (std::isdigit(static_cast<unsigned char>(peek())))
       advance();
+    if (Text[Start] != '-' && peek() != '.' && peek() != 'e' &&
+        peek() != 'E') {
+      // Bare digits: keep the exact value when it fits in 64 bits (the
+      // double below rounds every integer above 2^53).
+      uint64_t Integer = 0;
+      if (std::from_chars(Text.data() + Start, Text.data() + Pos, Integer)
+              .ec == std::errc()) {
+        Out = JsonValue::makeInteger(Integer);
+        return true;
+      }
+    }
     if (peek() == '.') {
       advance();
       if (!std::isdigit(static_cast<unsigned char>(peek())))
@@ -385,4 +408,82 @@ private:
 ErrorOr<JsonValue> bsched::parseJson(std::string_view Text,
                                      unsigned MaxDepth) {
   return JsonParser(Text, MaxDepth).parse();
+}
+
+void JsonReader::error(DiagCode Code, std::string Message) {
+  Diags.push_back({0, 0, std::move(Message), Severity::Error, Code});
+}
+
+bool JsonReader::read(const JsonValue &V, std::string_view Key, bool &Out) {
+  if (!V.isBool()) {
+    typeError(Key, "boolean", V);
+    return false;
+  }
+  Out = V.asBool();
+  return true;
+}
+
+bool JsonReader::read(const JsonValue &V, std::string_view Key,
+                      double &Out) {
+  if (!V.isNumber()) {
+    typeError(Key, "number", V);
+    return false;
+  }
+  Out = V.asNumber();
+  return true;
+}
+
+bool JsonReader::read(const JsonValue &V, std::string_view Key,
+                      unsigned &Out) {
+  uint64_t Wide = 0;
+  if (!V.asUInt64(Wide) || Wide > 0xFFFFFFFFull) {
+    typeError(Key, "non-negative integer", V);
+    return false;
+  }
+  Out = static_cast<unsigned>(Wide);
+  return true;
+}
+
+bool JsonReader::read(const JsonValue &V, std::string_view Key,
+                      uint64_t &Out) {
+  if (!V.asUInt64(Out)) {
+    typeError(Key, "non-negative integer", V);
+    return false;
+  }
+  return true;
+}
+
+bool JsonReader::read(const JsonValue &V, std::string_view Key,
+                      std::string &Out) {
+  if (!V.isString()) {
+    typeError(Key, "string", V);
+    return false;
+  }
+  Out = V.asString();
+  return true;
+}
+
+void JsonReader::typeError(std::string_view Key, std::string_view Expected,
+                           const JsonValue &V) {
+  error(DiagCode::ProtocolBadValue,
+        std::string(Noun) + " key '" + path(Key) + "' expects a " +
+            std::string(Expected) + ", got " + std::string(V.kindName()));
+}
+
+void JsonReader::unknownKey(std::string_view Key) {
+  error(DiagCode::ProtocolUnknownKey,
+        "unknown " + std::string(Noun) + " key '" + path(Key) + "'");
+}
+
+void JsonReader::checkSchemaVersion(const JsonValue &V, unsigned Supported) {
+  uint64_t Version = 0;
+  if (read(V, "schema_version", Version) && Version != Supported)
+    error(DiagCode::ProtocolSchemaVersion,
+          "unsupported schema_version " + std::to_string(Version) +
+              " (this build speaks v" + std::to_string(Supported) + ")");
+}
+
+std::string JsonReader::path(std::string_view Key) const {
+  return Scope.empty() ? std::string(Key)
+                       : std::string(Scope) + "." + std::string(Key);
 }

@@ -86,3 +86,9 @@ std::string bsched::formatTwelfths(double Value) {
 std::string bsched::formatPercent(double Value) {
   return formatDouble(Value, 1);
 }
+
+void bsched::appendHexExact(std::string &Out, double Value) {
+  char Buf[40];
+  std::snprintf(Buf, sizeof(Buf), " %a", Value);
+  Out += Buf;
+}

@@ -42,6 +42,11 @@ std::string formatDouble(double Value, int Decimals);
 /// does.
 std::string formatTwelfths(double Value);
 
+/// Appends a space and \p Value in hex-exact "%a" form ("0x1.8p+1"):
+/// cache keys print doubles this way, since rounding them could give two
+/// distinct programs or configs one key.
+void appendHexExact(std::string &Out, double Value);
+
 /// Returns "Value%" with one decimal ("12.9"), matching the paper's tables.
 std::string formatPercent(double Value);
 

@@ -34,9 +34,16 @@
 //               alias analysis on and off, and require both compiled
 //               forms to reproduce the interpreter's memory image for the
 //               original program exactly.
+//   config      random v1 config documents (dropped, duplicated and
+//               unknown keys; wrong types; numbers at the 2^32, 2^53 and
+//               2^64 edges and beyond) and random in-code configs. A
+//               rejected document must carry only BS900-BS903/BS503, and
+//               every config that validates must survive toJson ->
+//               fromJson with identical bytes and cache key.
 //
 // Usage: fuzz_harness [--seed N] [--iters N]
-//                     [--mode all|roundtrip|mutate|kernel-lang|chaos|memdep]
+//                     [--mode all|roundtrip|mutate|kernel-lang|chaos|memdep|
+//                             config]
 //
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +53,11 @@
 #include "ir/IrPrinter.h"
 #include "ir/IrVerifier.h"
 #include "parser/Parser.h"
+#include "pipeline/CompileCache.h"
 #include "pipeline/Pipeline.h"
 #include "support/FailPoint.h"
+#include "support/Json.h"
+#include "support/JsonValue.h"
 #include "support/Rng.h"
 #include "workload/KernelGen.h"
 
@@ -56,6 +66,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -432,6 +443,198 @@ void runMemDep(uint64_t Iter, Rng &R) {
   }
 }
 
+//===----------------------------------------------------------------------===//
+// Config mode: the v1 reader, writer, cache key and range checks
+//===----------------------------------------------------------------------===//
+
+/// Number spellings at the edges the reader and the range checks draw.
+constexpr const char *EdgeNumbers[] = {
+    "0", "1", "2", "-0", "-1", "-3", "0.5", "2.5", "0.1", "1e3", "1024",
+    "1025", "1024.5", "4294967294", "4294967295", "4294967296",
+    "9007199254740991", "9007199254740992", "9007199254740993",
+    "18446744073709551614", "18446744073709551615", "18446744073709551616",
+    "1e308", "1e400", "-1e400", "1e-400", "5e-324"};
+
+/// Policy, closure-mode and opcode spellings, valid and not.
+constexpr const char *EdgeStrings[] = {
+    "balanced",  "traditional", "balanced-uf", "average-llp",
+    "unscheduled", " balanced ", "Balanced",   "blanced",
+    "auto",      "materialized", "blocked",    "on-demand",
+    "ondemand",  "",            "fmul",       "fadd",
+    "nosuchop"};
+
+constexpr const char *Containers[] = {"null", "[]", "{}", "[1]",
+                                      "{\"k\":1}"};
+
+template <typename T, size_t N> const T &pick(const T (&Pool)[N], Rng &R) {
+  return Pool[R.nextBounded(N)];
+}
+
+/// Any scalar or small container, mostly of the wrong type for a key.
+std::string randomJsonValue(Rng &R) {
+  switch (R.nextBounded(6)) {
+  case 0:
+  case 1:
+    return pick(EdgeNumbers, R);
+  case 2:
+    return JsonWriter::escape(pick(EdgeStrings, R));
+  case 3:
+    return R.nextBernoulli(0.5) ? "true" : "false";
+  case 4:
+    return std::to_string(R.nextBounded(4096));
+  default:
+    return pick(Containers, R);
+  }
+}
+
+/// A value of the same JSON type as \p Default, often out of range.
+std::string sameTypeValue(const JsonValue &Default, Rng &R) {
+  if (Default.isBool())
+    return R.nextBernoulli(0.5) ? "true" : "false";
+  if (Default.isString())
+    return JsonWriter::escape(pick(EdgeStrings, R));
+  if (R.nextBernoulli(0.5))
+    return std::to_string(R.nextBounded(2048));
+  return pick(EdgeNumbers, R);
+}
+
+/// Writes \p Default (one member's value in the paper-default document)
+/// with random mutations: sections may lose, repeat or gain keys, become
+/// non-objects, and op_latencies gains random entries.
+void writeMutated(JsonWriter &W, std::string_view Key,
+                  const JsonValue &Default, Rng &R) {
+  if (!Default.isObject()) {
+    if (R.nextBernoulli(0.75)) {
+      JsonWriter Leaf;
+      if (Default.isBool())
+        Leaf.value(Default.asBool());
+      else if (Default.isString())
+        Leaf.value(Default.asString());
+      else
+        Leaf.value(Default.asNumber());
+      W.rawValue(Leaf.str());
+    } else {
+      W.rawValue(R.nextBernoulli(0.6) ? sameTypeValue(Default, R)
+                                      : randomJsonValue(R));
+    }
+    return;
+  }
+  if (R.nextBernoulli(0.05)) {
+    W.rawValue(randomJsonValue(R));
+    return;
+  }
+  W.beginObject();
+  for (const JsonValue::Member &M : Default.members()) {
+    if (R.nextBernoulli(0.3))
+      continue;
+    for (unsigned Copy = R.nextBernoulli(0.05) ? 2 : 1; Copy != 0; --Copy) {
+      W.key(M.first);
+      writeMutated(W, M.first, M.second, R);
+    }
+  }
+  if (Key == "op_latencies")
+    for (unsigned I = R.nextBounded(3); I != 0; --I)
+      W.key(pick(EdgeStrings, R))
+          .rawValue(R.nextBernoulli(0.7) ? pick(EdgeNumbers, R)
+                                         : randomJsonValue(R));
+  if (R.nextBernoulli(0.05))
+    W.key("unknown_knob").rawValue(randomJsonValue(R));
+  W.endObject();
+}
+
+/// A config set in code, with values no document can spell (NaN, inf).
+PipelineConfig randomConfigInCode(Rng &R) {
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  const double Doubles[] = {0.0,    -0.0,   0.5,  1.0,   2.0,    1024.0,
+                            1024.5, -3.0,   Inf,  -Inf,  1e-300, 5e-324,
+                            1e308,  std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::max()};
+  const double Latencies[] = {1.0, 1.5, 4.0, 1024.0, 1025.0, 1e9, Inf};
+  const uint64_t Ints[] = {0,           1,
+                           4,           26,
+                           1024,        1025,
+                           4294967295u, (uint64_t(1) << 53) + 1,
+                           INT64_MAX,   UINT64_MAX};
+  auto U32 = [&] { return static_cast<unsigned>(pick(Ints, R)); };
+  PipelineConfig C;
+  C.Policy = static_cast<SchedulerPolicy>(R.nextBounded(5));
+  C.OptimisticLatency = pick(Doubles, R);
+  for (unsigned I = R.nextBounded(3); I != 0; --I)
+    C.Ops.setOpLatency(static_cast<Opcode>(R.nextBounded(NumOpcodes)),
+                       pick(Latencies, R));
+  C.Target.NumIntRegs = R.nextBernoulli(0.5) ? 26 : U32();
+  C.Target.NumFpRegs = R.nextBernoulli(0.5) ? 16 : U32();
+  C.Target.SpillPoolSize = R.nextBernoulli(0.5) ? 4 : U32();
+  C.Target.FifoSpillPool = R.nextBernoulli(0.5);
+  C.DagOptions.DisambiguateSameBase = R.nextBernoulli(0.5);
+  C.DagOptions.AliasAnalysis = R.nextBernoulli(0.5);
+  C.SchedOptions.IssueWidth = R.nextBernoulli(0.5) ? 1 : U32();
+  C.Closure.Mode = static_cast<ClosureMode>(R.nextBounded(4));
+  C.Closure.OnDemandThreshold = U32();
+  C.RunRegAlloc = R.nextBernoulli(0.5);
+  C.SecondSchedulingPass = R.nextBernoulli(0.5);
+  C.HonorKnownLatency = R.nextBernoulli(0.5);
+  C.RenameAfterAllocation = R.nextBernoulli(0.5);
+  C.Certify = R.nextBernoulli(0.5);
+  C.Budget.DeadlineMs = pick(Doubles, R);
+  C.Budget.MaxTicks = pick(Ints, R);
+  C.Budget.MaxInstructionsPerBlock = pick(Ints, R);
+  C.Budget.MaxDagEdges = pick(Ints, R);
+  C.Budget.MaxClosureBits = pick(Ints, R);
+  C.Budget.MaxSpillSlots = pick(Ints, R);
+  C.Budget.Degrade = R.nextBernoulli(0.5);
+  return C;
+}
+
+/// Validation failures are BS500; a config that validates must come back
+/// from its own document with identical bytes and cache key.
+void checkConfigRoundTrip(uint64_t Iter, const PipelineConfig &Config,
+                          const std::string &Input) {
+  Status Valid = Config.validate();
+  for (const Diagnostic &D : Valid.diagnostics())
+    if (D.Code != DiagCode::PipelineBadConfig)
+      fail(Iter, "config", "validation failure is not BS500: " + D.Message,
+           Input);
+  if (!Valid.ok())
+    return;
+  std::string Json = Config.toJson();
+  ErrorOr<PipelineConfig> Back = PipelineConfig::fromJson(Json);
+  if (!Back) {
+    fail(Iter, "config",
+         "a valid config's document is rejected: " + Back.errorText(),
+         Input + "\n" + Json);
+    return;
+  }
+  if (Back->toJson() != Json)
+    fail(Iter, "config", "round trip changed the document",
+         Input + "\n" + Json + "\n" + Back->toJson());
+  if (configCacheKey(*Back) != configCacheKey(Config))
+    fail(Iter, "config", "round trip changed the cache key",
+         Input + "\n" + Json);
+}
+
+void runConfig(uint64_t Iter, Rng &R) {
+  static const JsonValue Default =
+      *parseJson(PipelineConfig::paperDefault().toJson());
+  JsonWriter W;
+  writeMutated(W, "", Default, R);
+  const std::string Doc = W.str();
+
+  ErrorOr<PipelineConfig> Parsed = PipelineConfig::fromJson(Doc);
+  if (!Parsed) {
+    for (const Diagnostic &D : Parsed.errors()) {
+      unsigned Code = static_cast<unsigned>(D.Code);
+      if ((Code < 900 || Code > 903) &&
+          D.Code != DiagCode::PipelineUnknownPolicy)
+        fail(Iter, "config",
+             "rejection outside BS900-BS903/BS503: " + D.Message, Doc);
+    }
+  } else {
+    checkConfigRoundTrip(Iter, *Parsed, Doc);
+  }
+  checkConfigRoundTrip(Iter, randomConfigInCode(R), "(config set in code)");
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -449,7 +652,7 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "usage: %s [--seed N] [--iters N] "
                    "[--mode all|roundtrip|mutate|kernel-lang|chaos|"
-                   "memdep]\n",
+                   "memdep|config]\n",
                    argv[0]);
       return 2;
     }
@@ -470,6 +673,8 @@ int main(int argc, char **argv) {
       runChaos(Iter, R);
     else if (Mode == "memdep") // Explicit only, like chaos.
       runMemDep(Iter, R);
+    else if (Mode == "config") // Explicit only, like chaos.
+      runConfig(Iter, R);
     else {
       std::fprintf(stderr, "unknown mode '%s'\n", Mode.c_str());
       return 2;

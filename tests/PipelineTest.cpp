@@ -287,6 +287,19 @@ TEST(PipelineConfigTest, ValidateRejectsBadKnobs) {
            [](PipelineConfig &C) { C.Target.SpillPoolSize = 4294967295u; }},
           {"spill pool 4294967294",
            [](PipelineConfig &C) { C.Target.SpillPoolSize = 4294967294u; }},
+          // Deadlines an active budget can never trip, or that toJson
+          // cannot write.
+          {"deadline -5",
+           [](PipelineConfig &C) { C.Budget.DeadlineMs = -5.0; }},
+          {"deadline inf",
+           [](PipelineConfig &C) { C.Budget.DeadlineMs = Inf; }},
+          {"deadline NaN",
+           [](PipelineConfig &C) {
+             C.Budget.DeadlineMs = std::numeric_limits<double>::quiet_NaN();
+           }},
+          // Under every policy, not only the traditional one.
+          {"optimistic latency -3 under balanced",
+           [](PipelineConfig &C) { C.OptimisticLatency = -3.0; }},
       };
   for (const auto &[Name, Mutate] : Hostile) {
     PipelineConfig Config = PipelineConfig::paperDefault();

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace bsched;
 
@@ -82,6 +83,21 @@ TEST(JsonValueTest, UInt64RejectsFractionsAndNegatives) {
   EXPECT_EQ(Out, 3u);
   EXPECT_FALSE(parseJson("3.5")->asUInt64(Out));
   EXPECT_FALSE(parseJson("-1")->asUInt64(Out));
+}
+
+TEST(JsonValueTest, UInt64ReadsBareDigitsExactly) {
+  // A double holds integers exactly only up to 2^53; bare digits that fit
+  // in 64 bits keep their exact value.
+  uint64_t Out = 0;
+  ASSERT_TRUE(parseJson("9007199254740993")->asUInt64(Out));
+  EXPECT_EQ(Out, (uint64_t(1) << 53) + 1);
+  ASSERT_TRUE(parseJson("18446744073709551615")->asUInt64(Out));
+  EXPECT_EQ(Out, UINT64_MAX);
+  ASSERT_TRUE(parseJson("1e3")->asUInt64(Out)); // Other spellings: double.
+  EXPECT_EQ(Out, 1000u);
+  EXPECT_FALSE(parseJson("18446744073709551616")->asUInt64(Out)); // 2^64
+  EXPECT_FALSE(parseJson("0.5")->asUInt64(Out));
+  EXPECT_DOUBLE_EQ(parseJson("18446744073709551615")->asNumber(), 0x1p64);
 }
 
 //===----------------------------------------------------------------------===//
@@ -153,6 +169,32 @@ TEST(ConfigJsonTest, RoundTripPreservesEveryKnob) {
   EXPECT_EQ(Parsed->SchedOptions.IssueWidth, 4u);
   EXPECT_DOUBLE_EQ(Parsed->Budget.DeadlineMs, 12.5);
   EXPECT_FALSE(Parsed->Budget.Degrade);
+}
+
+TEST(ConfigJsonTest, ExtremeValidValuesRoundTripExactly) {
+  // The largest value of every field that validates survives its own
+  // document: bytes and cache key.
+  PipelineConfig Config = PipelineConfig::paperDefault();
+  Config.OptimisticLatency = 1024.0;
+  Config.Ops.setOpLatency(Opcode::FDiv, 1024.0);
+  Config.Target.NumIntRegs = 1024;
+  Config.Target.NumFpRegs = 1024;
+  Config.SchedOptions.IssueWidth = UINT32_MAX;
+  Config.Closure.OnDemandThreshold = UINT32_MAX;
+  Config.Budget.DeadlineMs = std::numeric_limits<double>::max();
+  Config.Budget.MaxTicks = UINT64_MAX;
+  Config.Budget.MaxInstructionsPerBlock = UINT64_MAX;
+  Config.Budget.MaxDagEdges = UINT64_MAX;
+  Config.Budget.MaxClosureBits = UINT64_MAX;
+  Config.Budget.MaxSpillSlots = (uint64_t(1) << 53) + 1;
+  ASSERT_TRUE(Config.validate().ok());
+
+  ErrorOr<PipelineConfig> Parsed = PipelineConfig::fromJson(Config.toJson());
+  ASSERT_TRUE(Parsed.has_value()) << Parsed.errorText();
+  EXPECT_EQ(Parsed->toJson(), Config.toJson());
+  EXPECT_EQ(configCacheKey(*Parsed), configCacheKey(Config));
+  EXPECT_EQ(Parsed->Budget.MaxTicks, UINT64_MAX);
+  EXPECT_EQ(Parsed->Budget.MaxSpillSlots, (uint64_t(1) << 53) + 1);
 }
 
 TEST(ConfigJsonTest, UnsupportedSchemaVersionIsBS901) {
@@ -591,6 +633,61 @@ TEST(CacheKeyTest, EveryBehaviorAffectingFieldIsInTheKey) {
     Keys.push_back(experimentCacheKey(F, Config));
   std::sort(Keys.begin(), Keys.end());
   EXPECT_EQ(std::adjacent_find(Keys.begin(), Keys.end()), Keys.end());
+}
+
+TEST(CacheKeyTest, EveryLeafOfTheDocumentMovesTheKey) {
+  // Needs no mutant per field: every leaf of the paper-default document
+  // is mutated in place, and the one-leaf document it makes is reparsed.
+  // Every leaf but the no-effect closure knobs must move the key.
+  const std::string Base = configCacheKey(PipelineConfig::paperDefault());
+  ErrorOr<JsonValue> Doc = parseJson(PipelineConfig::paperDefault().toJson());
+  ASSERT_TRUE(Doc.has_value());
+
+  unsigned Keyed = 0, Unkeyed = 0;
+  auto Check = [&](std::string_view Section, const JsonValue::Member &Leaf) {
+    const std::string &Name = Leaf.first;
+    const JsonValue &V = Leaf.second;
+    std::string Mutated;
+    if (V.isBool())
+      Mutated = V.asBool() ? "false" : "true";
+    else if (V.isNumber())
+      Mutated = std::to_string(static_cast<uint64_t>(V.asNumber()) + 1);
+    else if (Name == "policy")
+      Mutated = "\"traditional\"";
+    else if (Name == "mode")
+      Mutated = "\"on-demand\"";
+    else if (Name == "op_latencies")
+      Mutated = R"({"fmul":2})";
+    ASSERT_FALSE(Mutated.empty()) << "no mutation for leaf '" << Name << "'";
+    std::string Member = "\"" + Name + "\":" + Mutated;
+    std::string Json = Section.empty()
+                           ? "{" + Member + "}"
+                           : "{\"" + std::string(Section) + "\":{" +
+                                 Member + "}}";
+    ErrorOr<PipelineConfig> Parsed = PipelineConfig::fromJson(Json);
+    ASSERT_TRUE(Parsed.has_value()) << Json << ": " << Parsed.errorText();
+    EXPECT_TRUE(Parsed->validate().ok()) << Json;
+    EXPECT_NE(Parsed->toJson(), PipelineConfig::paperDefault().toJson())
+        << Json;
+    if (Section == "closure") {
+      ++Unkeyed;
+      EXPECT_EQ(configCacheKey(*Parsed), Base) << Json;
+    } else {
+      ++Keyed;
+      EXPECT_NE(configCacheKey(*Parsed), Base) << Json;
+    }
+  };
+  for (const JsonValue::Member &M : Doc->members()) {
+    if (M.first == "schema_version")
+      continue; // The document's version, not a field.
+    if (M.second.isObject() && M.first != "op_latencies")
+      for (const JsonValue::Member &Leaf : M.second.members())
+        Check(M.first, Leaf);
+    else
+      Check("", M);
+  }
+  EXPECT_EQ(Unkeyed, 2u);
+  EXPECT_GE(Keyed, 22u);
 }
 
 TEST(CacheKeyTest, ObsAndWeighterPoolAreKeyNeutral) {

@@ -382,7 +382,10 @@ TEST(ServerCoreTest, HugeLatenciesAndRegisterFilesRejectedAtOnce) {
         R"({"op_latencies":{"fadd":1e400}})",
         R"({"target":{"int_regs":4000000000}})",
         R"({"target":{"fp_regs":100000000}})",
-        R"({"target":{"spill_pool_size":4294967295}})"}) {
+        R"({"target":{"spill_pool_size":4294967295}})",
+        R"({"budget":{"deadline_ms":-5}})",
+        R"({"budget":{"deadline_ms":1e400}})",
+        R"({"optimistic_latency":-3})"}) {
     JsonWriter Request;
     Request.beginObject();
     Request.key("schema_version").value(CompileRequest::SchemaVersion);
