@@ -86,11 +86,12 @@ inline std::vector<std::pair<Benchmark, Function>> paperPrograms() {
 }
 
 /// Runs \p Cells through a fresh experiment engine (worker count from
-/// BSCHED_JOBS, else hardware concurrency) and prints the run's
-/// accounting line. A failed cell degrades that cell only; callers render
-/// it as "n/a" and keep printing the table.
-inline EngineResult runEngineMatrix(const std::vector<ExperimentCell> &Cells) {
-  ExperimentEngine Engine;
+/// BSCHED_JOBS, else hardware concurrency) observed through \p Obs, and
+/// prints the run's accounting line. A failed cell degrades that cell
+/// only; callers render it as "n/a" and keep printing the table.
+inline EngineResult runEngineMatrix(const std::vector<ExperimentCell> &Cells,
+                                    ObsContext Obs = {}) {
+  ExperimentEngine Engine(0, Obs);
   EngineResult Result = Engine.run(Cells);
   const EngineCounters &C = Result.Counters;
   std::printf("[engine] %u workers, %u cells (%u failed), "
@@ -117,8 +118,7 @@ inline bool writeBenchArtifact(const std::string &Name, const JsonWriter &W) {
   return true;
 }
 
-/// Counter lookup in a merged snapshot; 0 when absent (BSCHED_NO_OBS
-/// builds, or metric collection disabled).
+/// Counter lookup in a snapshot; 0 when absent (BSCHED_NO_OBS builds).
 inline uint64_t counterOrZero(const MetricSnapshot &Snapshot,
                               const std::string &Name) {
   auto It = Snapshot.Counters.find(Name);

@@ -13,10 +13,11 @@
 // Run: build/bench/bench_engine_scaling [workers...] [--trace-out=FILE]
 //                                       (workers default 1 2 4 8)
 //
-// Also measures the observability layer's own cost (per-cell metric
-// collection on vs. off on the serial sweep), writes the machine-readable
-// BENCH_engine_scaling.json artifact, and — with --trace-out — emits a
-// Chrome trace of one serial sweep plus the top phases by total time.
+// Also measures the observability layer's own cost (the serial sweep on
+// an engine with a metric registry vs. one without), writes the
+// machine-readable BENCH_engine_scaling.json artifact, and — with
+// --trace-out — emits a Chrome trace of one serial sweep plus the top
+// phases by total time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -167,21 +168,24 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // Observability overhead: the same serial sweep with per-cell metric
-  // collection off (the layer compiled in but idle — every instrument
-  // handle null) and on (the engine's default: per-cell registries,
-  // snapshots, merges). Results must be identical because metrics only
-  // observe; the delta is the price of collection itself. EXPERIMENTS.md
-  // records this number plus the idle-vs-BSCHED_NO_OBS comparison.
+  // Observability overhead: the same serial sweep on an engine without a
+  // metric registry (the layer compiled in but idle — every instrument
+  // handle null) and on one with a registry, which every compile and
+  // simulation records into. Results must be identical because metrics
+  // only observe; the delta is the price of collection itself.
+  // EXPERIMENTS.md records this number plus the idle-vs-BSCHED_NO_OBS
+  // comparison.
   std::printf("\n");
   Table O("Observability overhead (serial sweep)");
-  O.setHeader({"Cell metrics", "Wall ms", "Overhead", "Identical"});
+  O.setHeader({"Metrics", "Wall ms", "Overhead", "Identical"});
+  MetricRegistry Metrics;
   EngineResult ObsRuns[2];
   double ObsMs[2] = {0.0, 0.0};
   for (int On = 0; On <= 1; ++On) {
-    ExperimentEngine Engine(1);
-    Engine.setCollectCellMetrics(On != 0);
-    EngineResult R = Engine.run(Matrix);
+    ObsContext Obs;
+    if (On)
+      Obs.Metrics = &Metrics;
+    EngineResult R = ExperimentEngine(1, Obs).run(Matrix);
     if (degraded(R))
       return 1;
     ObsMs[On] = R.Counters.WallMillis;
@@ -257,7 +261,7 @@ int main(int argc, char **argv) {
   W.key("overhead_percent").valueFixed(ObsOverheadPct, 2);
   W.endObject();
   W.key("cycles").value(
-      counterOrZero(ObsRuns[1].Metrics, "bsched.sim.cycles"));
+      counterOrZero(Metrics.snapshot(), "bsched.sim.cycles"));
   W.endObject();
   writeBenchArtifact("engine_scaling", W);
   return 0;

@@ -360,34 +360,8 @@ void MetricRegistry::mergeSnapshot(const MetricSnapshot &Snapshot) {
 }
 
 //===----------------------------------------------------------------------===
-// Snapshot merge + JSON.
+// Snapshot quantiles + JSON.
 //===----------------------------------------------------------------------===
-
-void MetricSnapshot::merge(const MetricSnapshot &Other) {
-  for (const auto &[Name, Value] : Other.Counters)
-    Counters[Name] += Value;
-  for (const auto &[Name, Value] : Other.Gauges) {
-    auto [It, Inserted] = Gauges.emplace(Name, Value);
-    if (!Inserted)
-      It->second = std::max(It->second, Value);
-  }
-  for (const auto &[Name, Data] : Other.Histograms) {
-    auto [It, Inserted] = Histograms.emplace(Name, Data);
-    if (Inserted)
-      continue;
-    HistogramData &Mine = It->second;
-    BSCHED_CHECK(Mine.UpperEdges == Data.UpperEdges,
-                 "merging histograms with different bucket edges");
-    for (size_t B = 0; B != Mine.Counts.size(); ++B)
-      Mine.Counts[B] += Data.Counts[B];
-    if (Data.Count != 0) {
-      Mine.Min = Mine.Count == 0 ? Data.Min : std::min(Mine.Min, Data.Min);
-      Mine.Max = Mine.Count == 0 ? Data.Max : std::max(Mine.Max, Data.Max);
-    }
-    Mine.Count += Data.Count;
-    Mine.Sum += Data.Sum;
-  }
-}
 
 double HistogramData::estimateQuantile(double Q) const {
   if (Count == 0)

@@ -137,8 +137,8 @@ struct HistogramData {
 };
 
 /// A point-in-time merge of every shard of a registry. Plain data:
-/// copyable, comparable, serializable, and mergeable with other
-/// snapshots (the engine folds per-cell snapshots into run totals).
+/// copyable, comparable and serializable; MetricRegistry::mergeSnapshot
+/// folds one into a registry.
 struct MetricSnapshot {
   std::map<std::string, uint64_t> Counters;
   std::map<std::string, double> Gauges;
@@ -148,10 +148,6 @@ struct MetricSnapshot {
   bool empty() const {
     return Counters.empty() && Gauges.empty() && Histograms.empty();
   }
-
-  /// Folds \p Other in: counters add, gauges take the maximum, histograms
-  /// add bucket-wise (edges must match when both sides carry the name).
-  void merge(const MetricSnapshot &Other);
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":
   /// {name:{"edges":[...],"counts":[...],"count":..,"sum":..,...}}}.
@@ -201,8 +197,8 @@ public:
   MetricSnapshot snapshot() const;
 
   /// Folds an external snapshot into this registry (registering any
-  /// missing names). Cold path — the engine replays cached compile
-  /// metrics and folds per-cell results with this.
+  /// missing names): counters add, gauges take the maximum, histograms
+  /// add bucket-wise. Cold path.
   void mergeSnapshot(const MetricSnapshot &Snapshot);
 
 private:

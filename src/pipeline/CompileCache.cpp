@@ -31,32 +31,15 @@ std::string bsched::experimentCacheKey(const Function &Program,
   return programCacheKey(Program) + configCacheKey(Config);
 }
 
-namespace {
-
-uint64_t snapshotBytes(const MetricSnapshot &Metrics) {
-  uint64_t Bytes = 0;
-  for (const auto &[Name, Value] : Metrics.Counters)
-    Bytes += Name.size() + sizeof(Value) + 48;
-  for (const auto &[Name, Value] : Metrics.Gauges)
-    Bytes += Name.size() + sizeof(Value) + 48;
-  for (const auto &[Name, Hist] : Metrics.Histograms)
-    Bytes += Name.size() + 48 +
-             (Hist.UpperEdges.size() + Hist.Counts.size()) * sizeof(uint64_t);
-  return Bytes;
-}
-
-} // namespace
-
 uint64_t CompileCache::entryBytes(const std::string &Key,
                                   const CompiledFunction &Compiled,
-                                  const MetricSnapshot &Metrics) {
+                                  const MetricSnapshot &) {
   uint64_t Bytes = Key.size() + sizeof(Entry) + 64;
   // Structural estimate of the compiled function: instructions dominate.
   Bytes += uint64_t(Compiled.StaticInstructions) * sizeof(Instruction);
   Bytes += Compiled.SpillPerBlock.size() * sizeof(unsigned);
   for (const BasicBlock &BB : Compiled.Compiled)
     Bytes += sizeof(BasicBlock) + BB.name().size();
-  Bytes += snapshotBytes(Metrics);
   return Bytes;
 }
 
@@ -114,11 +97,6 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
                                                 const PipelineConfig &Config,
                                                 bool *WasHit,
                                                 MetricRegistry *Sink) {
-  // The metric sink for this request: explicit registry if the caller
-  // passed one, else whatever the config carries. (The key never includes
-  // Obs — observation cannot change what is cached.)
-  MetricRegistry *Out = Sink ? Sink : Config.Obs.Metrics;
-
   const std::string Key = ProgramKey + configCacheKey(Config);
   Shard &S = shardFor(Key);
   {
@@ -131,10 +109,6 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
       S.Lru.splice(S.Lru.begin(), S.Lru, It->second.LruIt);
       if (WasHit)
         *WasHit = true;
-      // Replay the stored compile metrics so a warm-cache run reports the
-      // same totals as a cold one.
-      if (Out)
-        Out->mergeSnapshot(It->second.CompileMetrics);
       return *It->second.Compiled;
     }
     ++S.Misses;
@@ -143,39 +117,30 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
   if (WasHit)
     *WasHit = false;
 
-  // Compile outside any lock, into a private registry: the snapshot is
-  // stored with the entry and merged exactly once per request (here and
-  // on every future hit), so totals are independent of cache state and
-  // worker count. Recorded even when this request has no sink — a later
-  // observed request may hit this entry and must replay the full compile
-  // metrics.
-  MetricRegistry CompileReg(2);
+  // Compile outside any lock, recording into the caller's sink when it
+  // names one. (The key never includes Obs — observation cannot change
+  // what is cached.)
   PipelineConfig CompileConfig = Config;
-  CompileConfig.Obs.Metrics = &CompileReg;
-
+  if (Sink)
+    CompileConfig.Obs.Metrics = Sink;
   ErrorOr<CompiledFunction> Result = runPipeline(Program, CompileConfig);
   // Failures are never cached: every affected caller gets the full
   // diagnostics rather than a "previously failed" stub.
   if (!Result)
     return Result;
 
-  MetricSnapshot CompileMetrics = CompileReg.snapshot();
-  if (Out)
-    Out->mergeSnapshot(CompileMetrics);
-
-  uint64_t Bytes = entryBytes(Key, *Result, CompileMetrics);
+  uint64_t Bytes = entryBytes(Key, *Result, {});
   unsigned Evicted = 0;
   {
     std::lock_guard<std::mutex> Lock(S.Mutex);
     // Two workers may race to first-compile the same key; both computed
-    // the identical result (and identical metrics), so first insertion
-    // wins and the loser's work is simply dropped.
+    // the identical result, so first insertion wins and the loser's work
+    // is simply dropped.
     auto [It, Inserted] = S.Map.try_emplace(Key);
     if (Inserted) {
       S.Lru.push_front(&It->first);
       It->second.Compiled =
           std::make_shared<const CompiledFunction>(*Result);
-      It->second.CompileMetrics = std::move(CompileMetrics);
       It->second.Bytes = Bytes;
       It->second.LruIt = S.Lru.begin();
       S.Bytes += Bytes;

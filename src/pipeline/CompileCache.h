@@ -18,9 +18,9 @@
 /// entries. Semantics preserved from the engine cache:
 ///
 ///  - Failures are never cached; every caller gets the full diagnostics.
-///  - Each entry stores the compile-time MetricSnapshot; a hit replays it
-///    into the caller's sink, so warm and cold runs report identical
-///    deterministic totals.
+///  - Compile metrics count the compiles that ran: a miss records them
+///    into the caller's sink, a hit records none (as
+///    `bsched.engine.cache_misses` counts misses only).
 ///  - Two workers may race to first-compile a key; compilation is
 ///    deterministic, so whichever insertion wins is correct.
 ///
@@ -97,9 +97,9 @@ public:
 
   /// The memoizing compiler: returns the cached CompiledFunction for
   /// (Program, Config) content or compiles and caches it. \p WasHit
-  /// (optional) reports whether the cache served the result; compile
-  /// metrics are replayed/recorded into \p Sink (when non-null, else
-  /// Config.Obs.Metrics) exactly once per call, hit or miss.
+  /// (optional) reports whether the cache served the result. A miss
+  /// compiles with its metrics recorded into \p Sink when non-null, else
+  /// Config.Obs.Metrics; a hit records no compile metrics.
   ErrorOr<CompiledFunction> compile(const Function &Program,
                                     const PipelineConfig &Config,
                                     bool *WasHit = nullptr,
@@ -130,17 +130,18 @@ public:
   const CompileCacheConfig &config() const { return Config; }
 
   /// The approximate footprint charged for one entry: key bytes plus a
-  /// structural estimate of the compiled function and its stored metric
-  /// snapshot. An estimate is enough — the bound exists to keep a
-  /// long-running daemon's memory flat, not to account exact heap bytes.
+  /// structural estimate of the compiled function. An estimate is enough
+  /// — the bound exists to keep a long-running daemon's memory flat, not
+  /// to account exact heap bytes. The unnamed snapshot parameter has no
+  /// effect; the repository benchmark's traced replay (perfbench/) still
+  /// passes one, which pins the signature until that replay is deleted.
   static uint64_t entryBytes(const std::string &Key,
                              const CompiledFunction &Compiled,
-                             const MetricSnapshot &Metrics);
+                             const MetricSnapshot &);
 
 private:
   struct Entry {
     std::shared_ptr<const CompiledFunction> Compiled;
-    MetricSnapshot CompileMetrics;
     uint64_t Bytes = 0;
     std::list<const std::string *>::iterator LruIt;
   };

@@ -45,13 +45,9 @@ std::string EngineResult::summaryJson() const {
     W.key("cache_hits").value(Cell.CacheHits);
     W.key("cache_misses").value(Cell.CacheMisses);
     W.key("error").value(Cell.firstError());
-    if (!Cell.Metrics.empty())
-      W.key("metrics").rawValue(Cell.Metrics.toJson());
     W.endObject();
   }
   W.endArray();
-  if (!Metrics.empty())
-    W.key("metrics").rawValue(Metrics.toJson());
   W.endObject();
   return W.str();
 }
@@ -143,22 +139,15 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
 
   const auto Start = std::chrono::steady_clock::now();
 
-  // A private registry per cell: workers record without sharing anything,
-  // and the snapshot is attributable to exactly this cell. A cell runs on
-  // one worker, so two shards suffice.
-  std::optional<MetricRegistry> CellReg;
-  if (CollectCellMetrics)
-    CellReg.emplace(2);
-
-  // The engine owns the cell's observability wiring: compile metrics flow
-  // through the cache into the cell registry (replayed from the entry on a
-  // hit), simulation metrics record into it directly, and all spans go to
-  // the engine trace.
+  // The engine owns the cell's observability wiring: compiles that run
+  // and every simulation record into the engine's registry (sharded, so
+  // workers record without contending), and all spans go to the engine
+  // trace.
   PipelineConfig Base = Cell.Base;
-  Base.Obs.Metrics = nullptr;
+  Base.Obs.Metrics = Obs.Metrics;
   Base.Obs.Trace = Obs.Trace;
   SimulationConfig Sim = Cell.Sim;
-  Sim.Obs.Metrics = CellReg ? &*CellReg : nullptr;
+  Sim.Obs.Metrics = Obs.Metrics;
   Sim.Obs.Trace = Obs.Trace;
 
   // Validate the cell's config at entry so a bad matrix row reports a
@@ -179,8 +168,7 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
             assert(&F == Cell.Program && "a cell compiles its own program");
             bool Hit = false;
             ErrorOr<CompiledFunction> Compiled =
-                Cache->compile(F, Keys.of(F), Config, &Hit,
-                               CellReg ? &*CellReg : nullptr);
+                Cache->compile(F, Keys.of(F), Config, &Hit);
             ++(Hit ? Outcome.CacheHits : Outcome.CacheMisses);
             return Compiled;
           },
@@ -200,9 +188,6 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
   } else {
     Outcome.Errors = ConfigStatus.diagnostics();
   }
-
-  if (CellReg)
-    Outcome.Metrics = CellReg->snapshot();
 
   const auto End = std::chrono::steady_clock::now();
   Outcome.WallMillis =
@@ -243,17 +228,9 @@ EngineResult ExperimentEngine::run(const std::vector<ExperimentCell> &Cells) {
     Result.Counters.CacheHits += Cell.CacheHits;
     Result.Counters.CacheMisses += Cell.CacheMisses;
     Result.Counters.CellWallMillis += Cell.WallMillis;
-    // Fold per-cell snapshots in input order: the merged totals are as
-    // deterministic as the cells themselves, whatever the worker count.
-    Result.Metrics.merge(Cell.Metrics);
   }
 
-  // The engine-level sink gets everything the run learned, plus the
-  // informational counters that are deliberately NOT in Result.Metrics
-  // (cache behaviour varies run to run; the deterministic snapshot must
-  // not).
   if (Obs.Metrics) {
-    Obs.Metrics->mergeSnapshot(Result.Metrics);
     Obs.Metrics->counter("bsched.engine.cells").add(Result.Counters.Cells);
     Obs.Metrics->counter("bsched.engine.failed_cells")
         .add(Result.Counters.Failed);

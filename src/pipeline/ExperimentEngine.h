@@ -65,14 +65,6 @@ struct CellOutcome {
   unsigned CacheHits = 0;   ///< Compilations served from the engine cache.
   unsigned CacheMisses = 0; ///< Compilations actually run for this cell.
 
-  /// The cell's merged metric snapshot (compile + simulation), recorded
-  /// into a private per-cell registry so parallel cells never share
-  /// counters. Cache hits replay the hit entry's stored compile metrics,
-  /// making this snapshot — like the measurements — a pure function of
-  /// the cell's inputs: identical serial or parallel, cold or warm cache.
-  /// Empty when collection is disabled (or under BSCHED_NO_OBS).
-  MetricSnapshot Metrics;
-
   bool ok() const { return Comparison.has_value(); }
 
   /// First error diagnostic, formatted; empty when the cell succeeded.
@@ -95,14 +87,9 @@ struct EngineResult {
   std::vector<CellOutcome> Cells;
   EngineCounters Counters;
 
-  /// Every cell's snapshot folded together in input order. Deterministic
-  /// for the same reason the cell snapshots are; the informational engine
-  /// counters (cache hits, wall times) stay out of it.
-  MetricSnapshot Metrics;
-
-  /// The machine-readable summary: one JSON object with the run counters,
-  /// a per_cell array of {label, ok, wall_ms, cache_hits, cache_misses,
-  /// error [, metrics]}, and the merged "metrics" snapshot when present.
+  /// The machine-readable summary: one JSON object with the run counters
+  /// and a per_cell array of {label, ok, wall_ms, cache_hits,
+  /// cache_misses, error}.
   std::string summaryJson() const;
 };
 
@@ -123,10 +110,17 @@ bool identicalEngineResults(const EngineResult &A, const EngineResult &B);
 /// across engines and requests.
 class ExperimentEngine {
 public:
-  /// \p Obs supplies the engine-level observability sinks: Obs.Trace
-  /// receives every compile/sim span of the run, Obs.Metrics the merged
-  /// per-cell snapshots plus the informational `bsched.engine.*` counters
-  /// (those stay out of EngineResult::Metrics, which is deterministic).
+  /// \p Obs supplies the engine's only observability sinks: Obs.Trace
+  /// receives every compile/sim span of the run, and every cell records
+  /// its compile and simulation metrics straight into Obs.Metrics, which
+  /// also gets the run's `bsched.engine.*` counters. Without a registry
+  /// nothing is recorded. What lands there:
+  ///  - `bsched.sim.*` totals are a pure function of the cells, so serial
+  ///    and pooled runs record equal totals;
+  ///  - compile counters (`bsched.pipeline.*`, `bsched.dag.*`,
+  ///    `bsched.sched.*`, `bsched.analysis.*`, `bsched.alias.*`,
+  ///    `bsched.governor.*`, `bsched.regalloc.*`) count the compiles that
+  ///    ran, like `bsched.engine.cache_misses`: a cache hit records none.
   explicit ExperimentEngine(unsigned Jobs = 0, ObsContext Obs = {})
       : Pool(Jobs), Obs(Obs),
         Cache(std::make_shared<CompileCache>(
@@ -140,14 +134,6 @@ public:
   }
 
   unsigned workerCount() const { return Pool.workerCount(); }
-
-  /// Per-cell metric collection (on by default): each cell records into a
-  /// private registry whose snapshot lands in CellOutcome::Metrics.
-  /// Turning it off is the runtime kill switch bench_engine_scaling uses
-  /// to price the enabled-but-idle overhead; BSCHED_NO_OBS is the
-  /// compile-time one.
-  void setCollectCellMetrics(bool Enabled) { CollectCellMetrics = Enabled; }
-  bool collectCellMetrics() const { return CollectCellMetrics; }
 
   /// Runs every cell (validating its config at entry), fanning across the
   /// pool. Outcome I corresponds to Cells[I] whatever the execution order.
@@ -164,7 +150,6 @@ private:
 
   ThreadPool Pool;
   ObsContext Obs;
-  bool CollectCellMetrics = true;
   std::shared_ptr<CompileCache> Cache;
 };
 

@@ -7,10 +7,11 @@
 
 #include "server/Protocol.h"
 
+#include "support/CliOptions.h"
 #include "support/Json.h"
 #include "support/JsonValue.h"
 
-#include <cstdlib>
+#include <cstdint>
 
 using namespace bsched;
 
@@ -197,11 +198,18 @@ ErrorOr<CompileResponse> CompileResponse::fromJson(std::string_view Json) {
         }
         Diagnostic D;
         if (const JsonValue *Code = E.find("code"); Code && Code->isString()) {
-          // "BS201" -> numeric code; unknown numbers keep their value (the
-          // enum is open by design for forward compatibility).
+          // "BS201" -> numeric code; unknown numbers that fit the enum keep
+          // their value (it is open by design for forward compatibility).
           const std::string &Text = Code->asString();
-          if (Text.size() > 2 && Text[0] == 'B' && Text[1] == 'S')
-            D.Code = static_cast<DiagCode>(std::atoi(Text.c_str() + 2));
+          uint64_t N = 0;
+          if (Text.rfind("BS", 0) == 0 &&
+              Text.find('\0') == std::string::npos &&
+              parseCount(Text.c_str() + 2, N, UINT16_MAX))
+            D.Code = static_cast<DiagCode>(N);
+          else
+            R.error(DiagCode::ProtocolBadValue,
+                    "diagnostic code '" + Text +
+                        "' is not BS followed by a number up to 65535");
         }
         if (const JsonValue *Sev = E.find("severity"); Sev && Sev->isString()) {
           const std::string &Name = Sev->asString();

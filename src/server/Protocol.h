@@ -60,7 +60,9 @@ struct CompileRequest {
   std::string Kernel;                ///< Textual .bsir IR (compile only).
   PipelineConfig Config = PipelineConfig::paperDefault();
   bool WantSchedule = true;          ///< Include the compiled IR text.
-  bool WantMetrics = false;          ///< Include the compile MetricSnapshot.
+  /// Include the MetricSnapshot of the compile this request ran; empty
+  /// on a cache hit, which runs none (cache_hit says so).
+  bool WantMetrics = false;
   std::string MetricsFormat = "json"; ///< metrics op: "json"|"prometheus".
 
   std::string toJson() const;

@@ -268,11 +268,15 @@ CompileResponse BschedServer::compileOne(const CompileRequest &Request,
     return Response;
   }
 
-  MetricRegistry RequestMetrics(2);
+  // Only a request that asks for its metrics gets a registry: the compile
+  // records into it on a miss, and a hit returns it empty.
+  std::optional<MetricRegistry> RequestMetrics;
+  if (Request.WantMetrics)
+    RequestMetrics.emplace(2);
   bool Hit = false;
   ErrorOr<CompiledFunction> Compiled =
       Cache->compile(Parsed.Functions.front(), Config, &Hit,
-                     Request.WantMetrics ? &RequestMetrics : nullptr);
+                     RequestMetrics ? &*RequestMetrics : nullptr);
   Response.CacheHit = Hit;
   if (!Compiled) {
     Response.Diags = Compiled.takeErrors();
@@ -287,8 +291,8 @@ CompileResponse BschedServer::compileOne(const CompileRequest &Request,
   Response.DynamicSpills = Compiled->DynamicSpills;
   if (Request.WantSchedule)
     Response.Schedule = printFunction(Compiled->Compiled);
-  if (Request.WantMetrics)
-    Response.StatsJson = RequestMetrics.snapshot().toJson();
+  if (RequestMetrics)
+    Response.StatsJson = RequestMetrics->snapshot().toJson();
   return Response;
 }
 

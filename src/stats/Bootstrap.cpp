@@ -42,8 +42,10 @@ bsched::pairedImprovement(const std::vector<double> &Baseline,
   }
 
   ImprovementEstimate Estimate;
+  // The mean sums in draw order, so it is taken before the sort.
   Estimate.MeanPercent = mean(Improvements);
-  Estimate.Ci95.Lo = quantile(Improvements, 0.025);
-  Estimate.Ci95.Hi = quantile(Improvements, 0.975);
+  std::sort(Improvements.begin(), Improvements.end());
+  Estimate.Ci95.Lo = percentile(Improvements, 0.025);
+  Estimate.Ci95.Hi = percentile(Improvements, 0.975);
   return Estimate;
 }

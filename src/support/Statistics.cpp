@@ -8,7 +8,6 @@
 #include "support/Statistics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 using namespace bsched;
@@ -29,19 +28,6 @@ double bsched::stddev(const std::vector<double> &Values) {
   for (double V : Values)
     S.add(V);
   return S.stddev();
-}
-
-double bsched::quantile(std::vector<double> Values, double Q) {
-  assert(!Values.empty() && "quantile of an empty sample");
-  assert(Q >= 0.0 && Q <= 1.0 && "quantile fraction out of range");
-  std::sort(Values.begin(), Values.end());
-  if (Values.size() == 1)
-    return Values.front();
-  double Pos = Q * static_cast<double>(Values.size() - 1);
-  size_t Lo = static_cast<size_t>(Pos);
-  size_t Hi = std::min(Lo + 1, Values.size() - 1);
-  double Frac = Pos - static_cast<double>(Lo);
-  return Values[Lo] + Frac * (Values[Hi] - Values[Lo]);
 }
 
 double bsched::percentile(const std::vector<double> &SortedValues, double P) {

@@ -57,16 +57,10 @@ double mean(const std::vector<double> &Values);
 /// Returns the unbiased sample standard deviation of \p Values.
 double stddev(const std::vector<double> &Values);
 
-/// Returns the \p Q quantile (0 <= Q <= 1) of \p Values using linear
-/// interpolation between order statistics. \p Values need not be sorted;
-/// a sorted copy is made internally.
-double quantile(std::vector<double> Values, double Q);
-
-/// The hardened in-place flavor of quantile() for callers that already
-/// hold a sorted sample (the loadgen's latency arrays): linear
-/// interpolation between order statistics, no copy. An empty sample
-/// returns 0, a single element returns itself, and \p P is clamped into
-/// [0, 1] instead of asserting.
+/// Returns the \p P quantile of a sorted sample (the bootstrap's
+/// improvements, the loadgen's latency arrays) by linear interpolation
+/// between order statistics, without copying. An empty sample returns 0,
+/// a single element returns itself, and \p P is clamped into [0, 1].
 double percentile(const std::vector<double> &SortedValues, double P);
 
 /// A two-sided interval [Lo, Hi], e.g. a bootstrap confidence interval.

@@ -8,21 +8,21 @@
 #include "support/ThreadPool.h"
 
 #include "support/Check.h"
+#include "support/CliOptions.h"
 #include "support/FailPoint.h"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <exception>
 
 using namespace bsched;
 
 unsigned ThreadPool::defaultWorkerCount() {
-  if (const char *Env = std::getenv("BSCHED_JOBS")) {
-    char *End = nullptr;
-    long Jobs = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && Jobs > 0)
-      return static_cast<unsigned>(Jobs);
-  }
+  uint64_t Jobs = 0;
+  if (const char *Env = std::getenv("BSCHED_JOBS");
+      Env && parseCount(Env, Jobs, UINT_MAX) && Jobs >= 1)
+    return static_cast<unsigned>(Jobs);
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw == 0 ? 1 : Hw;
 }

@@ -74,8 +74,9 @@ public:
   /// parallelForEach can capture per-index body faults too).
   void recordFault(std::string Message);
 
-  /// BSCHED_JOBS if set to a positive integer, else hardware concurrency
-  /// (at least 1).
+  /// BSCHED_JOBS if it is a count from 1 to UINT_MAX in bare decimal
+  /// digits (as `--workers` takes it), else hardware concurrency (at
+  /// least 1).
   static unsigned defaultWorkerCount();
 
 private:

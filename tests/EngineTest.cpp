@@ -36,6 +36,22 @@ WorkloadOptions smallWorkload() {
   return W;
 }
 
+bool isSimMetric(const std::string &Name) {
+  return Name.rfind("bsched.sim.", 0) == 0;
+}
+
+/// The `bsched.sim.*` counters and histograms of \p Snapshot.
+MetricSnapshot simMetrics(const MetricSnapshot &Snapshot) {
+  MetricSnapshot Sim;
+  for (const auto &[Name, Value] : Snapshot.Counters)
+    if (isSimMetric(Name))
+      Sim.Counters.emplace(Name, Value);
+  for (const auto &[Name, Data] : Snapshot.Histograms)
+    if (isSimMetric(Name))
+      Sim.Histograms.emplace(Name, Data);
+  return Sim;
+}
+
 /// Plants a branch to a nonexistent block in the entry block: a
 /// structural corruption the parser can never produce but a buggy
 /// producer could.
@@ -328,8 +344,9 @@ TEST(EngineTest, SummaryJsonCarriesPerCellCounters) {
 }
 
 //===----------------------------------------------------------------------===
-// Observability: per-cell metrics are deterministic and land in the
-// summary (DESIGN.md §3g). These tests also pass under BSCHED_NO_OBS,
+// Observability: cells record into the engine's registry (DESIGN.md §3g).
+// Simulation totals are a pure function of the cells; compile counters
+// count the compiles that ran. These tests also pass under BSCHED_NO_OBS,
 // where every snapshot is empty on both sides of each comparison; the
 // assertions that require actual samples are guarded.
 //===----------------------------------------------------------------------===
@@ -340,96 +357,81 @@ TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
   std::vector<ExperimentCell> Cells =
       perfectClubCells(Programs, Memory, smallSim());
 
-  EngineResult A = ExperimentEngine(1).run(Cells);
-  EngineResult B = ExperimentEngine(8).run(Cells);
+  MetricRegistry SerialReg;
+  MetricRegistry PooledReg;
+  EngineResult A = ExperimentEngine(1, ObsContext{&SerialReg, nullptr, {}})
+                       .run(Cells);
+  EngineResult B = ExperimentEngine(8, ObsContext{&PooledReg, nullptr, {}})
+                       .run(Cells);
 
-  // The merged totals and every per-kernel snapshot are exact across
-  // worker counts — sharded registries merge to the serial counts, and
-  // the compile cache replays stored compile metrics on every hit.
-  EXPECT_EQ(A.Metrics, B.Metrics);
-  ASSERT_EQ(A.Cells.size(), B.Cells.size());
-  for (size_t I = 0; I != A.Cells.size(); ++I)
-    EXPECT_EQ(A.Cells[I].Metrics, B.Cells[I].Metrics) << A.Cells[I].Label;
+  // Recording never changes the measurements.
+  EXPECT_TRUE(identicalEngineResults(A, B));
+  EXPECT_TRUE(identicalEngineResults(A, ExperimentEngine(1).run(Cells)));
+
+  // The sharded registry sums to the serial totals exactly.
+  MetricSnapshot Serial = SerialReg.snapshot();
+  MetricSnapshot Pooled = PooledReg.snapshot();
+  EXPECT_EQ(simMetrics(Serial), simMetrics(Pooled));
 
 #ifndef BSCHED_NO_OBS
-  // The snapshot carries the simulator's stall accounting and latency
-  // distribution for every kernel.
-  EXPECT_GT(A.Metrics.Counters.at("bsched.sim.block_runs"), 0u);
-  EXPECT_GT(A.Metrics.Counters.at("bsched.sim.cycles"), 0u);
-  ASSERT_TRUE(A.Metrics.Counters.count("bsched.sim.interlock_cycles"));
-  const HistogramData &Latency =
-      A.Metrics.Histograms.at("bsched.sim.load_latency_cycles");
-  EXPECT_GT(Latency.Count, 0u);
-  EXPECT_GT(A.Metrics.Counters.at("bsched.pipeline.kernels"), 0u);
-  EXPECT_GT(A.Metrics.Counters.at("bsched.sched.passes"), 0u);
-  for (const CellOutcome &Cell : A.Cells)
-    EXPECT_GT(Cell.Metrics.Counters.at("bsched.sim.loads"), 0u) << Cell.Label;
+  // No budgets, so each miss is one compile attempt.
+  EXPECT_EQ(Serial.Counters.at("bsched.pipeline.kernels"),
+            A.Counters.CacheMisses);
+  EXPECT_EQ(Pooled.Counters.at("bsched.pipeline.kernels"),
+            B.Counters.CacheMisses);
+  EXPECT_GT(Serial.Counters.at("bsched.sched.passes"), 0u);
+
+  // The simulator's stall accounting and latency distribution.
+  EXPECT_GT(Serial.Counters.at("bsched.sim.block_runs"), 0u);
+  EXPECT_GT(Serial.Counters.at("bsched.sim.cycles"), 0u);
+  EXPECT_GT(Serial.Counters.at("bsched.sim.loads"), 0u);
+  ASSERT_TRUE(Serial.Counters.count("bsched.sim.interlock_cycles"));
+  EXPECT_GT(Serial.Histograms.at("bsched.sim.load_latency_cycles").Count,
+            0u);
 #endif
 }
 
-TEST(EngineTest, WarmCacheReplaysCompileMetrics) {
+TEST(EngineTest, WarmRunAddsNoCompileCounters) {
   Function F = buildBenchmark(Benchmark::TRACK, smallWorkload());
   NetworkSystem Memory(2, 2);
-  ExperimentEngine Engine(1);
+  MetricRegistry Reg;
+  ExperimentEngine Engine(1, ObsContext{&Reg, nullptr, {}});
   std::vector<ExperimentCell> Cells{
       {"track", &F, &Memory, 2, SchedulerPolicy::Balanced,
        PipelineConfig::paperDefault(), smallSim()}};
 
   EngineResult Cold = Engine.run(Cells);
+  MetricSnapshot AfterCold = Reg.snapshot();
   EngineResult Warm = Engine.run(Cells);
+  MetricSnapshot AfterWarm = Reg.snapshot();
   ASSERT_EQ(Warm.Counters.CacheMisses, 0u);
   ASSERT_EQ(Warm.Counters.CacheHits, 2u);
+  EXPECT_TRUE(identicalEngineResults(Cold, Warm));
 
-  // Cache hits replay the stored compile metrics, so a warm run reports
-  // exactly the totals of a cold one.
-  EXPECT_EQ(Cold.Metrics, Warm.Metrics);
+  // Every hit runs no compile, so the warm run adds nothing outside the
+  // simulation and the engine's own accounting...
+  for (const auto &[Name, Value] : AfterWarm.Counters) {
+    if (!isSimMetric(Name) && Name.rfind("bsched.engine.", 0) != 0) {
+      EXPECT_EQ(Value, AfterCold.Counters.at(Name)) << Name;
+    }
+  }
+  for (const auto &[Name, Data] : AfterWarm.Histograms) {
+    if (!isSimMetric(Name)) {
+      EXPECT_EQ(Data, AfterCold.Histograms.at(Name)) << Name;
+    }
+  }
+
+  // ...and exactly the cold run's simulation totals once more.
+  MetricRegistry Twice;
+  Twice.mergeSnapshot(simMetrics(AfterCold));
+  Twice.mergeSnapshot(simMetrics(AfterCold));
+  EXPECT_EQ(simMetrics(AfterWarm), Twice.snapshot());
 #ifndef BSCHED_NO_OBS
-  EXPECT_GT(Warm.Metrics.Counters.at("bsched.pipeline.kernels"), 0u);
-  EXPECT_GT(Warm.Metrics.Counters.at("bsched.dag.nodes"), 0u);
+  EXPECT_EQ(AfterWarm.Counters.at("bsched.pipeline.kernels"),
+            Cold.Counters.CacheMisses);
+  EXPECT_GT(AfterCold.Counters.at("bsched.dag.nodes"), 0u);
+  EXPECT_GT(AfterCold.Counters.at("bsched.sim.cycles"), 0u);
 #endif
-}
-
-TEST(EngineTest, SummaryJsonCarriesMetricSnapshot) {
-  Function F = buildBenchmark(Benchmark::TRACK, smallWorkload());
-  NetworkSystem Memory(2, 2);
-  ExperimentEngine Engine(1);
-  EngineResult Run = Engine.run(
-      {{"track", &F, &Memory, 2, SchedulerPolicy::Balanced,
-        PipelineConfig::paperDefault(), smallSim()}});
-  std::string Json = Run.summaryJson();
-#ifndef BSCHED_NO_OBS
-  EXPECT_NE(Json.find("\"metrics\":"), std::string::npos) << Json;
-  EXPECT_NE(Json.find("bsched.sim.load_latency_cycles"), std::string::npos)
-      << Json;
-  EXPECT_NE(Json.find("bsched.sim.interlock_cycles"), std::string::npos)
-      << Json;
-#else
-  EXPECT_EQ(Json.find("\"metrics\":"), std::string::npos) << Json;
-#endif
-}
-
-TEST(EngineTest, CellMetricsCanBeDisabled) {
-  Function F = buildBenchmark(Benchmark::TRACK, smallWorkload());
-  NetworkSystem Memory(2, 2);
-  ExperimentEngine Engine(1);
-  Engine.setCollectCellMetrics(false);
-  EngineResult Run = Engine.run(
-      {{"track", &F, &Memory, 2, SchedulerPolicy::Balanced,
-        PipelineConfig::paperDefault(), smallSim()}});
-  EXPECT_TRUE(Run.Metrics.empty());
-  for (const CellOutcome &Cell : Run.Cells)
-    EXPECT_TRUE(Cell.Metrics.empty());
-  EXPECT_EQ(Run.summaryJson().find("\"metrics\":"), std::string::npos);
-
-  // Collection state never changes the measurements themselves.
-  ExperimentEngine Observed(1);
-  EngineResult WithMetrics = Observed.run(
-      {{"track", &F, &Memory, 2, SchedulerPolicy::Balanced,
-        PipelineConfig::paperDefault(), smallSim()}});
-  ASSERT_TRUE(Run.Cells[0].ok());
-  ASSERT_TRUE(WithMetrics.Cells[0].ok());
-  EXPECT_EQ(Run.Cells[0].Comparison->CandidateSim.BootstrapRuntimes,
-            WithMetrics.Cells[0].Comparison->CandidateSim.BootstrapRuntimes);
 }
 
 TEST(EngineTest, EngineObsContextReceivesRunTotals) {

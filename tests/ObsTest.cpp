@@ -256,31 +256,6 @@ TEST(ObsTest, RegistryMergeAcrossWorkersIsExact) {
   EXPECT_EQ(Data.Sum, Tasks * (Tasks - 1) / 2);
 }
 
-TEST(ObsTest, SnapshotMergeSemantics) {
-  MetricRegistry A;
-  A.counter("bsched.test.c").add(3);
-  A.gauge("bsched.test.g").set(1.0);
-  A.histogram("bsched.test.h", {5}).record(2);
-
-  MetricRegistry B;
-  B.counter("bsched.test.c").add(4);
-  B.counter("bsched.test.only_b").add(1);
-  B.gauge("bsched.test.g").set(7.5);
-  B.histogram("bsched.test.h", {5}).record(9);
-
-  MetricSnapshot Merged = A.snapshot();
-  Merged.merge(B.snapshot());
-  EXPECT_EQ(Merged.Counters.at("bsched.test.c"), 7u);       // Adds.
-  EXPECT_EQ(Merged.Counters.at("bsched.test.only_b"), 1u);  // Union.
-  EXPECT_EQ(Merged.Gauges.at("bsched.test.g"), 7.5);        // Max.
-  HistogramData H = Merged.Histograms.at("bsched.test.h");
-  EXPECT_EQ(H.Count, 2u);
-  EXPECT_EQ(H.Counts[0], 1u);
-  EXPECT_EQ(H.Counts[1], 1u);
-  EXPECT_EQ(H.Min, 2u);
-  EXPECT_EQ(H.Max, 9u);
-}
-
 TEST(ObsTest, MergeSnapshotIntoRegistryRoundTrips) {
   MetricRegistry Source;
   Source.counter("bsched.test.c").add(11);

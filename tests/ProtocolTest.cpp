@@ -420,6 +420,47 @@ TEST(ProtocolTest, ResponseRoundTripWithDiagnostics) {
   EXPECT_EQ(Parsed->toJson(), Response.toJson());
 }
 
+/// A serialized failing response whose one diagnostic carries \p Code.
+std::string responseWithCode(const std::string &Code) {
+  CompileResponse Response;
+  Response.Id = "r";
+  Response.Diags.push_back(
+      {0, 0, "x", Severity::Error, DiagCode::ParseUnknownMnemonic});
+  std::string Json = Response.toJson();
+  const std::string Pinned = "\"code\":\"BS201\"";
+  Json.replace(Json.find(Pinned), Pinned.size(),
+               "\"code\":\"" + Code + "\"");
+  return Json;
+}
+
+TEST(ProtocolTest, ResponseDiagnosticCodesRoundTripIncludingUnassigned) {
+  ErrorOr<CompileResponse> Known =
+      CompileResponse::fromJson(responseWithCode("BS201"));
+  ASSERT_TRUE(Known.has_value()) << Known.errorText();
+  EXPECT_EQ(Known->Diags.at(0).Code, DiagCode::ParseUnknownMnemonic);
+
+  // The enum is open: an unassigned number keeps its value.
+  ErrorOr<CompileResponse> Unassigned =
+      CompileResponse::fromJson(responseWithCode("BS4242"));
+  ASSERT_TRUE(Unassigned.has_value()) << Unassigned.errorText();
+  EXPECT_EQ(static_cast<unsigned>(Unassigned->Diags.at(0).Code), 4242u);
+  EXPECT_EQ(Unassigned->toJson(), responseWithCode("BS4242"));
+}
+
+TEST(ProtocolTest, MalformedResponseDiagnosticCodesAreBadValues) {
+  // Too large for the code space (used to wrap to BS201), trailing
+  // garbage (used to read as BS2), and an overflowing number.
+  for (const char *Code : {"BS65537", "BS65737", "BS2x1", "BS99999999999",
+                           "BS", "BS-1", "BS+1", "BS 1", "201"}) {
+    ErrorOr<CompileResponse> Parsed =
+        CompileResponse::fromJson(responseWithCode(Code));
+    ASSERT_FALSE(Parsed.has_value()) << Code;
+    ASSERT_EQ(Parsed.errors().size(), 1u) << Code;
+    EXPECT_EQ(Parsed.errors().front().Code, DiagCode::ProtocolBadValue)
+        << Code;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Shared CLI flag parsing (support/CliOptions.h).
 //===----------------------------------------------------------------------===//

@@ -434,6 +434,34 @@ TEST(ServerCoreTest, WantMetricsReturnsSnapshot) {
 #endif
 }
 
+TEST(ServerCoreTest, WantMetricsCountsOnlyTheCompileThatRan) {
+  BschedServer Server({});
+  CompileRequest Request;
+  Request.Id = "m";
+  Request.Kernel = TinyKernel;
+  Request.WantSchedule = false;
+  Request.WantMetrics = true;
+  std::string Miss = Server.handleRequest(Request.toJson());
+  std::string Hit = Server.handleRequest(Request.toJson());
+
+  // Whether the response's stats counted a pipeline compile.
+  auto CountsKernels = [](const std::string &Raw) {
+    ErrorOr<JsonValue> Doc = parseJson(Raw);
+    EXPECT_TRUE(Doc.has_value()) << Raw;
+    const JsonValue *Stats = Doc ? Doc->find("stats") : nullptr;
+    EXPECT_NE(Stats, nullptr) << Raw;
+    const JsonValue *Counters = Stats ? Stats->find("counters") : nullptr;
+    return Counters && Counters->find("bsched.pipeline.kernels");
+  };
+  EXPECT_NE(Miss.find("\"cache_hit\":false"), std::string::npos) << Miss;
+  EXPECT_NE(Hit.find("\"cache_hit\":true"), std::string::npos) << Hit;
+  // A hit runs no compile, so its snapshot counts none.
+  EXPECT_FALSE(CountsKernels(Hit)) << Hit;
+#ifndef BSCHED_NO_OBS
+  EXPECT_TRUE(CountsKernels(Miss)) << Miss;
+#endif
+}
+
 TEST(ServerCoreTest, SerialEqualsConcurrent) {
   // The same corpus through one server serially and another concurrently
   // must produce identical stable fields (compilation is deterministic;

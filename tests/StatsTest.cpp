@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 using namespace bsched;
 
@@ -83,6 +85,23 @@ TEST(PairedImprovementTest, CiBracketsNoisyDifferences) {
   EXPECT_LT(E.Ci95.Lo, E.MeanPercent);
   EXPECT_GT(E.Ci95.Hi, E.MeanPercent);
   EXPECT_TRUE(E.significant());
+}
+
+TEST(PairedImprovementTest, PinnedBitsForUnsortedInputWithTies) {
+  // Every Table 2-5 cell reports these three numbers, so their bits are
+  // pinned: the improvements arrive unsorted, with ties (three equal
+  // pairs, two zero improvements), and both CI bounds interpolate.
+  std::vector<double> Base = {103.25, 97.5, 101.0, 99.75, 101.0, 104.5,
+                              98.0,   101.0, 96.25, 102.5, 100.0};
+  std::vector<double> Cand = {99.0, 97.5, 95.5, 101.25, 95.5, 97.0,
+                              99.5, 95.5, 93.0, 99.0,   100.0};
+  ImprovementEstimate E = pairedImprovement(Base, Cand);
+  EXPECT_EQ(std::bit_cast<uint64_t>(E.MeanPercent), 0x4006d3a5a0c7f157u)
+      << E.MeanPercent;
+  EXPECT_EQ(std::bit_cast<uint64_t>(E.Ci95.Lo), 0xbff861e3f3e6b3d5u)
+      << E.Ci95.Lo;
+  EXPECT_EQ(std::bit_cast<uint64_t>(E.Ci95.Hi), 0x401afa0568ac35feu)
+      << E.Ci95.Hi;
 }
 
 TEST(PairedImprovementTest, InsignificantWhenOverlapping) {
