@@ -12,6 +12,9 @@
 //
 // Run: build/bench/bench_engine_scaling [workers...] [--trace-out=FILE]
 //                                       (workers default 1 2 4 8)
+// Each worker count is an integer in [1, 256]; anything else prints the
+// usage and exits 2. Exit 1 means a run lost a cell or did not match the
+// serial run.
 //
 // Also measures the observability layer's own cost (the serial sweep on
 // an engine with a metric registry vs. one without), writes the
@@ -23,11 +26,11 @@
 
 #include "bench/BenchCommon.h"
 #include "obs/Trace.h"
+#include "support/CliOptions.h"
 #include "support/Table.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace bsched;
@@ -57,11 +60,12 @@ int main(int argc, char **argv) {
       TraceOut = argv[I] + 12;
       continue;
     }
-    int N = std::atoi(argv[I]);
-    if (N < 1) {
-      std::fprintf(stderr, "usage: %s [workers...] [--trace-out=FILE]\n",
+    uint64_t N = 0;
+    if (!parseCount(argv[I], N, 256) || N < 1) {
+      std::fprintf(stderr,
+                   "usage: %s [workers 1..256 ...] [--trace-out=FILE]\n",
                    argv[0]);
-      return 1;
+      return 2;
     }
     WorkerCounts.push_back(static_cast<unsigned>(N));
   }

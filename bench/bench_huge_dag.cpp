@@ -186,14 +186,13 @@ struct PipelineRow {
 
 /// One full default-config compile of the n-instruction huge block; with
 /// \p Governed, the same compile under an active governor whose budget is
-/// the family ceiling (16384-instruction blocks and their exact closure)
-/// — the acceptance bar is success at n=8192 with no degradation.
+/// the family ceiling (16384-instruction blocks) — the acceptance bar is
+/// success at n=8192 with no degradation.
 PipelineRow compileHuge(unsigned Size, bool Governed) {
   Function F = buildHugeBlock(Size);
   PipelineConfig Config = PipelineConfig::paperDefault();
   if (Governed) {
     Config.Budget.MaxInstructionsPerBlock = 16384;
-    Config.Budget.MaxClosureBits = ResourceBudget::closureBitsFor(16384);
     Config.Budget.Degrade = true;
   }
   PipelineRow Row;

@@ -18,9 +18,9 @@
 using namespace bsched;
 
 //===----------------------------------------------------------------------===
-// Shard storage. One cache line per (metric, shard) for counters and
-// gauges so concurrent workers never false-share; histograms get one
-// aligned shard block each.
+// Storage. One cache line per (metric, shard) for counters so concurrent
+// workers never false-share; histograms get one aligned shard block each.
+// A gauge is one current value, so it has one slot, not one per shard.
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -70,12 +70,11 @@ struct MetricRegistry::CounterStorage {
 };
 
 struct MetricRegistry::GaugeStorage {
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> Bits{0};
-    std::atomic<uint64_t> Touched{0};
-  };
-  explicit GaugeStorage(unsigned Shards) : Shards(new Shard[Shards]) {}
-  std::unique_ptr<Shard[]> Shards;
+  /// The bit pattern of a gauge never set: a NaN payload that no
+  /// arithmetic produces, so a registered but unset gauge stays out of
+  /// snapshots.
+  static constexpr uint64_t Unset = ~uint64_t(0);
+  std::atomic<uint64_t> Bits{Unset};
 };
 
 struct MetricRegistry::HistogramStorage {
@@ -178,8 +177,7 @@ Gauge MetricRegistry::gauge(std::string_view Name) {
     return Gauge(this, It->second);
   unsigned Index = static_cast<unsigned>(GaugeNames.size());
   BSCHED_CHECK(Index < MaxGauges, "metric registry gauge table full");
-  GaugeTable[Index].store(new GaugeStorage(NumShards),
-                          std::memory_order_release);
+  GaugeTable[Index].store(new GaugeStorage, std::memory_order_release);
   GaugeNames.emplace_back(Name);
   GaugeIds.emplace(GaugeNames.back(), Index);
   return Gauge(this, Index);
@@ -229,22 +227,19 @@ void MetricRegistry::counterAdd(unsigned Index, uint64_t Delta) {
 }
 
 void MetricRegistry::gaugeSet(unsigned Index, double Value) {
-  GaugeStorage *Storage = GaugeTable[Index].load(std::memory_order_acquire);
-  GaugeStorage::Shard &Shard = Storage->Shards[threadShard()];
-  Shard.Bits.store(doubleBits(Value), std::memory_order_relaxed);
-  Shard.Touched.store(1, std::memory_order_release);
+  GaugeTable[Index]
+      .load(std::memory_order_acquire)
+      ->Bits.store(doubleBits(Value), std::memory_order_relaxed);
 }
 
 void MetricRegistry::gaugeSetMax(unsigned Index, double Value) {
-  GaugeStorage *Storage = GaugeTable[Index].load(std::memory_order_acquire);
-  GaugeStorage::Shard &Shard = Storage->Shards[threadShard()];
-  if (Shard.Touched.load(std::memory_order_acquire)) {
-    double Current = bitsDouble(Shard.Bits.load(std::memory_order_relaxed));
-    if (Current >= Value)
-      return;
+  std::atomic<uint64_t> &Bits =
+      GaugeTable[Index].load(std::memory_order_acquire)->Bits;
+  uint64_t Current = Bits.load(std::memory_order_relaxed);
+  while ((Current == GaugeStorage::Unset || bitsDouble(Current) < Value) &&
+         !Bits.compare_exchange_weak(Current, doubleBits(Value),
+                                     std::memory_order_relaxed)) {
   }
-  Shard.Bits.store(doubleBits(Value), std::memory_order_relaxed);
-  Shard.Touched.store(1, std::memory_order_release);
 }
 
 void MetricRegistry::histogramRecord(unsigned Index, uint64_t Value) {
@@ -300,20 +295,11 @@ MetricSnapshot MetricRegistry::snapshot() const {
     Result.Counters.emplace(CounterNames[I], Total);
   }
   for (unsigned I = 0; I != GaugeNames.size(); ++I) {
-    const GaugeStorage *Storage =
-        GaugeTable[I].load(std::memory_order_acquire);
-    bool Any = false;
-    double Best = 0.0;
-    for (unsigned S = 0; S != NumShards; ++S) {
-      const GaugeStorage::Shard &Shard = Storage->Shards[S];
-      if (!Shard.Touched.load(std::memory_order_acquire))
-        continue;
-      double V = bitsDouble(Shard.Bits.load(std::memory_order_relaxed));
-      Best = Any ? std::max(Best, V) : V;
-      Any = true;
-    }
-    if (Any)
-      Result.Gauges.emplace(GaugeNames[I], Best);
+    uint64_t Bits = GaugeTable[I]
+                        .load(std::memory_order_acquire)
+                        ->Bits.load(std::memory_order_relaxed);
+    if (Bits != GaugeStorage::Unset)
+      Result.Gauges.emplace(GaugeNames[I], bitsDouble(Bits));
   }
   for (unsigned I = 0; I != HistogramNames.size(); ++I) {
     const HistogramStorage *Storage =

@@ -10,14 +10,14 @@
 /// `MetricRegistry` of named counters, gauges, and fixed-bucket
 /// histograms, designed for the experiment engine's hot paths.
 ///
-///  - **Zero locks on the hot path.** Recording is relaxed atomics on a
-///    per-shard slot (one add for a counter; three adds plus an atomic
-///    min and max for a histogram sample); threads map onto shards via a
-///    process-wide thread index, so unrelated workers touch unrelated
-///    cache lines. A loop too hot even for that tallies into a plain
-///    `HistogramData` and folds it in once with `Histogram::merge`.
-///    Registration (cold) takes a mutex; handles are pre-resolved once
-///    and then record lock-free.
+///  - **Zero locks on the hot path.** Recording is relaxed atomics: one
+///    add to a per-shard slot for a counter, three adds plus an atomic min
+///    and max for a histogram sample, and one store for a gauge, which has
+///    a single slot. Threads map onto shards via a process-wide thread
+///    index, so unrelated workers touch unrelated cache lines. A loop too
+///    hot even for that tallies into a plain `HistogramData` and folds it
+///    in once with `Histogram::merge`. Registration (cold) takes a mutex;
+///    handles are pre-resolved once and then record lock-free.
 ///  - **Exact merges.** `snapshot()` sums every shard; counter and
 ///    histogram totals are integers, so a merged snapshot equals the
 ///    serial run's counts exactly — the property the engine's
@@ -25,9 +25,10 @@
 ///  - **Names** follow `bsched.<layer>.<name>` (`bsched.sim.cycles`,
 ///    `bsched.sched.ready_list_occupancy`, ...).
 ///
-/// Semantics: counters only grow and merge by addition. Gauges hold a
-/// last-set value per shard and merge by maximum (they report high-water
-/// marks). Histograms have fixed upper-inclusive bucket edges chosen at
+/// Semantics: counters only grow and merge by addition. A gauge holds one
+/// current value: the last `set` wins, whichever thread made it, and a
+/// snapshot reports that value. `mergeSnapshot` folds a gauge in by
+/// maximum. Histograms have fixed upper-inclusive bucket edges chosen at
 /// registration: a value lands in the first bucket whose edge is >= the
 /// value, or the final overflow bucket; merges add bucket-wise.
 ///
@@ -70,8 +71,7 @@ private:
   unsigned Index = 0;
 };
 
-/// A last-set value; merged snapshots take the maximum across shards
-/// (high-water-mark semantics).
+/// A current value: the last set() wins across threads.
 class Gauge {
 public:
   Gauge() = default;
@@ -197,8 +197,8 @@ public:
   MetricSnapshot snapshot() const;
 
   /// Folds an external snapshot into this registry (registering any
-  /// missing names): counters add, gauges take the maximum, histograms
-  /// add bucket-wise. Cold path.
+  /// missing names): counters add, a gauge keeps the larger of its value
+  /// and the snapshot's, histograms add bucket-wise. Cold path.
   void mergeSnapshot(const MetricSnapshot &Snapshot);
 
 private:

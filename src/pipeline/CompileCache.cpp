@@ -158,6 +158,9 @@ ErrorOr<CompiledFunction> CompileCache::compile(const Function &Program,
 }
 
 void CompileCache::publishOccupancy() {
+  // Serialized, so the last publisher read the totals last: the gauges
+  // end as the cache's occupancy after the latest insert or clear().
+  std::lock_guard<std::mutex> Lock(PublishMutex);
   CompileCacheStats Totals = stats();
   BytesGauge.set(static_cast<double>(Totals.Bytes));
   EntriesGauge.set(static_cast<double>(Totals.Entries));

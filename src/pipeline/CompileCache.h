@@ -175,15 +175,17 @@ private:
   // Published `bsched.engine.cache_*` handles (inert without a registry).
   Counter HitCounter, MissCounter, InsertCounter, EvictCounter;
   Gauge BytesGauge, EntriesGauge;
+  std::mutex PublishMutex; ///< Held across one publishOccupancy().
 };
 
 /// The exact content key the compile cache memoizes on: the printed
 /// function plus every compilation-relevant PipelineConfig knob, with all
 /// floating-point fields rendered in hex-exact form (block frequencies and
 /// FP immediates are re-appended exactly, since the printer rounds them).
-/// Obs, WeighterPool and Closure are deliberately excluded: observing a
-/// compile, parallelizing its weighting or setting the no-effect closure
-/// knobs never changes the result (pinned by the cache-key tests).
+/// Obs, WeighterPool, Closure and the closure-bit budget are deliberately
+/// excluded: observing a compile, parallelizing its weighting or setting
+/// the no-effect closure knobs never changes the result (pinned by the
+/// cache-key tests).
 /// It is programCacheKey(Program) + configCacheKey(Config).
 std::string experimentCacheKey(const Function &Program,
                                const PipelineConfig &Config);

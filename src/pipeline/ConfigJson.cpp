@@ -97,7 +97,8 @@ void forEachField(ConfigT &C, VisitT &&Visit) {
   Visit(Field{"", "certify"}, C.Certify);
   // Budget fields change compiled output (admission failures, degraded
   // schedules), so they are keyed. The uint64 limits keep their full type
-  // range: all of it is meaningful to the governor.
+  // range: all of it is meaningful to the governor. max_closure_bits is
+  // accepted and round-tripped, with no effect (ResourceBudget).
   Visit(Field{"budget", "deadline_ms",
               {0.0, std::numeric_limits<double>::max()}},
         C.Budget.DeadlineMs);
@@ -105,7 +106,8 @@ void forEachField(ConfigT &C, VisitT &&Visit) {
   Visit(Field{"budget", "max_instructions_per_block"},
         C.Budget.MaxInstructionsPerBlock);
   Visit(Field{"budget", "max_dag_edges"}, C.Budget.MaxDagEdges);
-  Visit(Field{"budget", "max_closure_bits"}, C.Budget.MaxClosureBits);
+  Visit(Field{"budget", "max_closure_bits", {}, /*InKey=*/false},
+        C.Budget.MaxClosureBits);
   Visit(Field{"budget", "max_spill_slots"}, C.Budget.MaxSpillSlots);
   Visit(Field{"budget", "degrade"}, C.Budget.Degrade);
 }

@@ -556,13 +556,8 @@ ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
   }
 
   // Admission, before any work: oversized blocks are a hard structured
-  // failure (no degradation level changes a block's instruction count),
-  // while an over-budget exact-Chances closure degrades up front when
-  // degradation is allowed.
-  SchedulerPolicy AttemptPolicy = Config.Policy;
-  bool AttemptCertify = Config.Certify;
-  DegradationLevel Level = DegradationLevel::None;
-  if (Gov) {
+  // failure (no degradation level changes a block's instruction count).
+  if (Gov)
     for (const BasicBlock &BB : Input)
       if (!Gov->admit(BudgetKind::BlockInstructions, BB.size())) {
         ErrorOr<CompiledFunction> Failed(std::vector<Diagnostic>{
@@ -572,33 +567,14 @@ ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
         return Failed;
       }
 
-    if (AttemptPolicy == SchedulerPolicy::Balanced &&
-        Config.Budget.MaxClosureBits != 0) {
-      uint64_t WorstBits = 0;
-      for (const BasicBlock &BB : Input)
-        WorstBits = std::max(WorstBits,
-                             ResourceBudget::closureBitsFor(BB.size()));
-      if (WorstBits > Config.Budget.MaxClosureBits) {
-        if (!Config.Budget.Degrade) {
-          Gov->admit(BudgetKind::ClosureBits, WorstBits); // Trips.
-          ErrorOr<CompiledFunction> Failed(std::vector<Diagnostic>{
-              Gov->diagnostic("function '" + Input.name() + "'")});
-          CountFailure(Failed);
-          return Failed;
-        }
-        AttemptPolicy = SchedulerPolicy::BalancedUnionFind;
-        Level = DegradationLevel::UnionFindChances;
-        if (Reg)
-          Reg->counter("bsched.governor.degraded_unionfind").add();
-      }
-    }
-  }
-
-  // The attempt loop: compile, and on a deterministic-or-deadline overrun
-  // walk the degradation ladder (exact -> union-find Chances, then
-  // certify-on -> certify-off) before giving up with the trip's BS80x
-  // diagnostic. Each attempt restarts the tick budget; the deadline keeps
-  // its original epoch, bounding total wall time across attempts.
+  // The attempt loop: compile, and on an overrun walk the degradation
+  // ladder (exact -> union-find Chances, then certify-on -> certify-off)
+  // before giving up with the trip's BS80x diagnostic. Each attempt
+  // restarts the tick budget; the deadline keeps its original epoch,
+  // bounding total wall time across attempts.
+  SchedulerPolicy AttemptPolicy = Config.Policy;
+  bool AttemptCertify = Config.Certify;
+  DegradationLevel Level = DegradationLevel::None;
   CompiledFunction Compiled;
   for (;;) {
     PipelineConfig AttemptConfig = Config;
@@ -623,22 +599,33 @@ ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
     if (Gov && Reg)
       Reg->counter("bsched.governor.ticks").add(Gov->ticks());
 
+    // A rung is tried only when it can change the resource that tripped.
+    // Both rungs change the work done (ticks, deadline). Union-find also
+    // reschedules the first pass, which moves spill code; certify-off
+    // changes nothing the allocator sees. Neither changes the first-pass
+    // DAG, which does not depend on the policy, and in a sweep of
+    // DAG-edge budgets over the Perfect Club programs union-find never
+    // rescued a later pass's DAG either, so a DAG-edge trip fails at once.
     if (Gov && Gov->tripped() && Config.Budget.Degrade) {
-      if (AttemptPolicy == SchedulerPolicy::Balanced) {
+      BudgetKind Kind = Gov->trippedKind();
+      bool WorkTrip =
+          Kind == BudgetKind::Ticks || Kind == BudgetKind::Deadline;
+      if (AttemptPolicy == SchedulerPolicy::Balanced &&
+          (WorkTrip || Kind == BudgetKind::SpillSlots)) {
         AttemptPolicy = SchedulerPolicy::BalancedUnionFind;
         Level = DegradationLevel::UnionFindChances;
         if (Reg)
           Reg->counter("bsched.governor.degraded_unionfind").add();
         continue;
       }
-      if (AttemptCertify) {
+      if (AttemptCertify && WorkTrip) {
         AttemptCertify = false;
         Level = DegradationLevel::CertifyOff;
         if (Reg)
           Reg->counter("bsched.governor.degraded_certify_off").add();
         continue;
       }
-      // Ladder exhausted: fall through with the trip diagnostic.
+      // No rung left that can help: fall through with the trip diagnostic.
     }
 
     if (!CompiledOr.has_value()) {

@@ -128,9 +128,11 @@ struct PipelineConfig {
   /// polls it, oversized inputs are rejected at admission, and an overrun
   /// surfaces as a structured BS80x diagnostic — or, with Budget.Degrade,
   /// retries the kernel down the deterministic degradation ladder
-  /// (exact -> union-find Chances, then certify-on -> certify-off),
-  /// recording the level on the result. Budget fields change compiled
-  /// output, so they are part of the experiment cache key (unlike Obs).
+  /// (exact -> union-find Chances, then certify-on -> certify-off; only
+  /// the rungs that can change the tripped resource), recording the level
+  /// on the result. Budget fields change compiled output, so they are part
+  /// of the experiment cache key (unlike Obs), all but the no-effect
+  /// closure-bit limit.
   ResourceBudget Budget;
 
   /// Observability sinks (DESIGN.md §3g): when Obs.Metrics is set the

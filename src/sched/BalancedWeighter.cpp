@@ -86,15 +86,6 @@ void BalancedWeighter::runKernel(DepDag &Dag, WeighterScratch &Scratch,
         initialWeight(Dag.instruction(I), Model, HonorKnownLatency);
   }
 
-  // MaxClosureBits budgets the closure's Succ* and Pred* matrices, 2n^2
-  // bits, before they are allocated. Only the exact Chances method admits
-  // here: the union-find estimate builds the same matrices but is the
-  // degradation ladder's cheap fallback, and charging it too would leave
-  // the ladder nowhere to land.
-  if (Gov && Method == ChancesMethod::ExactLongestPath &&
-      !Gov->admit(BudgetKind::ClosureBits, ResourceBudget::closureBitsFor(N)))
-    return; // Caller must check Gov->tripped().
-
   // G_ind source (dag/Reachability.h): the materialized row-sweep closure.
   Scratch.Closure.compute(Dag);
 

@@ -68,10 +68,10 @@ private:
 
 public:
   /// Optional resource governor polled once per instruction by the
-  /// weighting kernel and consulted for the closure-bits admission budget.
-  /// When it trips, weighting bails with partial weights; callers must
-  /// check Governor->tripped() before scheduling against the DAG. Kept
-  /// last: the hot buffers above retain their pre-governance offsets.
+  /// weighting kernel. When it trips, weighting bails with partial
+  /// weights; callers must check Governor->tripped() before scheduling
+  /// against the DAG. Kept last: the hot buffers above retain their
+  /// pre-governance offsets.
   ResourceGovernor *Governor = nullptr;
 };
 

@@ -217,16 +217,10 @@ ErrorOr<CompileResponse> CompileResponse::fromJson(std::string_view Json) {
                   : Name == "warning" ? Severity::Warning
                                       : Severity::Note;
         }
-        if (const JsonValue *Line = E.find("line")) {
-          uint64_t N = 0;
-          if (Line->asUInt64(N))
-            D.Line = static_cast<unsigned>(N);
-        }
-        if (const JsonValue *Col = E.find("col")) {
-          uint64_t N = 0;
-          if (Col->asUInt64(N))
-            D.Col = static_cast<unsigned>(N);
-        }
+        if (const JsonValue *Line = E.find("line"))
+          R.read(*Line, "diagnostics[].line", D.Line);
+        if (const JsonValue *Col = E.find("col"))
+          R.read(*Col, "diagnostics[].col", D.Col);
         if (const JsonValue *Msg = E.find("message"); Msg && Msg->isString())
           D.Message = Msg->asString();
         Response.Diags.push_back(std::move(D));

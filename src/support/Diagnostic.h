@@ -121,7 +121,7 @@ enum class DiagCode : uint16_t {
   GovernorTickBudgetExceeded = 801,
   GovernorBlockTooLarge = 802,
   GovernorDagTooDense = 803,
-  GovernorClosureTooLarge = 804,
+  // 804 (a closure-bit budget) is retired; the number is not reused.
   GovernorSpillBudgetExceeded = 805,
 
   // Fault injection & captured faults: 810-819.

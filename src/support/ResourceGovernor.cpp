@@ -19,8 +19,6 @@ std::string_view bsched::budgetKindName(BudgetKind Kind) {
     return "block-instructions";
   case BudgetKind::DagEdges:
     return "dag-edges";
-  case BudgetKind::ClosureBits:
-    return "closure-bits";
   case BudgetKind::SpillSlots:
     return "spill-slots";
   }
@@ -37,8 +35,6 @@ DiagCode bsched::budgetDiagCode(BudgetKind Kind) {
     return DiagCode::GovernorBlockTooLarge;
   case BudgetKind::DagEdges:
     return DiagCode::GovernorDagTooDense;
-  case BudgetKind::ClosureBits:
-    return DiagCode::GovernorClosureTooLarge;
   case BudgetKind::SpillSlots:
     return DiagCode::GovernorSpillBudgetExceeded;
   }
@@ -95,9 +91,6 @@ bool ResourceGovernor::admit(BudgetKind Kind, uint64_t Value) {
   case BudgetKind::DagEdges:
     Limit = Limits.MaxDagEdges;
     break;
-  case BudgetKind::ClosureBits:
-    Limit = Limits.MaxClosureBits;
-    break;
   case BudgetKind::SpillSlots:
     Limit = Limits.MaxSpillSlots;
     break;
@@ -141,11 +134,6 @@ Diagnostic ResourceGovernor::diagnostic(std::string_view What) const {
     Message = "dependence DAG of " + Where + " exceeds the edge budget: " +
               std::to_string(TripValue) + " edges > limit " +
               std::to_string(TripLimit);
-    break;
-  case BudgetKind::ClosureBits:
-    Message = "transitive closure of " + Where +
-              " exceeds the closure budget: " + std::to_string(TripValue) +
-              " bits > limit " + std::to_string(TripLimit);
     break;
   case BudgetKind::SpillSlots:
     Message = "spill code of " + Where + " exceeds the slot budget: " +

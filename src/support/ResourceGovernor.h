@@ -46,14 +46,14 @@ enum class BudgetKind : uint8_t {
   Ticks,             ///< Deterministic MaxTicks (BS801).
   BlockInstructions, ///< MaxInstructionsPerBlock (BS802).
   DagEdges,          ///< MaxDagEdges (BS803).
-  ClosureBits,       ///< MaxClosureBits (BS804).
   SpillSlots,        ///< MaxSpillSlots (BS805).
 };
 
 /// "deadline", "ticks", ...
 std::string_view budgetKindName(BudgetKind Kind);
 
-/// The stable diagnostic code a trip of \p Kind reports (BS800-BS805).
+/// The stable diagnostic code a trip of \p Kind reports (BS800-BS803,
+/// BS805).
 DiagCode budgetDiagCode(BudgetKind Kind);
 
 /// True for the BS800-BS805 range — CLIs map these to the distinct
@@ -81,12 +81,9 @@ struct ResourceBudget {
   /// Densest per-block dependence DAG, in edges.
   uint64_t MaxDagEdges = 0;
 
-  /// Largest per-block transitive closure, in matrix bits: the Succ* and
-  /// Pred* matrices the balanced weighter allocates, 2*n^2 bits for an
-  /// n-instruction block. Overrunning it degrades the exact balanced
-  /// policy to union-find Chances when degradation is allowed. Union-find
-  /// allocates the same matrices; the budget admits only the exact method
-  /// so that the ladder can land.
+  /// Accepted, round-tripped and ignored: no limit reads it, so it is
+  /// neither part of active() nor of the compile-cache key. The closure
+  /// is 2*n^2 bits, bounded through MaxInstructionsPerBlock.
   uint64_t MaxClosureBits = 0;
 
   /// Most spill slots the allocator may create per block.
@@ -94,19 +91,15 @@ struct ResourceBudget {
 
   /// Allow graceful degradation on overrun: exact -> union-find Chances,
   /// then certify-on -> certify-off as a last resort, recorded in the
-  /// result. Off = any overrun is a hard BS80x failure.
+  /// result; a rung is tried only when it can change the tripped
+  /// resource (runPipeline). Off = any overrun is a hard BS80x failure.
   bool Degrade = true;
 
   /// True when any limit is set.
   bool active() const {
     return DeadlineMs > 0.0 || MaxTicks != 0 ||
            MaxInstructionsPerBlock != 0 || MaxDagEdges != 0 ||
-           MaxClosureBits != 0 || MaxSpillSlots != 0;
-  }
-
-  /// The closure-bit cost of an n-instruction block (Pred* + Succ*).
-  static uint64_t closureBitsFor(uint64_t Instructions) {
-    return 2 * Instructions * Instructions;
+           MaxSpillSlots != 0;
   }
 
   friend bool operator==(const ResourceBudget &,

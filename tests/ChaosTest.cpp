@@ -75,7 +75,7 @@ ResourceBudget randomBudget(Rng &R) {
     Budget.MaxTicks = 1 + R.nextBounded(4096);
     break;
   case 2:
-    Budget.MaxClosureBits = 1 + R.nextBounded(8192);
+    Budget.MaxSpillSlots = 1 + R.nextBounded(4);
     break;
   default:
     Budget.MaxInstructionsPerBlock = 1 + R.nextBounded(48);

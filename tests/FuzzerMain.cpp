@@ -331,7 +331,7 @@ void runChaos(uint64_t Iter, Rng &R) {
     Config.Budget.MaxTicks = 1 + R.nextBounded(2048);
     break;
   case 2:
-    Config.Budget.MaxClosureBits = 1 + R.nextBounded(8192);
+    Config.Budget.MaxSpillSlots = 1 + R.nextBounded(4);
     break;
   default:
     Config.Budget.MaxInstructionsPerBlock = 1 + R.nextBounded(64);

@@ -56,6 +56,31 @@ DiagCode firstCode(const std::vector<Diagnostic> &Diags) {
   return Diags.empty() ? DiagCode::Unknown : Diags.front().Code;
 }
 
+/// One governed compile and the metrics it recorded.
+struct LadderRun {
+  ErrorOr<CompiledFunction> Result;
+  MetricSnapshot Metrics;
+
+  /// A counter's value, or 0 when the compile never registered it.
+  uint64_t counter(const std::string &Name) const {
+    auto It = Metrics.Counters.find(Name);
+    return It == Metrics.Counters.end() ? 0 : It->second;
+  }
+};
+
+/// Compiles \p B (default workload) under paperDefault() with \p Policy
+/// and \p Budget, into a fresh registry.
+LadderRun compileUnder(Benchmark B, SchedulerPolicy Policy,
+                       const ResourceBudget &Budget) {
+  MetricRegistry Reg;
+  PipelineConfig Config = PipelineConfig::paperDefault();
+  Config.Policy = Policy;
+  Config.Budget = Budget;
+  Config.Obs.Metrics = &Reg;
+  ErrorOr<CompiledFunction> Result = runPipeline(buildBenchmark(B), Config);
+  return {std::move(Result), Reg.snapshot()};
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===
@@ -98,7 +123,6 @@ TEST(GovernorTest, AdmitTripsPerKindWithValueAndLimit) {
   const Case Cases[] = {
       {BudgetKind::BlockInstructions, DiagCode::GovernorBlockTooLarge},
       {BudgetKind::DagEdges, DiagCode::GovernorDagTooDense},
-      {BudgetKind::ClosureBits, DiagCode::GovernorClosureTooLarge},
       {BudgetKind::SpillSlots, DiagCode::GovernorSpillBudgetExceeded},
   };
   for (const Case &C : Cases) {
@@ -109,9 +133,6 @@ TEST(GovernorTest, AdmitTripsPerKindWithValueAndLimit) {
       break;
     case BudgetKind::DagEdges:
       Budget.MaxDagEdges = 10;
-      break;
-    case BudgetKind::ClosureBits:
-      Budget.MaxClosureBits = 10;
       break;
     case BudgetKind::SpillSlots:
       Budget.MaxSpillSlots = 10;
@@ -152,7 +173,7 @@ TEST(GovernorTest, BudgetDiagCodeRange) {
   EXPECT_FALSE(isBudgetDiagCode(DiagCode::PipelineCertificationFailed));
   EXPECT_EQ(budgetDiagCode(BudgetKind::Deadline),
             DiagCode::GovernorDeadlineExceeded);
-  EXPECT_EQ(budgetKindName(BudgetKind::ClosureBits), "closure-bits");
+  EXPECT_EQ(budgetKindName(BudgetKind::SpillSlots), "spill-slots");
 }
 
 //===----------------------------------------------------------------------===
@@ -311,51 +332,6 @@ TEST(PipelineGovernorTest, TickBudgetFailureIsDeterministic) {
   EXPECT_EQ(A.errorText(), B.errorText());
 }
 
-TEST(PipelineGovernorTest, ClosureBudgetDegradesExactToUnionFind) {
-  Function F = buildBenchmark(Benchmark::MDG, smallWorkload());
-  uint64_t WorstBits = ResourceBudget::closureBitsFor(maxBlockSize(F));
-
-  PipelineConfig Config;
-  Config.Policy = SchedulerPolicy::Balanced;
-  Config.Budget.MaxClosureBits = WorstBits - 1;
-  Config.Budget.Degrade = true;
-  ErrorOr<CompiledFunction> Degraded = runPipeline(F, Config);
-  ASSERT_TRUE(Degraded.has_value()) << Degraded.errorText();
-  EXPECT_EQ(Degraded->Degradation, DegradationLevel::UnionFindChances);
-
-  // The degraded result is bit-identical to compiling under the union-find
-  // policy directly — degradation is a policy substitution, not a new
-  // code path.
-  PipelineConfig Direct;
-  Direct.Policy = SchedulerPolicy::BalancedUnionFind;
-  ErrorOr<CompiledFunction> Reference = runPipeline(F, Direct);
-  ASSERT_TRUE(Reference.has_value());
-  EXPECT_EQ(printFunction(Degraded->Compiled),
-            printFunction(Reference->Compiled));
-  EXPECT_EQ(Reference->Degradation, DegradationLevel::None);
-
-  // A budget the kernel fits compiles exactly as configured. Note the
-  // generous margin: the second scheduling pass re-weights blocks after
-  // spill insertion, so the exact bit requirement exceeds the pre-spill
-  // WorstBits.
-  PipelineConfig Roomy = Config;
-  Roomy.Budget.MaxClosureBits = uint64_t(1) << 30;
-  ErrorOr<CompiledFunction> Fits = runPipeline(F, Roomy);
-  ASSERT_TRUE(Fits.has_value());
-  EXPECT_EQ(Fits->Degradation, DegradationLevel::None);
-}
-
-TEST(PipelineGovernorTest, ClosureBudgetWithoutDegradeFailsBS804) {
-  Function F = buildBenchmark(Benchmark::MDG, smallWorkload());
-  PipelineConfig Config;
-  Config.Policy = SchedulerPolicy::Balanced;
-  Config.Budget.MaxClosureBits = 8;
-  Config.Budget.Degrade = false;
-  ErrorOr<CompiledFunction> Result = runPipeline(F, Config);
-  ASSERT_FALSE(Result.has_value());
-  EXPECT_EQ(firstCode(Result.errors()), DiagCode::GovernorClosureTooLarge);
-}
-
 TEST(PipelineGovernorTest, SpillBudgetTripsOnHighPressureKernel) {
   // QCD2 is the suite's highest register pressure; it must spill for the
   // budget to have anything to refuse.
@@ -372,6 +348,74 @@ TEST(PipelineGovernorTest, SpillBudgetTripsOnHighPressureKernel) {
   ASSERT_FALSE(Result.has_value());
   EXPECT_EQ(firstCode(Result.errors()),
             DiagCode::GovernorSpillBudgetExceeded);
+}
+
+// The ladder tries a rung only when it can change the resource that
+// tripped (runPipeline). Compiles run on the default workload under
+// paperDefault(); bsched.pipeline.kernels counts the attempts.
+
+TEST(PipelineGovernorTest, DagEdgeOverrunCostsOneAttempt) {
+  // The first-pass DAG does not depend on the policy, and certify-off
+  // never touches a DAG: no rung can help, under either policy.
+  ResourceBudget Budget;
+  Budget.MaxDagEdges = 50;
+  for (SchedulerPolicy Policy :
+       {SchedulerPolicy::Balanced, SchedulerPolicy::Traditional}) {
+    LadderRun Run = compileUnder(Benchmark::MDG, Policy, Budget);
+    ASSERT_FALSE(Run.Result.has_value()) << policyName(Policy);
+    EXPECT_EQ(firstCode(Run.Result.errors()), DiagCode::GovernorDagTooDense)
+        << policyName(Policy);
+#ifndef BSCHED_NO_OBS
+    EXPECT_EQ(Run.counter("bsched.pipeline.kernels"), 1u)
+        << policyName(Policy);
+    EXPECT_EQ(Run.counter("bsched.governor.degraded_unionfind"), 0u);
+    EXPECT_EQ(Run.counter("bsched.governor.degraded_certify_off"), 0u);
+#endif
+  }
+}
+
+TEST(PipelineGovernorTest, SpillOverrunTriesOnlyTheUnionFindRung) {
+  // Union-find reschedules the first pass and so moves spill code;
+  // certify-off cannot. MDG spills past one slot either way and fails
+  // after two attempts; ARC2D fits once rescheduled.
+  ResourceBudget Budget;
+  Budget.MaxSpillSlots = 1;
+  LadderRun Mdg =
+      compileUnder(Benchmark::MDG, SchedulerPolicy::Balanced, Budget);
+  ASSERT_FALSE(Mdg.Result.has_value());
+  EXPECT_EQ(firstCode(Mdg.Result.errors()),
+            DiagCode::GovernorSpillBudgetExceeded);
+
+  LadderRun Arc2d =
+      compileUnder(Benchmark::ARC2D, SchedulerPolicy::Balanced, Budget);
+  ASSERT_TRUE(Arc2d.Result.has_value()) << Arc2d.Result.errorText();
+  EXPECT_EQ(Arc2d.Result->Degradation, DegradationLevel::UnionFindChances);
+#ifndef BSCHED_NO_OBS
+  EXPECT_EQ(Mdg.counter("bsched.pipeline.kernels"), 2u);
+  EXPECT_EQ(Mdg.counter("bsched.governor.degraded_unionfind"), 1u);
+  EXPECT_EQ(Mdg.counter("bsched.governor.degraded_certify_off"), 0u);
+  EXPECT_EQ(Arc2d.counter("bsched.pipeline.kernels"), 2u);
+#endif
+}
+
+TEST(PipelineGovernorTest, ClosureBitLimitHasNoEffect) {
+  // max_closure_bits is accepted and ignored: alone it leaves the budget
+  // inactive, so the compile, its level and its cache key are the
+  // unbudgeted ones.
+  Function F = buildBenchmark(Benchmark::MDG);
+  PipelineConfig Free = PipelineConfig::paperDefault();
+  PipelineConfig Limited = Free;
+  Limited.Budget.MaxClosureBits = 2000;
+  EXPECT_FALSE(Limited.Budget.active());
+
+  ErrorOr<CompiledFunction> Expected = runPipeline(F, Free);
+  ErrorOr<CompiledFunction> Result = runPipeline(F, Limited);
+  ASSERT_TRUE(Expected.has_value()) << Expected.errorText();
+  ASSERT_TRUE(Result.has_value()) << Result.errorText();
+  EXPECT_EQ(Result->Degradation, DegradationLevel::None);
+  EXPECT_EQ(printFunction(Result->Compiled),
+            printFunction(Expected->Compiled));
+  EXPECT_EQ(experimentCacheKey(F, Limited), experimentCacheKey(F, Free));
 }
 
 #ifndef BSCHED_NO_OBS

@@ -380,16 +380,24 @@ TEST(ObsTest, TraceWriteFileRoundTrips) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(ObsTest, GaugeMaxMergesAcrossShards) {
+TEST(ObsTest, GaugeLastSetWinsAcrossThreads) {
   // Two fresh threads get consecutive process-wide indices, so with a
-  // generous shard count they land on different shards; the snapshot
-  // must take the maximum across shards, not whichever shard was
-  // written last.
+  // generous shard count they would land on different shards. A gauge
+  // is one current value: the later, smaller set must win.
   MetricRegistry Reg(64);
-  Gauge G = Reg.gauge("bsched.test.high_water");
+  Gauge G = Reg.gauge("bsched.test.current");
   std::thread([&] { G.set(5.0); }).join();
   std::thread([&] { G.set(3.0); }).join(); // Later in time, smaller.
-  EXPECT_EQ(Reg.snapshot().Gauges.at("bsched.test.high_water"), 5.0);
+  EXPECT_EQ(Reg.snapshot().Gauges.at("bsched.test.current"), 3.0);
+
+  // Folding a snapshot in keeps the larger value.
+  MetricSnapshot Fold;
+  Fold.Gauges["bsched.test.current"] = 4.0;
+  Reg.mergeSnapshot(Fold);
+  EXPECT_EQ(Reg.snapshot().Gauges.at("bsched.test.current"), 4.0);
+  Fold.Gauges["bsched.test.current"] = 1.0;
+  Reg.mergeSnapshot(Fold);
+  EXPECT_EQ(Reg.snapshot().Gauges.at("bsched.test.current"), 4.0);
 }
 
 TEST(ObsTest, HistogramOverflowBucketBoundary) {

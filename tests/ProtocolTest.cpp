@@ -420,17 +420,23 @@ TEST(ProtocolTest, ResponseRoundTripWithDiagnostics) {
   EXPECT_EQ(Parsed->toJson(), Response.toJson());
 }
 
-/// A serialized failing response whose one diagnostic carries \p Code.
-std::string responseWithCode(const std::string &Code) {
+/// A serialized failing response with one diagnostic (BS201 at line 3,
+/// col 4), its member text \p Pinned replaced by \p Replacement.
+std::string responseReplacing(const std::string &Pinned,
+                              const std::string &Replacement) {
   CompileResponse Response;
   Response.Id = "r";
   Response.Diags.push_back(
-      {0, 0, "x", Severity::Error, DiagCode::ParseUnknownMnemonic});
+      {3, 4, "x", Severity::Error, DiagCode::ParseUnknownMnemonic});
   std::string Json = Response.toJson();
-  const std::string Pinned = "\"code\":\"BS201\"";
-  Json.replace(Json.find(Pinned), Pinned.size(),
-               "\"code\":\"" + Code + "\"");
+  Json.replace(Json.find(Pinned), Pinned.size(), Replacement);
   return Json;
+}
+
+/// A serialized failing response whose one diagnostic carries \p Code.
+std::string responseWithCode(const std::string &Code) {
+  return responseReplacing("\"code\":\"BS201\"",
+                           "\"code\":\"" + Code + "\"");
 }
 
 TEST(ProtocolTest, ResponseDiagnosticCodesRoundTripIncludingUnassigned) {
@@ -458,6 +464,39 @@ TEST(ProtocolTest, MalformedResponseDiagnosticCodesAreBadValues) {
     ASSERT_EQ(Parsed.errors().size(), 1u) << Code;
     EXPECT_EQ(Parsed.errors().front().Code, DiagCode::ProtocolBadValue)
         << Code;
+  }
+}
+
+/// A serialized failing response whose one diagnostic has \p Member
+/// ("line" or "col") set to the JSON text \p Value.
+std::string responseWithLocation(const std::string &Member,
+                                 const std::string &Value) {
+  return responseReplacing(
+      "\"" + Member + "\":" + (Member == "line" ? "3" : "4"),
+      "\"" + Member + "\":" + Value);
+}
+
+TEST(ProtocolTest, ResponseDiagnosticLocationsAreCheckedUnsigned) {
+  // Past the unsigned range (used to wrap to line 1), a string and a
+  // negative number (both used to read as 0).
+  const std::pair<const char *, const char *> Bad[] = {
+      {"line", "4294967297"}, {"line", "\"7\""}, {"col", "-1"}};
+  for (const auto &[Member, Value] : Bad) {
+    ErrorOr<CompileResponse> Parsed =
+        CompileResponse::fromJson(responseWithLocation(Member, Value));
+    ASSERT_FALSE(Parsed.has_value()) << Member << "=" << Value;
+    ASSERT_EQ(Parsed.errors().size(), 1u) << Member << "=" << Value;
+    EXPECT_EQ(Parsed.errors().front().Code, DiagCode::ProtocolBadValue)
+        << Member << "=" << Value;
+  }
+
+  for (const char *Member : {"line", "col"}) {
+    std::string Json = responseWithLocation(Member, "4294967295");
+    ErrorOr<CompileResponse> Parsed = CompileResponse::fromJson(Json);
+    ASSERT_TRUE(Parsed.has_value()) << Member << ": " << Parsed.errorText();
+    const Diagnostic &D = Parsed->Diags.at(0);
+    EXPECT_EQ(std::string(Member) == "line" ? D.Line : D.Col, 4294967295u);
+    EXPECT_EQ(Parsed->toJson(), Json);
   }
 }
 
@@ -647,8 +686,6 @@ TEST(CacheKeyTest, EveryBehaviorAffectingFieldIsInTheKey) {
          [](PipelineConfig &C) { C.Budget.MaxInstructionsPerBlock = 99; });
   Mutate("budget.max_dag_edges",
          [](PipelineConfig &C) { C.Budget.MaxDagEdges = 99; });
-  Mutate("budget.max_closure_bits",
-         [](PipelineConfig &C) { C.Budget.MaxClosureBits = 99; });
   Mutate("budget.max_spill_slots",
          [](PipelineConfig &C) { C.Budget.MaxSpillSlots = 99; });
   Mutate("budget.degrade",
@@ -679,7 +716,8 @@ TEST(CacheKeyTest, EveryBehaviorAffectingFieldIsInTheKey) {
 TEST(CacheKeyTest, EveryLeafOfTheDocumentMovesTheKey) {
   // Needs no mutant per field: every leaf of the paper-default document
   // is mutated in place, and the one-leaf document it makes is reparsed.
-  // Every leaf but the no-effect closure knobs must move the key.
+  // Every leaf but the no-effect closure knobs and closure-bit budget
+  // must move the key.
   const std::string Base = configCacheKey(PipelineConfig::paperDefault());
   ErrorOr<JsonValue> Doc = parseJson(PipelineConfig::paperDefault().toJson());
   ASSERT_TRUE(Doc.has_value());
@@ -710,7 +748,7 @@ TEST(CacheKeyTest, EveryLeafOfTheDocumentMovesTheKey) {
     EXPECT_TRUE(Parsed->validate().ok()) << Json;
     EXPECT_NE(Parsed->toJson(), PipelineConfig::paperDefault().toJson())
         << Json;
-    if (Section == "closure") {
+    if (Section == "closure" || Name == "max_closure_bits") {
       ++Unkeyed;
       EXPECT_EQ(configCacheKey(*Parsed), Base) << Json;
     } else {
@@ -727,8 +765,8 @@ TEST(CacheKeyTest, EveryLeafOfTheDocumentMovesTheKey) {
     else
       Check("", M);
   }
-  EXPECT_EQ(Unkeyed, 2u);
-  EXPECT_GE(Keyed, 22u);
+  EXPECT_EQ(Unkeyed, 3u);
+  EXPECT_GE(Keyed, 21u);
 }
 
 TEST(CacheKeyTest, ObsAndWeighterPoolAreKeyNeutral) {
@@ -737,8 +775,8 @@ TEST(CacheKeyTest, ObsAndWeighterPoolAreKeyNeutral) {
       experimentCacheKey(F, PipelineConfig::paperDefault());
 
   // Observing a compilation, parallelizing its weighting or setting the
-  // no-effect closure knobs never changes the result, so none may move
-  // the key (CompileCache.h contract).
+  // no-effect closure knobs or closure-bit budget never changes the
+  // result, so none may move the key (CompileCache.h contract).
   MetricRegistry Metrics;
   PipelineConfig Observed = PipelineConfig::paperDefault();
   Observed.Obs.Metrics = &Metrics;
@@ -756,6 +794,10 @@ TEST(CacheKeyTest, ObsAndWeighterPoolAreKeyNeutral) {
   PipelineConfig Thresholded = PipelineConfig::paperDefault();
   Thresholded.Closure.OnDemandThreshold = 64;
   EXPECT_EQ(experimentCacheKey(F, Thresholded), Base);
+
+  PipelineConfig ClosureBits = PipelineConfig::paperDefault();
+  ClosureBits.Budget.MaxClosureBits = 2000;
+  EXPECT_EQ(experimentCacheKey(F, ClosureBits), Base);
 }
 
 TEST(CacheKeyTest, FunctionContentIsInTheKey) {

@@ -218,6 +218,32 @@ TEST(CompileCacheTest, OccupancyGaugesReportTheWholeCache) {
   ExpectGaugesMatchStats("after clear");
 }
 
+TEST(CompileCacheTest, OccupancyGaugesFollowTheLatestPublisher) {
+  // An insert on one thread, then a clear() on another: the gauges must
+  // read the empty cache, not the first thread's last value. Two fresh
+  // threads get consecutive process-wide indices, so they would publish
+  // into different shards of an 8-shard registry.
+  MetricRegistry Metrics(8);
+  CompileCache Cache(CompileCacheConfig::unlimited(), &Metrics);
+  std::thread([&] {
+    ASSERT_TRUE(Cache.compile(parseOne(TinyKernel),
+                              PipelineConfig::paperDefault())
+                    .has_value());
+  }).join();
+  ASSERT_EQ(Cache.stats().Entries, 1u);
+  std::thread([&] { Cache.clear(); }).join();
+
+  CompileCacheStats Stats = Cache.stats();
+  EXPECT_EQ(Stats.Entries, 0u);
+#ifndef BSCHED_NO_OBS
+  MetricSnapshot Snapshot = Metrics.snapshot();
+  EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_entries"),
+            static_cast<double>(Stats.Entries));
+  EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_bytes"),
+            static_cast<double>(Stats.Bytes));
+#endif
+}
+
 TEST(CompileCacheTest, ConcurrentHammeringStaysConsistent) {
   CompileCache Cache(CompileCacheConfig::unlimited());
   PipelineConfig Config = PipelineConfig::paperDefault();
