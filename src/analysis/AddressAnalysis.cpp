@@ -54,13 +54,6 @@ int64_t safeRem(int64_t A, int64_t B) {
 
 } // namespace
 
-std::optional<int64_t> bsched::symbolicDistance(const SymbolicAddr &A,
-                                                const SymbolicAddr &B) {
-  if (A.Origin != B.Origin)
-    return std::nullopt;
-  return wrapSub(B.Offset, A.Offset);
-}
-
 SymbolicAddr AddressAnalysis::valueOf(Reg R) {
   auto [It, Inserted] = Values.try_emplace(R.rawBits());
   if (Inserted)
@@ -80,6 +73,11 @@ void AddressAnalysis::step(const Instruction &I) {
 
   // Compute the new value from the *pre-assignment* state (an instruction
   // may read the register it defines), then assign.
+  SymbolicAddr New = Fold ? fold(I) : freshOrigin();
+  Values[I.dest().rawBits()] = New;
+}
+
+SymbolicAddr AddressAnalysis::fold(const Instruction &I) {
   SymbolicAddr New;
   switch (I.opcode()) {
   case Opcode::LoadImm:
@@ -187,5 +185,5 @@ void AddressAnalysis::step(const Instruction &I) {
     New = freshOrigin();
     break;
   }
-  Values[I.dest().rawBits()] = New;
+  return New;
 }

@@ -26,6 +26,12 @@
 /// the absolute origin or a shared live-in origin, which yields the
 /// constant-distance "stride" facts the DAG builder prunes with.
 ///
+/// With folding off, every integer def is a fresh origin, so two addresses
+/// share an origin only when they read the same value of the same base
+/// register. That is the syntactic same-base rule of the paper's section
+/// 4.2 compiler, and the only other precision the repository uses
+/// (AddressModel::Syntactic, analysis/MemDep.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_ANALYSIS_ADDRESSANALYSIS_H
@@ -34,7 +40,6 @@
 #include "ir/BasicBlock.h"
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 namespace bsched {
@@ -52,11 +57,6 @@ struct SymbolicAddr {
   friend bool operator==(const SymbolicAddr &, const SymbolicAddr &) = default;
 };
 
-/// Distance `B - A` (mod 2^64) when both values hang off the same origin;
-/// std::nullopt when the origins differ (distance unknown).
-std::optional<int64_t> symbolicDistance(const SymbolicAddr &A,
-                                        const SymbolicAddr &B);
-
 /// Forward symbolic evaluation of one basic block's integer dataflow.
 ///
 /// Use incrementally: query (`valueOf`, `addressOf`) *before* calling
@@ -66,7 +66,9 @@ std::optional<int64_t> symbolicDistance(const SymbolicAddr &A,
 /// the pre-def value.
 class AddressAnalysis {
 public:
-  AddressAnalysis() = default;
+  /// \p Fold off gives every integer def a fresh origin (the syntactic
+  /// same-base rule) instead of applying the transfer functions.
+  explicit AddressAnalysis(bool Fold = true) : Fold(Fold) {}
 
   /// Symbolic value currently held by integer register \p R. A register
   /// never assigned in the block lazily receives a fresh origin that stays
@@ -82,14 +84,15 @@ public:
   /// Applies \p I's transfer function to the register state.
   void step(const Instruction &I);
 
-  /// Number of distinct opaque origins materialized so far.
-  unsigned numOrigins() const { return NextOrigin - 1; }
-
 private:
   SymbolicAddr freshOrigin() { return SymbolicAddr{NextOrigin++, 0}; }
 
+  /// The value \p I defines, computed from the pre-assignment state.
+  SymbolicAddr fold(const Instruction &I);
+
   std::unordered_map<uint32_t, SymbolicAddr> Values;
   uint32_t NextOrigin = 1;
+  bool Fold;
 };
 
 } // namespace bsched

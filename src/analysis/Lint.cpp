@@ -10,7 +10,7 @@
 #include "analysis/Dataflow.h"
 #include "analysis/MemDep.h"
 
-#include <map>
+#include <algorithm>
 #include <unordered_set>
 
 using namespace bsched;
@@ -54,65 +54,41 @@ void lintDeadValues(const BasicBlock &BB, const LivenessResult &Live,
   }
 }
 
-/// A memory location: alias class x base-value generation x offset. The
-/// generation is the reaching-definition index of the base register
-/// (ReachingLiveIn for live-in bases), so redefining the base starts a
-/// fresh location family exactly as in the dependence analyzer.
-struct Location {
-  AliasClassId Alias;
-  uint32_t BaseRaw;
-  int BaseDef;
-  int64_t Offset;
-
-  bool operator<(const Location &O) const {
-    return std::tie(Alias, BaseRaw, BaseDef, Offset) <
-           std::tie(O.Alias, O.BaseRaw, O.BaseDef, O.Offset);
-  }
-};
-
+/// BS702: a load of a word whose value is already in a register — an
+/// earlier load of it, or the value just stored to it — with no
+/// possibly-aliasing store in between. \p SameBase is built with folding
+/// off, so "the same word" is the dependence analyzer's syntactic rule:
+/// the same value of the same base register at the same offset.
 void lintRedundantLoads(const Function &F, const BasicBlock &BB,
-                        const ReachingDefsResult &Defs,
+                        const MemoryDependenceAnalysis &SameBase,
                         std::vector<Diagnostic> &Diags) {
-  // Locations whose value is currently available, mapped to the
-  // instruction that made it available.
-  std::map<Location, unsigned> Available;
-
-  auto LocationOf = [&](unsigned Index) {
-    const Instruction &I = BB[Index];
-    unsigned BaseSrc = I.isStore() ? 1 : 0;
-    return Location{I.aliasClass(), I.addressBase().rawBits(),
-                    Defs.sourceDef(Index, BaseSrc), I.imm()};
-  };
-
-  for (unsigned I = 0, E = BB.size(); I != E; ++I) {
+  // Accesses whose word's value is currently available in a register; no
+  // two of them must-alias.
+  std::vector<unsigned> Available;
+  for (unsigned I = 0, E = BB.schedulableSize(); I != E; ++I) {
     const Instruction &Instr = BB[I];
     if (Instr.isLoad()) {
-      Location Loc = LocationOf(I);
-      auto It = Available.find(Loc);
-      if (It != Available.end()) {
+      auto It = std::find_if(Available.begin(), Available.end(),
+                             [&](unsigned A) {
+                               return SameBase.alias(A, I) ==
+                                      AliasResult::MustAlias;
+                             });
+      if (It != Available.end())
         warn(Diags, DiagCode::LintRedundantLoad,
              where(BB, I) + " reloads " +
                  F.aliasClassName(Instr.aliasClass()) + "[base+" +
                  std::to_string(Instr.imm()) +
                  "], already available from instruction " +
-                 std::to_string(It->second));
-      } else {
-        Available.emplace(Loc, I);
-      }
+                 std::to_string(*It));
+      else
+        Available.push_back(I);
     } else if (Instr.isStore()) {
-      Location Loc = LocationOf(I);
-      // Kill every same-class location the store may alias: everything in
-      // the class except provably-disjoint same-base different-offset
-      // entries.
-      for (auto It = Available.begin(); It != Available.end();) {
-        const Location &L = It->first;
-        bool SameBase = L.BaseRaw == Loc.BaseRaw && L.BaseDef == Loc.BaseDef;
-        bool MayAlias =
-            L.Alias == Loc.Alias && (!SameBase || L.Offset == Loc.Offset);
-        It = MayAlias ? Available.erase(It) : std::next(It);
-      }
-      // The stored location's value is now available in a register.
-      Available.emplace(Loc, I);
+      // Kill every access the store may overwrite; the stored word's value
+      // is now available in a register.
+      std::erase_if(Available, [&](unsigned A) {
+        return SameBase.alias(A, I) != AliasResult::NoAlias;
+      });
+      Available.push_back(I);
     }
   }
 }
@@ -121,11 +97,11 @@ void lintRedundantLoads(const Function &F, const BasicBlock &BB,
 /// nothing that might clobber it in between. Scans backward from the load;
 /// a MayAlias store is a possible clobber (stop silently), a NoAlias store
 /// is skipped, and a MustAlias store is the forwarding source. Fires only
-/// when the proof needed the symbolic analysis — syntactically identical
-/// store/load pairs are BS702's finding (lintRedundantLoads) already.
+/// when the proof needed folding — pairs that \p SameBase already calls
+/// MustAlias are BS702's finding (lintRedundantLoads).
 void lintStoreForward(const BasicBlock &BB,
                       const MemoryDependenceAnalysis &MD,
-                      const ReachingDefsResult &Defs,
+                      const MemoryDependenceAnalysis &SameBase,
                       std::vector<Diagnostic> &Diags) {
   for (unsigned I = 0, E = BB.schedulableSize(); I != E; ++I) {
     const Instruction &Load = BB[I];
@@ -139,11 +115,7 @@ void lintStoreForward(const BasicBlock &BB,
       if (R == AliasResult::NoAlias)
         continue;
       if (R == AliasResult::MustAlias) {
-        bool Syntactic =
-            Prior.addressBase().rawBits() == Load.addressBase().rawBits() &&
-            Defs.sourceDef(J, 1) == Defs.sourceDef(I, 0) &&
-            Prior.imm() == Load.imm();
-        if (!Syntactic)
+        if (SameBase.alias(J, I) != AliasResult::MustAlias)
           warn(Diags, DiagCode::LintStoreForward,
                where(BB, I) + " provably reads the word stored by "
                               "instruction " +
@@ -194,19 +166,19 @@ std::vector<Diagnostic> bsched::lintBlock(const Function &F,
                                           const BasicBlock &BB,
                                           const LintOptions &Options) {
   std::vector<Diagnostic> Diags;
-  ReachingDefsResult Defs = computeReachingDefs(BB);
   if (Options.WarnUseBeforeDef)
-    lintUseBeforeDef(BB, Defs, Diags);
+    lintUseBeforeDef(BB, computeReachingDefs(BB), Diags);
   if (Options.WarnDeadValue) {
     LivenessResult Live = computeLiveness(BB);
     lintDeadValues(BB, Live, Diags);
   }
+  const MemoryDependenceAnalysis SameBase(BB, AddressModel::Syntactic);
   if (Options.WarnRedundantLoad)
-    lintRedundantLoads(F, BB, Defs, Diags);
+    lintRedundantLoads(F, BB, SameBase, Diags);
   if (Options.WarnStoreForward || Options.WarnDeadStore) {
     MemoryDependenceAnalysis MD(BB);
     if (Options.WarnStoreForward)
-      lintStoreForward(BB, MD, Defs, Diags);
+      lintStoreForward(BB, MD, SameBase, Diags);
     if (Options.WarnDeadStore)
       lintDeadStores(BB, MD, Diags);
   }

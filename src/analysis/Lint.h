@@ -20,15 +20,15 @@
 ///  - BS702 redundant load: a load reads a memory location whose value is
 ///    already available — an earlier load of the same location, or the
 ///    register just stored to it — with no potentially-aliasing store in
-///    between. Alias reasoning matches the dependence analyzer's
-///    (dag/DagBuilder.h): distinct alias classes never alias; same-class
-///    accesses through the same base value at distinct offsets are
-///    disjoint.
+///    between. Alias reasoning is the dependence analyzer's with
+///    AliasAnalysis off (analysis/MemDep.h, AddressModel::Syntactic):
+///    distinct alias classes never alias; same-class accesses through the
+///    same base value at distinct offsets are disjoint.
 ///  - BS703 store-to-load forwarding: a load provably reads the word a
 ///    prior store wrote (no possibly-intervening clobber), but only the
-///    symbolic address analysis (analysis/MemDep.h) can see it — the
-///    addresses are not syntactically identical, so BS702 stays silent.
-///    Forwarding the stored register would remove the load.
+///    folding address analysis can see it — the syntactic rule cannot, so
+///    BS702 stays silent. Forwarding the stored register would remove the
+///    load.
 ///  - BS704 dead store: a store is provably overwritten by a later
 ///    same-word store with no possibly-aliasing load in between. Memory
 ///    is live out of every block, so a store is only reported when the

@@ -29,13 +29,15 @@ AliasResult bsched::classifyAddrs(const SymbolicAddr &A,
   return AliasResult::MayAlias;
 }
 
-MemoryDependenceAnalysis::MemoryDependenceAnalysis(const BasicBlock &BB) {
+MemoryDependenceAnalysis::MemoryDependenceAnalysis(const BasicBlock &BB,
+                                                   AddressModel Model)
+    : Tracked(Model != AddressModel::Untracked) {
   const unsigned N = BB.schedulableSize();
   Mem.assign(N, 0);
   Addrs.resize(N);
   Classes.assign(N, NoAliasClass);
 
-  AddressAnalysis AA;
+  AddressAnalysis AA(/*Fold=*/Model == AddressModel::Symbolic);
   for (unsigned I = 0; I != N; ++I) {
     const Instruction &Instr = BB[I];
     if (Instr.isMemory()) {
@@ -51,13 +53,7 @@ AliasResult MemoryDependenceAnalysis::alias(unsigned I, unsigned J) const {
   assert(isMemory(I) && isMemory(J) && "alias query on non-memory index");
   if (Classes[I] != Classes[J])
     return AliasResult::NoAlias;
+  if (!Tracked)
+    return AliasResult::MayAlias;
   return classifyAddrs(Addrs[I], Addrs[J]);
-}
-
-std::optional<int64_t> MemoryDependenceAnalysis::distance(unsigned I,
-                                                          unsigned J) const {
-  assert(isMemory(I) && isMemory(J) && "distance query on non-memory index");
-  if (Classes[I] != Classes[J])
-    return std::nullopt;
-  return symbolicDistance(Addrs[I], Addrs[J]);
 }

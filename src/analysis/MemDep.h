@@ -18,8 +18,11 @@
 ///     nonzero constant mod 2^64)
 ///   - otherwise                          -> MayAlias
 ///
+/// The AddressModel picks how origins are formed, so the paper's section
+/// 4.2 syntactic same-base rule is this same lattice with folding off.
+///
 /// Consumers: the DAG builder prunes DepKind::Memory edges for NoAlias
-/// pairs (dag/DagBuilder.cpp), the BS703/BS704 lints report what the facts
+/// pairs (dag/DagBuilder.cpp), the BS702-BS704 lints report what the facts
 /// reveal (analysis/Lint.cpp), and the memory-dependence certifier audits
 /// the pruning (analysis/MemDepCertifier.h).
 ///
@@ -44,6 +47,15 @@ enum class AliasResult : uint8_t {
 /// "no-alias", "may-alias", "must-alias".
 const char *aliasResultName(AliasResult R);
 
+/// How finely same-class addresses are told apart. The DAG builder and the
+/// memory-dependence certifier map DagBuildOptions to one of these in one
+/// place (addressModel, dag/DagBuilder.h).
+enum class AddressModel : uint8_t {
+  Untracked, ///< Nothing is known: every same-class pair may alias.
+  Syntactic, ///< AddressAnalysis with folding off: the same-base rule.
+  Symbolic,  ///< AddressAnalysis with folding on (the default).
+};
+
 /// Classifies two *same-class* addresses by their symbolic forms alone.
 AliasResult classifyAddrs(const SymbolicAddr &A, const SymbolicAddr &B);
 
@@ -54,7 +66,8 @@ AliasResult classifyAddrs(const SymbolicAddr &A, const SymbolicAddr &B);
 /// programming errors.
 class MemoryDependenceAnalysis {
 public:
-  explicit MemoryDependenceAnalysis(const BasicBlock &BB);
+  explicit MemoryDependenceAnalysis(
+      const BasicBlock &BB, AddressModel Model = AddressModel::Symbolic);
 
   /// True if instruction \p Index is a memory access this analysis knows.
   bool isMemory(unsigned Index) const {
@@ -63,11 +76,6 @@ public:
 
   /// Relation between memory instructions \p I and \p J.
   AliasResult alias(unsigned I, unsigned J) const;
-
-  /// Constant byte distance `addr(J) - addr(I)` (mod 2^64) when both
-  /// addresses hang off the same origin *and* the accesses share an alias
-  /// class; std::nullopt otherwise.
-  std::optional<int64_t> distance(unsigned I, unsigned J) const;
 
   /// Symbolic address of memory instruction \p Index.
   const SymbolicAddr &addressOf(unsigned Index) const {
@@ -79,6 +87,7 @@ private:
   std::vector<uint8_t> Mem;        ///< isMemory per instruction.
   std::vector<SymbolicAddr> Addrs; ///< Valid where Mem is set.
   std::vector<AliasClassId> Classes;
+  bool Tracked;
 };
 
 } // namespace bsched

@@ -212,59 +212,17 @@ private:
   std::vector<CertVal> Addrs;
 };
 
-//===----------------------------------------------------------------------===
-// Production fact sources.
-//===----------------------------------------------------------------------===
-
-/// AliasAnalysis-on facts: the symbolic MemoryDependenceAnalysis itself.
-class SymbolicFacts final : public MemDepFacts {
+/// The production fact source: the facts the builder used, from a
+/// MemoryDependenceAnalysis over the same address model.
+class AnalysisFacts final : public MemDepFacts {
 public:
-  explicit SymbolicFacts(const BasicBlock &BB) : MD(BB) {}
+  AnalysisFacts(const BasicBlock &BB, AddressModel Model) : MD(BB, Model) {}
   AliasResult alias(unsigned I, unsigned J) const override {
     return MD.alias(I, J);
   }
 
 private:
   MemoryDependenceAnalysis MD;
-};
-
-/// AliasAnalysis-off facts: the legacy syntactic rule the builder applies,
-/// replicated over (base register, version, offset) records — including
-/// the builder's post-def version sampling (see dag/DagBuilder.cpp).
-class LegacyFacts final : public MemDepFacts {
-public:
-  LegacyFacts(const BasicBlock &BB, unsigned N, bool Disambiguate) {
-    Recs.resize(N);
-    std::unordered_map<uint32_t, unsigned> Version;
-    for (unsigned I = 0; I != N; ++I) {
-      const Instruction &Instr = BB[I];
-      if (Instr.hasDest())
-        ++Version[Instr.dest().rawBits()];
-      if (Instr.isMemory()) {
-        Reg Base = Instr.addressBase();
-        Recs[I] = Rec{Base.rawBits(), Version[Base.rawBits()], Instr.imm(),
-                      Disambiguate};
-      }
-    }
-  }
-
-  AliasResult alias(unsigned I, unsigned J) const override {
-    const Rec &A = Recs[I], &B = Recs[J];
-    if (!A.Known || !B.Known || A.BaseRaw != B.BaseRaw ||
-        A.BaseVersion != B.BaseVersion)
-      return AliasResult::MayAlias;
-    return A.Offset == B.Offset ? AliasResult::MustAlias
-                                : AliasResult::NoAlias;
-  }
-
-private:
-  struct Rec {
-    uint32_t BaseRaw = 0;
-    unsigned BaseVersion = 0;
-    int64_t Offset = 0;
-    bool Known = false;
-  };
-  std::vector<Rec> Recs;
 };
 
 } // namespace
@@ -358,7 +316,8 @@ std::vector<Diagnostic> bsched::certifyMemDepAgainst(const BasicBlock &Input,
 
       // Fact audit, path or not: a definite refutation of a claimed fact
       // is an analysis bug even when a register dependence happens to
-      // cover the pair.
+      // cover the pair. Both facts speak of every execution, so one
+      // concrete run that contradicts either refutes it.
       if (Claimed == AliasResult::NoAlias && Concrete[I] == Concrete[J]) {
         Error(DiagCode::CertifyMemDepFalseNoAlias,
               "claimed no-alias refuted: " + nodeStr(Input, I) + " and " +
@@ -368,12 +327,14 @@ std::vector<Diagnostic> bsched::certifyMemDepAgainst(const BasicBlock &Input,
                   ") under interpreter semantics");
         continue;
       }
-      if (Claimed == AliasResult::MustAlias &&
-          provablyDifferent(Symbolic.addressOf(I), Symbolic.addressOf(J)))
+      if (Claimed == AliasResult::MustAlias && Concrete[I] != Concrete[J])
         Error(DiagCode::CertifyMemDepFalseMustAlias,
               "claimed must-alias refuted: " + nodeStr(Input, I) + " and " +
                   nodeStr(Input, J) +
-                  " provably address different words mod 2^64");
+                  " address different words (concrete addresses " +
+                  std::to_string(Concrete[I]) + " and " +
+                  std::to_string(Concrete[J]) +
+                  ") under interpreter semantics");
 
       if (Closure.reaches(I, J))
         continue; // Ordered by the DAG.
@@ -401,11 +362,6 @@ std::vector<Diagnostic> bsched::certifyMemDep(const BasicBlock &Input,
                                               const DepDag &Dag,
                                               const DagBuildOptions &Options,
                                               ResourceGovernor *Gov) {
-  const unsigned N = Input.schedulableSize();
-  if (Options.AliasAnalysis) {
-    SymbolicFacts Facts(Input);
-    return certifyMemDepAgainst(Input, Dag, Facts, Gov);
-  }
-  LegacyFacts Facts(Input, N, Options.DisambiguateSameBase);
+  AnalysisFacts Facts(Input, addressModel(Options));
   return certifyMemDepAgainst(Input, Dag, Facts, Gov);
 }

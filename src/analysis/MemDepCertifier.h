@@ -26,12 +26,17 @@
 ///     live-in seeding, and the concrete addresses of a claimed-NoAlias
 ///     pair must differ (equality is a definite refutation).
 ///
+/// The concrete run also audits every claimed MustAlias, path or not: the
+/// facts come from one address model whose addresses are sampled before
+/// each instruction's own def, so MustAlias means equal addresses in every
+/// execution, and concretely different ones refute it.
+///
 /// Verdicts carry stable codes (see support/Diagnostic.h):
 ///   BS730  DAG shape does not mirror the block
 ///   BS731  required ordering with no DAG path and no verifiable proof
 ///   BS732  claimed NoAlias refuted (concretely equal addresses)
 ///   BS733  malformed memory edge (non-memory endpoint / wrong direction)
-///   BS734  claimed MustAlias refuted (addresses provably differ)
+///   BS734  claimed MustAlias refuted (concretely different addresses)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +53,10 @@ namespace bsched {
 
 class ResourceGovernor;
 
-/// The alias-fact source under audit. The production implementations wrap
-/// the symbolic MemoryDependenceAnalysis (AliasAnalysis on) or replicate
-/// the legacy syntactic disambiguation (AliasAnalysis off);
-/// certifyMemDepAgainst exists so tests can inject corrupted facts and pin
-/// the exact BS codes.
+/// The alias-fact source under audit. The production source is a
+/// MemoryDependenceAnalysis over the builder's address model
+/// (addressModel, dag/DagBuilder.h); certifyMemDepAgainst exists so tests
+/// can inject corrupted facts and pin the exact BS codes.
 class MemDepFacts {
 public:
   virtual ~MemDepFacts() = default;

@@ -8,7 +8,6 @@
 #include "dag/DagBuilder.h"
 
 #include "analysis/AddressAnalysis.h"
-#include "analysis/MemDep.h"
 #include "support/ResourceGovernor.h"
 
 #include <unordered_map>
@@ -21,42 +20,23 @@ namespace {
 struct RegState {
   int LastDef = -1;                   ///< Node index of the reaching def.
   std::vector<unsigned> UsesSinceDef; ///< Uses since that def.
-  unsigned Version = 0;               ///< Bumped at each def (disambig).
 };
 
-/// A memory access fact remembered for ordering decisions.
-///
-/// The syntactic fields (BaseRaw/BaseVersion/Offset/KnownBase) drive the
-/// legacy AliasAnalysis-off mode; Sym carries the symbolic address in the
-/// default mode. Note a legacy quirk kept for bit-exactness: BaseVersion is
-/// sampled *after* the instruction's own def bumped it, so a load defining
-/// its own base (`load %i1, [%i1+0]`) records the post-def version although
-/// its address used the pre-def value. That stays sound because any later
-/// same-version access reads the load's result and is therefore already
-/// data-dependent on it; the symbolic mode records the pre-def address.
+/// A memory access remembered for ordering decisions, with its address
+/// sampled before the access's own def (a load may redefine its base).
 struct MemAccess {
   unsigned Node;
-  uint32_t BaseRaw;     ///< Raw bits of the base register.
-  unsigned BaseVersion; ///< Version of the base value at the access.
-  int64_t Offset;
-  bool KnownBase;       ///< True if base value identity is tracked.
-  SymbolicAddr Sym;     ///< Symbolic address (AliasAnalysis mode only).
+  SymbolicAddr Addr;
 };
 
-/// True when the accesses provably touch different words: identical base
-/// register *value* (same register, same version) but different offsets.
-bool provablyDisjoint(const MemAccess &A, const MemAccess &B) {
-  return A.KnownBase && B.KnownBase && A.BaseRaw == B.BaseRaw &&
-         A.BaseVersion == B.BaseVersion && A.Offset != B.Offset;
-}
-
-/// True when the accesses provably touch the *same* word.
-bool mustAlias(const MemAccess &A, const MemAccess &B) {
-  return A.KnownBase && B.KnownBase && A.BaseRaw == B.BaseRaw &&
-         A.BaseVersion == B.BaseVersion && A.Offset == B.Offset;
-}
-
 } // namespace
+
+AddressModel bsched::addressModel(const DagBuildOptions &Options) {
+  if (Options.AliasAnalysis)
+    return AddressModel::Symbolic;
+  return Options.DisambiguateSameBase ? AddressModel::Syntactic
+                                      : AddressModel::Untracked;
+}
 
 DepDag bsched::buildDag(const BasicBlock &BB, const DagBuildOptions &Options) {
   DepDag Dag;
@@ -72,26 +52,24 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
   std::unordered_map<uint32_t, RegState> Regs;
 
   // Per alias class: live memory accesses that later operations may need to
-  // order against. Pruning is sound in both modes because anything erased
-  // or skipped is transitively protected:
-  //  - Symbolic mode (AliasAnalysis on): an access is dropped from the
-  //    live lists only when a later store has the *identical* symbolic
-  //    address (and thus an edge to it); any later operation classifies
-  //    identically against eraser and erased, so the eraser's edge closes
-  //    the path. NoAlias answers need no edge at all — the addresses
-  //    differ by a nonzero constant mod 2^64.
-  //  - Legacy mode: must-alias erasure follows the same argument over
-  //    (register, version, offset) triples, and a store with an untracked
-  //    address acts as a full barrier (ordered with everything live and
-  //    everything later in the class).
+  // order against. Pruning is sound because anything erased or skipped is
+  // transitively protected:
+  //  - an access is dropped from the live lists only when a later store has
+  //    the *identical* address (and thus an edge to it); any later
+  //    operation classifies identically against eraser and erased, so the
+  //    eraser's edge closes the path. NoAlias answers need no edge at all —
+  //    the addresses differ by a nonzero constant mod 2^64;
+  //  - with nothing tracked, every store orders with everything live and
+  //    with everything later in the class, so it is a full barrier.
   struct ClassState {
     std::vector<MemAccess> Stores;
     std::vector<MemAccess> Loads;
   };
   std::unordered_map<AliasClassId, ClassState> Classes;
 
-  const bool Symbolic = Options.AliasAnalysis;
-  AddressAnalysis AA;
+  const AddressModel Model = addressModel(Options);
+  const bool Tracked = Model != AddressModel::Untracked;
+  AddressAnalysis AA(/*Fold=*/Model == AddressModel::Symbolic);
 
   DagAliasStats LocalStats;
   DagAliasStats &Stats = Options.AliasStats ? *Options.AliasStats : LocalStats;
@@ -123,40 +101,23 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
                     DepKind::Output);
       State.LastDef = static_cast<int>(I);
       State.UsesSinceDef.clear();
-      ++State.Version;
     }
 
     // -- Memory dependences ---------------------------------------------
     if (!Instr.isMemory()) {
-      if (Symbolic)
-        AA.step(Instr);
+      AA.step(Instr);
       continue;
     }
 
-    Reg Base = Instr.addressBase();
-    const RegState &BaseState = Regs[Base.rawBits()];
-    MemAccess Access{I,
-                     Base.rawBits(),
-                     BaseState.Version,
-                     Instr.imm(),
-                     Options.DisambiguateSameBase,
-                     Symbolic ? AA.addressOf(Instr) : SymbolicAddr{}};
-    if (Symbolic)
-      AA.step(Instr); // Address sampled above, pre-def; now advance.
+    MemAccess Access{I, AA.addressOf(Instr)};
+    AA.step(Instr); // Address sampled above, pre-def; now advance.
     ClassState &Class = Classes[Instr.aliasClass()];
 
     // One ordered comparison of this access against a live prior access;
     // NoAlias suppresses the would-be memory edge (counted as pruned).
     auto Query = [&](const MemAccess &Prior) {
-      AliasResult R;
-      if (Symbolic)
-        R = classifyAddrs(Prior.Sym, Access.Sym);
-      else if (provablyDisjoint(Prior, Access))
-        R = AliasResult::NoAlias;
-      else if (mustAlias(Prior, Access))
-        R = AliasResult::MustAlias;
-      else
-        R = AliasResult::MayAlias;
+      AliasResult R = Tracked ? classifyAddrs(Prior.Addr, Access.Addr)
+                              : AliasResult::MayAlias;
       ++Stats.Queries;
       switch (R) {
       case AliasResult::NoAlias:
@@ -190,7 +151,7 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
       if (Query(Ld) != AliasResult::NoAlias)
         Dag.addEdge(Ld.Node, I, DepKind::Memory);
 
-    if (!Symbolic && !Access.KnownBase) {
+    if (!Tracked) {
       // Untracked address: this store ordered with every live access and
       // will order with every later access in the class, so it is a full
       // barrier — both live lists are cleared and repopulated with just
@@ -204,7 +165,7 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
       // its edge to this store; any later access aliasing it also aliases
       // this store and will be ordered after it.
       auto SameWord = [&](const MemAccess &Other) {
-        return Symbolic ? Other.Sym == Access.Sym : mustAlias(Other, Access);
+        return Other.Addr == Access.Addr;
       };
       std::erase_if(Class.Stores, SameWord);
       std::erase_if(Class.Loads, SameWord);
@@ -212,5 +173,8 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
     Class.Stores.push_back(Access);
   }
 
+  // The loop head admitted the edges of every instruction but the last.
+  if (Gov)
+    Gov->admit(BudgetKind::DagEdges, Dag.numEdges());
   Dag.freeze();
 }

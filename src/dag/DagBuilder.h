@@ -14,19 +14,25 @@
 ///    dummy-argument independence the paper's source transformation
 ///    recovers). Putting all arrays in one class reproduces the
 ///    conservative f2c/C behaviour.
-///  - Within a class, precision depends on AliasAnalysis: when on (the
-///    default), the symbolic address analysis (analysis/AddressAnalysis.h)
-///    proves same-origin accesses at different constant offsets — and
-///    distinct constant addresses — disjoint, tracking values through
-///    Move/AddI rewrites and LoadImm constants. When off, only the legacy
-///    syntactic rule applies: the *same base register value* (same
-///    register, same version) at different constant offsets.
+///  - Within a class, one address analysis (analysis/AddressAnalysis.h)
+///    answers every query, at the precision addressModel() picks. With
+///    AliasAnalysis on (the default) it folds: same-origin accesses at
+///    different constant offsets — and distinct constant addresses — are
+///    disjoint, tracking values through Move/AddI rewrites and LoadImm
+///    constants. With it off, folding is off too, which leaves the
+///    paper's syntactic rule: the *same base register value* at different
+///    constant offsets. Without DisambiguateSameBase nothing is tracked
+///    and every store is a barrier.
+///
+/// Addresses are sampled before the accessing instruction's own def, so a
+/// load that redefines its base is compared at the address it reads.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_DAG_DAGBUILDER_H
 #define BSCHED_DAG_DAGBUILDER_H
 
+#include "analysis/MemDep.h"
 #include "dag/DepDag.h"
 
 namespace bsched {
@@ -70,6 +76,12 @@ struct DagBuildOptions {
   /// Optional out-param: alias-query counters for this build.
   DagAliasStats *AliasStats = nullptr;
 };
+
+/// The address model \p Options select: AliasAnalysis on folds
+/// (Symbolic); off, DisambiguateSameBase keeps the same-base rule
+/// (Syntactic) and its absence tracks nothing (Untracked). The builder and
+/// certifyMemDep (analysis/MemDepCertifier.h) both call this.
+AddressModel addressModel(const DagBuildOptions &Options);
 
 /// Builds the dependence DAG for \p BB (excluding a trailing terminator).
 /// The returned DAG is frozen (CSR edge storage; DepDag::freeze).

@@ -30,10 +30,11 @@
 //               structured BS80x/BS810 diagnostic, or two identical
 //               compiles producing different outcomes.
 //   memdep      differential oracle for memory-edge pruning: compile a
-//               random (or mutated-and-reparsed) kernel with the symbolic
-//               alias analysis on and off, and require both compiled
-//               forms to reproduce the interpreter's memory image for the
-//               original program exactly.
+//               random (or mutated-and-reparsed) kernel and a random
+//               pointer-chase block with the symbolic alias analysis on
+//               and off, and require both compiled forms to reproduce the
+//               interpreter's memory image for the original program
+//               exactly.
 //   config      random v1 config documents (dropped, duplicated and
 //               unknown keys; wrong types; numbers at the 2^32, 2^53 and
 //               2^64 edges and beyond) and random in-code configs. A
@@ -407,10 +408,55 @@ void runMemDepDifferential(uint64_t Iter, const Function &F,
   }
 }
 
-/// Even iterations run the oracle on a fresh random kernel; odd iterations
-/// print one, byte-mutate it, and — when the mutant still parses with only
+/// A pointer-chase block: four integer registers seeded by `li` with
+/// nearby word addresses, then loads that redefine their own base, `addi`
+/// bumps, and stores of those registers, over two alias classes. A load
+/// brings back an address an earlier store wrote, so an access through
+/// the reloaded base can land on the very word the load read — the pair a
+/// base sampled after the load's own def would call disjoint.
+Function makePointerChaseFunction(Rng &R) {
+  Function F("chase");
+  BasicBlock &BB = F.addBlock("chase");
+  const AliasClassId Classes[] = {F.getOrCreateAliasClass("p"),
+                                  F.getOrCreateAliasClass("q")};
+  auto IntReg = [&] {
+    return Reg::makeVirtual(RegClass::Int,
+                            static_cast<unsigned>(R.nextBounded(4)));
+  };
+  auto Offset = [&] {
+    return 8 * (static_cast<int64_t>(R.nextBounded(5)) - 2);
+  };
+  for (unsigned Id = 0; Id != 4; ++Id)
+    BB.append(Instruction::makeLoadImm(
+        Reg::makeVirtual(RegClass::Int, Id),
+        1024 + 8 * static_cast<int64_t>(R.nextBounded(4))));
+  for (uint64_t S = 0, E = 8 + R.nextBounded(17); S != E; ++S) {
+    Reg A = IntReg(), B = IntReg();
+    AliasClassId Class = Classes[R.nextBounded(2)];
+    switch (R.nextBounded(3)) {
+    case 0:
+      BB.append(Instruction::makeLoad(Opcode::Load, A, A, Offset(), Class));
+      break;
+    case 1:
+      BB.append(Instruction::makeBinaryImm(Opcode::AddI, A, B, Offset()));
+      break;
+    default:
+      BB.append(Instruction::makeStore(Opcode::Store, B, A, Offset(), Class));
+      break;
+    }
+  }
+  return F;
+}
+
+/// Every iteration runs the oracle on a pointer-chase block drawn from its
+/// own stream, so the draws below stay those the mode always made. Even
+/// iterations then run it on a fresh random kernel; odd iterations print
+/// one, byte-mutate it, and — when the mutant still parses with only
 /// virtual registers — run the oracle on what the parser accepted.
 void runMemDep(uint64_t Iter, Rng &R) {
+  Rng ChaseStream = R.split(0xC4A5E);
+  Function Chase = makePointerChaseFunction(ChaseStream);
+  runMemDepDifferential(Iter, Chase, printFunction(Chase));
   if (Iter % 2 == 0) {
     Function F = makeRandomFunction(R);
     runMemDepDifferential(Iter, F, printFunction(F));

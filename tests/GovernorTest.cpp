@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dag/DagBuilder.h"
 #include "ir/IrPrinter.h"
 #include "obs/Metrics.h"
 #include "parser/Parser.h"
@@ -300,6 +301,34 @@ TEST(ThreadPoolFaultTest, ParallelForEachSurvivesThrowingBody) {
     for (size_t I = 0; I != Done.size(); ++I)
       EXPECT_EQ(Done[I].load(), I == 7 ? 0 : 1) << "index " << I;
     EXPECT_EQ(Pool.faultCount(), 1u);
+  }
+}
+
+//===----------------------------------------------------------------------===
+// DAG governance: the edge budget bounds the finished DAG
+//===----------------------------------------------------------------------===
+
+TEST(DagGovernorTest, EdgeBudgetCountsTheLastInstructionsEdges) {
+  // Every Perfect Club block trips one edge under its full edge count —
+  // however few of those edges its last instruction adds — and builds at
+  // exactly that count.
+  for (Benchmark B : allBenchmarks()) {
+    Function F = buildBenchmark(B);
+    for (const BasicBlock &BB : F) {
+      const uint64_t Edges = buildDag(BB).numEdges();
+      ASSERT_GT(Edges, 1u) << BB.name(); // A limit of 0 means unlimited.
+      for (uint64_t Limit : {Edges - 1, Edges}) {
+        ResourceBudget Budget;
+        Budget.MaxDagEdges = Limit;
+        ResourceGovernor Gov(Budget);
+        DagBuildOptions Options;
+        Options.Governor = &Gov;
+        buildDag(BB, Options);
+        EXPECT_EQ(Gov.tripped(), Limit < Edges)
+            << benchmarkName(B) << " block '" << BB.name() << "' limit "
+            << Limit << " of " << Edges << " edges";
+      }
+    }
   }
 }
 

@@ -119,6 +119,29 @@ TEST(AddressAnalysisTest, UnanalyzableDefsGetDistinctOrigins) {
   EXPECT_NE(A.Origin, B.Origin);
 }
 
+TEST(AddressAnalysisTest, FoldingOffGivesEveryDefAFreshOrigin) {
+  // The syntactic same-base rule: a copy or a bump is a new value, and
+  // only accesses through one value of one register share an origin.
+  BasicBlock BB("b");
+  BB.append(loadAt(vi(1), vi(0), 0, 0));                             // 0
+  BB.append(Instruction::makeUnary(Opcode::Move, vi(2), vi(0)));     // 1
+  BB.append(loadAt(vi(3), vi(2), 0, 0));                             // 2
+  BB.append(loadAt(vi(4), vi(0), 8, 0));                             // 3
+  BB.append(Instruction::makeBinaryImm(Opcode::AddI, vi(0), vi(0), 8));
+  BB.append(loadAt(vi(5), vi(0), 0, 0));                             // 5
+  AddressAnalysis AA(/*Fold=*/false);
+  std::vector<SymbolicAddr> Addrs;
+  for (const Instruction &I : BB) {
+    if (I.isMemory())
+      Addrs.push_back(AA.addressOf(I));
+    AA.step(I);
+  }
+  EXPECT_EQ(Addrs[0].Origin, Addrs[2].Origin); // Same value of %i0.
+  EXPECT_EQ(Addrs[2].Offset - Addrs[0].Offset, 8);
+  EXPECT_NE(Addrs[0].Origin, Addrs[1].Origin); // The copy is not folded.
+  EXPECT_NE(Addrs[0].Origin, Addrs[3].Origin); // Nor is the bump.
+}
+
 //===----------------------------------------------------------------------===
 // Classification and MemoryDependenceAnalysis
 //===----------------------------------------------------------------------===
@@ -147,9 +170,6 @@ TEST(MemDepTest, ClassifiesPairsAndDistances) {
   EXPECT_EQ(MD.alias(1, 3), AliasResult::NoAlias);   // 4096 vs 4104.
   EXPECT_EQ(MD.alias(1, 4), AliasResult::MustAlias); // Both 4096.
   EXPECT_EQ(MD.alias(3, 5), AliasResult::NoAlias);   // Distinct classes.
-  ASSERT_TRUE(MD.distance(1, 3).has_value());
-  EXPECT_EQ(*MD.distance(1, 3), 8);
-  EXPECT_FALSE(MD.distance(3, 5).has_value()); // Classes don't share space.
 }
 
 //===----------------------------------------------------------------------===
@@ -183,6 +203,32 @@ TEST(MemDepCertifierTest, CertifiesBuiltDagsInBothModes) {
       Options.DisambiguateSameBase = Disambiguate;
       DepDag Dag = buildDag(BB, Options);
       std::vector<Diagnostic> Diags = certifyMemDep(BB, Dag, Options);
+      EXPECT_TRUE(Diags.empty())
+          << "alias=" << Alias << " disambiguate=" << Disambiguate << ": "
+          << joinDiagnostics(Diags);
+    }
+}
+
+TEST(MemDepCertifierTest, SelfBaseLoadCertifiesInEveryMode) {
+  // %i1 is reloaded through itself and the reloaded value points back at
+  // the word the load read, so the last store writes it. Every model
+  // samples the load's address before the load redefines %i1; a sample
+  // after the def claims the load and the last store disjoint (BS732).
+  BasicBlock BB("chase");
+  BB.append(Instruction::makeBinaryImm(Opcode::AddI, vi(2), vi(1), -8));
+  BB.append(storeAt(vi(2), vi(1), 8, 0));
+  BB.append(loadAt(vi(1), vi(1), 8, 0));
+  BB.append(storeAt(vi(3), vi(1), 16, 0));
+  for (bool Alias : {true, false})
+    for (bool Disambiguate : {true, false}) {
+      DagBuildOptions Options;
+      Options.AliasAnalysis = Alias;
+      Options.DisambiguateSameBase = Disambiguate;
+      MemoryDependenceAnalysis MD(BB, addressModel(Options));
+      EXPECT_NE(MD.alias(2, 3), AliasResult::NoAlias)
+          << "alias=" << Alias << " disambiguate=" << Disambiguate;
+      std::vector<Diagnostic> Diags =
+          certifyMemDep(BB, buildDag(BB, Options), Options);
       EXPECT_TRUE(Diags.empty())
           << "alias=" << Alias << " disambiguate=" << Disambiguate << ": "
           << joinDiagnostics(Diags);
@@ -270,7 +316,7 @@ TEST(MemDepCertifierTest, MalformedMemoryEdgeIsBS733) {
 
 TEST(MemDepCertifierTest, FalseMustAliasIsBS734) {
   // The pair is ordered (so no BS731), but the claimed MustAlias is
-  // refuted: the addresses provably differ by 8.
+  // refuted: the addresses differ by 8.
   BasicBlock BB("b");
   BB.append(storeAt(vi(7), vi(0), 0, 0));
   BB.append(storeAt(vi(8), vi(0), 8, 0));
@@ -280,6 +326,23 @@ TEST(MemDepCertifierTest, FalseMustAliasIsBS734) {
   std::vector<Diagnostic> Diags = certifyMemDepAgainst(BB, Dag, Facts);
   ASSERT_EQ(Diags.size(), 1u);
   EXPECT_EQ(Diags.front().Code, DiagCode::CertifyMemDepFalseMustAlias);
+}
+
+TEST(MemDepCertifierTest, ConcretelyDifferentMustAliasIsBS734) {
+  // Unrelated live-in bases: no symbolic argument separates the stores,
+  // but the interpreter's run puts them at different words, which refutes
+  // a claim that they are the same word in every execution.
+  BasicBlock BB("b");
+  BB.append(storeAt(vi(7), vi(0), 0, 0));
+  BB.append(storeAt(vi(8), vi(1), 0, 0));
+  DepDag Dag(BB);
+  Dag.addEdge(0, 1, DepKind::Memory);
+  ConstantFacts Facts(AliasResult::MustAlias);
+  std::vector<Diagnostic> Diags = certifyMemDepAgainst(BB, Dag, Facts);
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags.front().Code, DiagCode::CertifyMemDepFalseMustAlias);
+  EXPECT_NE(Diags.front().Message.find("concrete addresses"),
+            std::string::npos);
 }
 
 TEST(MemDepCertifierTest, RegisterPathDischargesObligation) {

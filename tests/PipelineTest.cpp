@@ -14,6 +14,7 @@
 #include "ir/IrPrinter.h"
 #include "ir/IrVerifier.h"
 #include "obs/Metrics.h"
+#include "parser/Parser.h"
 #include "pipeline/Experiment.h"
 #include "pipeline/Pipeline.h"
 #include "support/StringUtils.h"
@@ -338,6 +339,34 @@ TEST(PipelineConfigTest, ParsePolicyNameRejectsUnknownSpelling) {
   EXPECT_NE(Parsed.errorText().find("traditional"), std::string::npos);
 }
 
+// A load that redefines its own base, then a store through the reloaded
+// base onto the word the load read. With the alias analysis off the
+// same-base rule must compare the load at the address it reads: a base
+// sampled after the load's def makes the store look disjoint from the
+// load, and the certifier refutes that (BS732).
+TEST(PipelineTest, SelfBaseLoadCompilesWithoutAliasAnalysis) {
+  ParseResult Parsed = parseIr("func @chase {\n"
+                               "block b freq 1.000000 {\n"
+                               "  %i2 = addi %i1, -8\n"
+                               "  store %i2, [%i1 + 8] !0\n"
+                               "  %i1 = load [%i1 + 8] !0\n"
+                               "  store %i3, [%i1 + 16] !0\n"
+                               "}\n"
+                               "}\n");
+  ASSERT_TRUE(Parsed.ok());
+  ASSERT_EQ(Parsed.Functions.size(), 1u);
+  for (bool SameBase : {true, false}) {
+    PipelineConfig Config = PipelineConfig::paperDefault();
+    Config.DagOptions.AliasAnalysis = false;
+    Config.DagOptions.DisambiguateSameBase = SameBase;
+    ASSERT_TRUE(Config.Certify);
+    ErrorOr<CompiledFunction> Compiled =
+        runPipeline(Parsed.Functions.front(), Config);
+    EXPECT_TRUE(Compiled.has_value())
+        << "same-base=" << SameBase << ": " << Compiled.errorText();
+  }
+}
+
 //===----------------------------------------------------------------------===
 // Golden output: the compiled text of fixed inputs, pinned by hash
 //===----------------------------------------------------------------------===
@@ -350,7 +379,15 @@ struct GoldenCase {
   SchedulerPolicy Policy;
   bool UnlimitedRegisters;
   uint64_t Expected;
+  DagBuildOptions Dag = {};
 };
+
+/// " x same-base" or " x untracked" for the alias-analysis-off settings.
+std::string aliasSettingName(const DagBuildOptions &Dag) {
+  if (Dag.AliasAnalysis)
+    return "";
+  return Dag.DisambiguateSameBase ? " x same-base" : " x untracked";
+}
 
 /// Checks every case, compiling through \p Pool when it is set: a pooled
 /// compile must hash to the same constants as the serial one.
@@ -363,11 +400,12 @@ void expectGoldenOutput(const char *InputSet,
                                 ? PipelineConfig::unlimitedRegisters()
                                 : PipelineConfig::paperDefault();
     Config.Policy = Case.Policy;
+    Config.DagOptions = Case.Dag;
     Config.WeighterPool = Pool;
     const std::string Name =
         std::string(InputSet) + " x " + policyName(Case.Policy) + " x " +
         (Case.UnlimitedRegisters ? "unlimitedRegisters" : "paperDefault") +
-        (Pool ? " (pooled)" : "");
+        aliasSettingName(Case.Dag) + (Pool ? " (pooled)" : "");
     std::string Text;
     for (const Function &F : Inputs) {
       ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
@@ -402,6 +440,40 @@ TEST(GoldenOutputTest, PerfectClubProgramsCompileToPinnedText) {
          {SchedulerPolicy::BalancedUnionFind, true, 0x70610b98474e09a4ull},
          {SchedulerPolicy::Traditional, true, 0x0e8a08b719ea20d2ull}},
         Blocks);
+}
+
+// The paper's section 4.2 ablation path: the alias analysis off, with and
+// without the same-base rule, under both aliasing translations.
+TEST(GoldenOutputTest, PerfectClubWithoutAliasAnalysisCompilesToPinnedText) {
+  const DagBuildOptions SameBase{.DisambiguateSameBase = true,
+                                 .AliasAnalysis = false};
+  const DagBuildOptions Untracked{.DisambiguateSameBase = false,
+                                  .AliasAnalysis = false};
+  const struct {
+    bool FortranAliasing;
+    std::vector<GoldenCase> Cases;
+  } Sets[] = {
+      {true,
+       {{SchedulerPolicy::Balanced, false, 0x7d588f80a3acb8e6ull, SameBase},
+        {SchedulerPolicy::Traditional, false, 0x9e1cc929cefe3bb8ull, SameBase},
+        {SchedulerPolicy::Balanced, false, 0x2df5930338d8d57cull, Untracked},
+        {SchedulerPolicy::Traditional, false, 0xa94e48117dcdd91aull,
+         Untracked}}},
+      {false,
+       {{SchedulerPolicy::Balanced, false, 0x68f80ff54bf30512ull, SameBase},
+        {SchedulerPolicy::Traditional, false, 0xb0514362ba884b73ull, SameBase},
+        {SchedulerPolicy::Balanced, false, 0xc4337c7fec3dbc8bull, Untracked},
+        {SchedulerPolicy::Traditional, false, 0x91662a81fb53f219ull,
+         Untracked}}},
+  };
+  for (const auto &Set : Sets) {
+    std::vector<Function> Programs;
+    for (Benchmark B : allBenchmarks())
+      Programs.push_back(
+          buildBenchmark(B, {.FortranAliasing = Set.FortranAliasing}));
+    expectGoldenOutput(Set.FortranAliasing ? "perfect-club" : "perfect-club-c",
+                       Programs, Set.Cases);
+  }
 }
 
 TEST(GoldenOutputTest, HugeBlockCompilesToPinnedText) {
