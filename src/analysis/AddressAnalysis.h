@@ -13,10 +13,12 @@
 /// an opaque origin (a live-in register, a load result, or any computation
 /// the transfer functions do not model) plus a constant displacement that
 /// wraps mod 2^64. Origin 0 is the distinguished absolute origin, so
-/// `{0, c}` is the known constant `c`. The transfer functions fold
-/// `LoadImm`/`Move`/`AddI` and the constant cases of the remaining ALU
-/// opcodes using *exactly* the interpreter's wrapping arithmetic
-/// (ir/Interpreter.cpp) — that is what makes "same origin, different
+/// `{0, c}` is the known constant `c`. An integer op whose operands are
+/// all known constants folds through the interpreter's own ALU
+/// (evalIntAlu, ir/Interpreter.h); the remaining transfer functions are
+/// symbolic: `LoadImm`/`Move`, displacement by a constant, same-origin
+/// differences and the identities of `MulI` and `ShlI`. Displacements use
+/// the same wrapping add — that is what makes "same origin, different
 /// offset" a sound no-alias proof: the two addresses differ by a nonzero
 /// constant mod 2^64, so they denote different words for every concrete
 /// value of the origin.

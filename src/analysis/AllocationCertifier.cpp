@@ -11,7 +11,6 @@
 
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace bsched;
 
@@ -113,32 +112,13 @@ private:
       checkBound(I.dest(), /*IsSpillBase=*/false, Index);
   }
 
-  /// BS721/BS720: physical register \p Phys, read at \p Index, must hold
-  /// the current generation of virtual register \p Vreg.
+  /// BS721: physical register \p Phys, read at \p Index, must hold the
+  /// current generation of virtual register \p Vreg.
   void checkRead(Reg Phys, Reg Vreg, unsigned Index) {
     Value Want{Vreg.rawBits(), genOf(Vreg)};
     auto It = RegHolds.find(Phys.rawBits());
     if (It != RegHolds.end() && It->second == Want)
       return;
-
-    if (Want.Gen == 0 && !Materialized.count(Vreg.rawBits())) {
-      // First touch of a live-in: the allocator binds it here and must
-      // have recorded the binding for interpreter seeding.
-      auto Rec = Alloc.LiveInAssignment.find(Vreg.rawBits());
-      if (Rec == Alloc.LiveInAssignment.end())
-        error(DiagCode::CertifyAllocShapeMismatch,
-              "live-in " + Vreg.str() + " first read in " + where(Index) +
-                  " has no LiveInAssignment record");
-      else if (Rec->second != Phys)
-        error(DiagCode::CertifyAllocShapeMismatch,
-              "live-in " + Vreg.str() + " first read from " + Phys.str() +
-                  " in " + where(Index) + " but LiveInAssignment says " +
-                  Rec->second.str());
-      Materialized.insert(Vreg.rawBits());
-      RegHolds[Phys.rawBits()] = Want;
-      return;
-    }
-
     error(DiagCode::CertifyAllocWrongValue,
           where(Index) + " reads " + Phys.str() + " expecting " +
               valueStr(Want) +
@@ -225,7 +205,6 @@ private:
         // A definition creates the next generation; whatever the register
         // held before is gone (stale copies elsewhere are caught at reads).
         unsigned Gen = ++GenOf[OrigDest.rawBits()];
-        Materialized.insert(OrigDest.rawBits());
         RegHolds[NewDest.rawBits()] = Value{OrigDest.rawBits(), Gen};
       }
     }
@@ -242,12 +221,14 @@ private:
   std::unordered_map<uint32_t, unsigned> GenOf;    // vreg -> current gen.
   std::unordered_map<uint32_t, Value> RegHolds;    // phys reg -> value.
   std::unordered_map<int64_t, Value> SlotHolds;    // spill offset -> value.
-  std::unordered_set<uint32_t> Materialized;       // live-ins already bound.
   unsigned NextOrig = 0;
   unsigned Stores = 0, Loads = 0;
 };
 
 std::vector<Diagnostic> AllocationChecker::run() {
+  // The entry state: each live-in's value sits where LiveInAssignment says.
+  for (const auto &[VregRaw, Phys] : Alloc.LiveInAssignment)
+    RegHolds[Phys.rawBits()] = Value{VregRaw, 0};
   for (unsigned Index = 0, E = After.size(); Index != E; ++Index) {
     if (Governor && !Governor->poll())
       return std::move(Diags); // Partial; caller checks Governor->tripped().

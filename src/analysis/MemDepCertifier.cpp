@@ -12,7 +12,6 @@
 #include "ir/Interpreter.h"
 #include "support/ResourceGovernor.h"
 
-#include <limits>
 #include <unordered_map>
 
 using namespace bsched;
@@ -24,27 +23,6 @@ std::string nodeStr(const BasicBlock &BB, unsigned Index) {
          ")";
 }
 
-// Wrapping arithmetic matching ir/Interpreter.cpp (the certifier reasons
-// in the interpreter's semantics, mod 2^64).
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapShl(int64_t A, int64_t N) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) << (N & 63));
-}
-
 //===----------------------------------------------------------------------===
 // Independent symbolic re-derivation.
 //
@@ -54,7 +32,9 @@ int64_t wrapShl(int64_t A, int64_t N) {
 // written against the instruction stream directly. Both analyses must fold
 // the same opcode cases — the certifier has to be at least as strong as the
 // production analysis to confirm its NoAlias claims — but a bug in one
-// implementation is unlikely to be mirrored by the other.
+// symbolic derivation is unlikely to be mirrored by the other. Arithmetic
+// on known constants is not an analysis but the interpreter's definition,
+// so both evaluate it with the interpreter's ALU (evalIntAlu).
 //===----------------------------------------------------------------------===
 
 /// A value as `base + offset (mod 2^64)`, where the base is either the
@@ -69,7 +49,7 @@ struct CertVal {
   static CertVal opaque(int64_t Tag) { return {false, Tag, 0}; }
 
   CertVal displaced(int64_t Delta) const {
-    return {IsConst, Tag, wrapAdd(Off, Delta)};
+    return {IsConst, Tag, evalIntAlu(Opcode::Add, Off, Delta)};
   }
 };
 
@@ -110,102 +90,53 @@ private:
   void step(const Instruction &I, unsigned Index) {
     if (!I.hasDest() || opcodeDestIsFp(I.opcode()))
       return;
-    CertVal New = CertVal::opaque(static_cast<int64_t>(Index));
-    switch (I.opcode()) {
-    case Opcode::LoadImm:
-      New = CertVal::constant(I.imm());
-      break;
-    case Opcode::Move:
-      New = regVal(I.source(0));
-      break;
+    Vals[I.dest().rawBits()] = derive(I, Index);
+  }
+
+  /// The value \p I (at \p Index) defines, from the pre-def state.
+  CertVal derive(const Instruction &I, unsigned Index) {
+    const Opcode Op = I.opcode();
+    const CertVal Opaque = CertVal::opaque(static_cast<int64_t>(Index));
+    if (Op == Opcode::LoadImm)
+      return CertVal::constant(I.imm());
+    if (Op == Opcode::Move)
+      return regVal(I.source(0));
+    if (!isIntAluOpcode(Op))
+      return Opaque; // Load/CvtFI/FSlt stay opaque (keyed by this def site).
+
+    CertVal A = regVal(I.source(0));
+    CertVal B = opcodeHasImm(Op) ? CertVal::constant(I.imm())
+                                 : regVal(I.source(1));
+    if (A.IsConst && B.IsConst)
+      return CertVal::constant(evalIntAlu(Op, A.Off, B.Off));
+    switch (Op) {
     case Opcode::AddI:
-      New = regVal(I.source(0)).displaced(I.imm());
-      break;
-    case Opcode::Add: {
-      CertVal A = regVal(I.source(0)), B = regVal(I.source(1));
+    case Opcode::Add:
       if (B.IsConst)
-        New = A.displaced(B.Off);
-      else if (A.IsConst)
-        New = B.displaced(A.Off);
+        return A.displaced(B.Off);
+      if (A.IsConst)
+        return B.displaced(A.Off);
       break;
-    }
-    case Opcode::Sub: {
-      CertVal A = regVal(I.source(0)), B = regVal(I.source(1));
+    case Opcode::Sub:
       if (B.IsConst)
-        New = A.displaced(wrapSub(0, B.Off));
-      else if (A.IsConst == B.IsConst && A.Tag == B.Tag)
-        New = CertVal::constant(wrapSub(A.Off, B.Off));
+        return A.displaced(evalIntAlu(Op, 0, B.Off));
+      if (A.IsConst == B.IsConst && A.Tag == B.Tag)
+        return CertVal::constant(evalIntAlu(Op, A.Off, B.Off));
       break;
-    }
-    case Opcode::MulI: {
-      CertVal A = regVal(I.source(0));
-      if (A.IsConst)
-        New = CertVal::constant(wrapMul(A.Off, I.imm()));
-      else if (I.imm() == 1)
-        New = A;
-      else if (I.imm() == 0)
-        New = CertVal::constant(0);
+    case Opcode::MulI:
+      if (I.imm() == 1)
+        return A;
+      if (I.imm() == 0)
+        return CertVal::constant(0);
       break;
-    }
-    case Opcode::ShlI: {
-      CertVal A = regVal(I.source(0));
-      if (A.IsConst)
-        New = CertVal::constant(wrapShl(A.Off, I.imm()));
-      else if ((I.imm() & 63) == 0)
-        New = A;
+    case Opcode::ShlI:
+      if ((I.imm() & 63) == 0)
+        return A;
       break;
-    }
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::Slt: {
-      CertVal A = regVal(I.source(0)), B = regVal(I.source(1));
-      if (!A.IsConst || !B.IsConst)
-        break;
-      int64_t X = A.Off, Y = B.Off, R = 0;
-      switch (I.opcode()) {
-      case Opcode::Mul:
-        R = wrapMul(X, Y);
-        break;
-      case Opcode::Div:
-        R = Y == 0 ? 0
-            : (X == std::numeric_limits<int64_t>::min() && Y == -1) ? X
-                                                                    : X / Y;
-        break;
-      case Opcode::Rem:
-        R = (Y == 0 || Y == -1) ? 0 : X % Y;
-        break;
-      case Opcode::And:
-        R = X & Y;
-        break;
-      case Opcode::Or:
-        R = X | Y;
-        break;
-      case Opcode::Xor:
-        R = X ^ Y;
-        break;
-      case Opcode::Shl:
-        R = wrapShl(X, Y);
-        break;
-      case Opcode::Shr:
-        R = static_cast<int64_t>(static_cast<uint64_t>(X) >> (Y & 63));
-        break;
-      default: // Slt
-        R = X < Y ? 1 : 0;
-        break;
-      }
-      New = CertVal::constant(R);
-      break;
-    }
     default:
-      break; // Load/CvtFI/FSlt/... stay opaque (keyed by this def site).
+      break;
     }
-    Vals[I.dest().rawBits()] = New;
+    return Opaque;
   }
 
   std::unordered_map<uint32_t, CertVal> Vals;
@@ -284,15 +215,10 @@ std::vector<Diagnostic> bsched::certifyMemDepAgainst(const BasicBlock &Input,
   std::vector<int64_t> Concrete(N, 0);
   {
     Interpreter Interp;
-    BasicBlock Step("memdep-cert-step");
     for (unsigned I = 0; I != N; ++I) {
-      const Instruction &Instr = Input[I];
-      if (Instr.isMemory())
-        Concrete[I] =
-            wrapAdd(Interp.getIntReg(Instr.addressBase()), Instr.imm());
-      Step = BasicBlock("memdep-cert-step");
-      Step.append(Instr);
-      Interp.run(Step);
+      if (Input[I].isMemory())
+        Concrete[I] = Interp.effectiveAddress(Input[I]);
+      Interp.step(Input[I]);
     }
   }
 

@@ -20,9 +20,11 @@
 ///  1. *Independent symbolic re-derivation*: a self-contained forward
 ///     substitution (deliberately separate code from
 ///     analysis/AddressAnalysis.h, keyed by def sites instead of value
-///     numbers) must itself prove the addresses distinct mod 2^64.
+///     numbers) must itself prove the addresses distinct mod 2^64. Only
+///     arithmetic on known constants is shared: both evaluate it with the
+///     interpreter's ALU (evalIntAlu, ir/Interpreter.h), which defines it.
 ///  2. *Interpreter-grade concrete cross-check*: the block prefix is
-///     executed on the reference Interpreter with its deterministic
+///     stepped on the reference Interpreter with its deterministic
 ///     live-in seeding, and the concrete addresses of a claimed-NoAlias
 ///     pair must differ (equality is a definite refutation).
 ///

@@ -53,28 +53,6 @@ int64_t safeFpToInt(double D) {
   return static_cast<int64_t>(D);
 }
 
-// Two's-complement wrapping arithmetic. Fuzzed programs reach arbitrary
-// register values, so every signed operation must be defined on the full
-// domain (the harness runs under UBSan).
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-
-int64_t wrapShl(int64_t A, int64_t N) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) << (N & 63));
-}
-
 int64_t safeDiv(int64_t A, int64_t B) {
   if (B == 0)
     return 0;
@@ -92,6 +70,49 @@ int64_t safeRem(int64_t A, int64_t B) {
 }
 
 } // namespace
+
+bool bsched::isIntAluOpcode(Opcode Op) {
+  // The two integer ALU groups open the Opcode enum: add through shli.
+  return Op <= Opcode::ShlI;
+}
+
+int64_t bsched::evalIntAlu(Opcode Op, int64_t A, int64_t B) {
+  // Two's-complement wrapping: fuzzed programs reach arbitrary register
+  // values, so every signed operation must be defined on the full domain
+  // (the harness runs under UBSan).
+  const uint64_t UA = static_cast<uint64_t>(A);
+  const uint64_t UB = static_cast<uint64_t>(B);
+  switch (Op) {
+  case Opcode::Add:
+  case Opcode::AddI:
+    return static_cast<int64_t>(UA + UB);
+  case Opcode::Sub:
+    return static_cast<int64_t>(UA - UB);
+  case Opcode::Mul:
+  case Opcode::MulI:
+    return static_cast<int64_t>(UA * UB);
+  case Opcode::Div:
+    return safeDiv(A, B);
+  case Opcode::Rem:
+    return safeRem(A, B);
+  case Opcode::And:
+    return A & B;
+  case Opcode::Or:
+    return A | B;
+  case Opcode::Xor:
+    return A ^ B;
+  case Opcode::Shl:
+  case Opcode::ShlI:
+    return static_cast<int64_t>(UA << (B & 63));
+  case Opcode::Shr:
+    return static_cast<int64_t>(UA >> (B & 63));
+  case Opcode::Slt:
+    return A < B ? 1 : 0;
+  default:
+    assert(false && "evalIntAlu on a non-ALU opcode");
+    return 0;
+  }
+}
 
 void Interpreter::setIntReg(Reg R, int64_t Value) {
   assert(R.isValid() && R.regClass() == RegClass::Int);
@@ -132,120 +153,103 @@ void Interpreter::run(const BasicBlock &BB) {
   for (const Instruction &I : BB) {
     if (I.isTerminator())
       break;
-    ++ExecutedCount;
+    step(I);
+  }
+}
 
-    auto SrcI = [&](unsigned Index) { return getIntReg(I.source(Index)); };
-    auto SrcF = [&](unsigned Index) { return getFpReg(I.source(Index)); };
-    auto DefI = [&](int64_t V) { setIntReg(I.dest(), V); };
-    auto DefF = [&](double V) { setFpReg(I.dest(), V); };
+int64_t Interpreter::effectiveAddress(const Instruction &I) const {
+  return evalIntAlu(Opcode::AddI, getIntReg(I.addressBase()), I.imm());
+}
 
-    switch (I.opcode()) {
-    case Opcode::Add:
-      DefI(wrapAdd(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::Sub:
-      DefI(wrapSub(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::Mul:
-      DefI(wrapMul(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::Div:
-      DefI(safeDiv(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::Rem:
-      DefI(safeRem(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::And:
-      DefI(SrcI(0) & SrcI(1));
-      break;
-    case Opcode::Or:
-      DefI(SrcI(0) | SrcI(1));
-      break;
-    case Opcode::Xor:
-      DefI(SrcI(0) ^ SrcI(1));
-      break;
-    case Opcode::Shl:
-      DefI(wrapShl(SrcI(0), SrcI(1)));
-      break;
-    case Opcode::Shr:
-      DefI(static_cast<int64_t>(static_cast<uint64_t>(SrcI(0)) >>
-                                (SrcI(1) & 63)));
-      break;
-    case Opcode::Slt:
-      DefI(SrcI(0) < SrcI(1) ? 1 : 0);
-      break;
-    case Opcode::AddI:
-      DefI(wrapAdd(SrcI(0), I.imm()));
-      break;
-    case Opcode::MulI:
-      DefI(wrapMul(SrcI(0), I.imm()));
-      break;
-    case Opcode::ShlI:
-      DefI(wrapShl(SrcI(0), I.imm()));
-      break;
-    case Opcode::LoadImm:
-      DefI(I.imm());
-      break;
-    case Opcode::Move:
-      DefI(SrcI(0));
-      break;
-    case Opcode::FAdd:
-      DefF(SrcF(0) + SrcF(1));
-      break;
-    case Opcode::FSub:
-      DefF(SrcF(0) - SrcF(1));
-      break;
-    case Opcode::FMul:
-      DefF(SrcF(0) * SrcF(1));
-      break;
-    case Opcode::FDiv:
-      DefF(SrcF(1) == 0.0 ? 0.0 : SrcF(0) / SrcF(1));
-      break;
-    case Opcode::FNeg:
-      DefF(-SrcF(0));
-      break;
-    case Opcode::FMove:
-      DefF(SrcF(0));
-      break;
-    case Opcode::FLoadImm:
-      DefF(I.fpImm());
-      break;
-    case Opcode::FMadd:
-      DefF(SrcF(0) * SrcF(1) + SrcF(2));
-      break;
-    case Opcode::CvtIF:
-      DefF(static_cast<double>(SrcI(0)));
-      break;
-    case Opcode::CvtFI:
-      DefI(safeFpToInt(SrcF(0)));
-      break;
-    case Opcode::FSlt:
-      DefI(SrcF(0) < SrcF(1) ? 1 : 0);
-      break;
-    case Opcode::Load:
-      DefI(static_cast<int64_t>(
-          loadRaw(I.aliasClass(), wrapAdd(SrcI(0), I.imm()))));
-      break;
-    case Opcode::FLoad:
-      DefF(doubleOfRaw(loadRaw(I.aliasClass(), wrapAdd(SrcI(0), I.imm()))));
-      break;
-    case Opcode::Store:
-      storeRaw(I.aliasClass(), wrapAdd(getIntReg(I.source(1)), I.imm()),
-               static_cast<uint64_t>(SrcI(0)));
-      break;
-    case Opcode::FStore:
-      storeRaw(I.aliasClass(), wrapAdd(getIntReg(I.source(1)), I.imm()),
-               rawOfDouble(SrcF(0)));
-      break;
-    case Opcode::Nop:
-      break;
-    case Opcode::Jump:
-    case Opcode::BranchZero:
-    case Opcode::BranchNotZero:
-    case Opcode::Ret:
-      // Unreachable: the terminator check above breaks out first.
-      break;
-    }
+void Interpreter::step(const Instruction &I) {
+  if (I.isTerminator())
+    return;
+  ++ExecutedCount;
+
+  auto SrcI = [&](unsigned Index) { return getIntReg(I.source(Index)); };
+  auto SrcF = [&](unsigned Index) { return getFpReg(I.source(Index)); };
+  auto DefI = [&](int64_t V) { setIntReg(I.dest(), V); };
+  auto DefF = [&](double V) { setFpReg(I.dest(), V); };
+
+  switch (I.opcode()) {
+  case Opcode::Add:
+  case Opcode::Sub:
+  case Opcode::Mul:
+  case Opcode::Div:
+  case Opcode::Rem:
+  case Opcode::And:
+  case Opcode::Or:
+  case Opcode::Xor:
+  case Opcode::Shl:
+  case Opcode::Shr:
+  case Opcode::Slt:
+    DefI(evalIntAlu(I.opcode(), SrcI(0), SrcI(1)));
+    break;
+  case Opcode::AddI:
+  case Opcode::MulI:
+  case Opcode::ShlI:
+    DefI(evalIntAlu(I.opcode(), SrcI(0), I.imm()));
+    break;
+  case Opcode::LoadImm:
+    DefI(I.imm());
+    break;
+  case Opcode::Move:
+    DefI(SrcI(0));
+    break;
+  case Opcode::FAdd:
+    DefF(SrcF(0) + SrcF(1));
+    break;
+  case Opcode::FSub:
+    DefF(SrcF(0) - SrcF(1));
+    break;
+  case Opcode::FMul:
+    DefF(SrcF(0) * SrcF(1));
+    break;
+  case Opcode::FDiv:
+    DefF(SrcF(1) == 0.0 ? 0.0 : SrcF(0) / SrcF(1));
+    break;
+  case Opcode::FNeg:
+    DefF(-SrcF(0));
+    break;
+  case Opcode::FMove:
+    DefF(SrcF(0));
+    break;
+  case Opcode::FLoadImm:
+    DefF(I.fpImm());
+    break;
+  case Opcode::FMadd:
+    DefF(SrcF(0) * SrcF(1) + SrcF(2));
+    break;
+  case Opcode::CvtIF:
+    DefF(static_cast<double>(SrcI(0)));
+    break;
+  case Opcode::CvtFI:
+    DefI(safeFpToInt(SrcF(0)));
+    break;
+  case Opcode::FSlt:
+    DefI(SrcF(0) < SrcF(1) ? 1 : 0);
+    break;
+  case Opcode::Load:
+    DefI(static_cast<int64_t>(loadRaw(I.aliasClass(), effectiveAddress(I))));
+    break;
+  case Opcode::FLoad:
+    DefF(doubleOfRaw(loadRaw(I.aliasClass(), effectiveAddress(I))));
+    break;
+  case Opcode::Store:
+    storeRaw(I.aliasClass(), effectiveAddress(I),
+             static_cast<uint64_t>(SrcI(0)));
+    break;
+  case Opcode::FStore:
+    storeRaw(I.aliasClass(), effectiveAddress(I), rawOfDouble(SrcF(0)));
+    break;
+  case Opcode::Nop:
+    break;
+  case Opcode::Jump:
+  case Opcode::BranchZero:
+  case Opcode::BranchNotZero:
+  case Opcode::Ret:
+    // Unreachable: the terminator check above returns first.
+    break;
   }
 }
 

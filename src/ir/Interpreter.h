@@ -15,6 +15,11 @@
 /// from their identity, so random programs have fully defined behaviour
 /// and comparisons are meaningful.
 ///
+/// The interpreter's integer arithmetic is exported as one ALU
+/// (isIntAluOpcode / evalIntAlu): the address analysis and the
+/// memory-dependence certifier fold constants through it, so "what the
+/// interpreter computes" has a single definition.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_IR_INTERPRETER_H
@@ -27,6 +32,18 @@
 #include <unordered_map>
 
 namespace bsched {
+
+/// True for the integer opcodes evalIntAlu evaluates: add, sub, mul, div,
+/// rem, and, or, xor, shl, shr, slt, addi, muli and shli.
+bool isIntAluOpcode(Opcode Op);
+
+/// The value integer ALU opcode \p Op (isIntAluOpcode) computes from
+/// \p A and \p B, where \p B is the second source or, for addi, muli and
+/// shli, the immediate. Every result is defined on the full domain:
+/// add/sub/mul and shl wrap mod 2^64, shift counts are taken mod 64, shr is
+/// logical, slt compares signed, division and remainder by zero are 0,
+/// INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0.
+int64_t evalIntAlu(Opcode Op, int64_t A, int64_t B);
 
 /// Machine state (register files + byte-less word memory) plus an executor.
 class Interpreter {
@@ -50,6 +67,13 @@ public:
   /// terminator. Branches are not followed — blocks are executed in
   /// isolation, exactly as the schedulers treat them.
   void run(const BasicBlock &BB);
+
+  /// Executes the single instruction \p I; a terminator does nothing.
+  void step(const Instruction &I);
+
+  /// Effective address `base + imm` of memory instruction \p I under the
+  /// current register state.
+  int64_t effectiveAddress(const Instruction &I) const;
 
   /// Final memory image, restricted to alias classes for which
   /// \p IncludeClass returns true. Keys are (alias class, address); ordered

@@ -301,7 +301,7 @@ std::vector<Diagnostic> scheduleBlock(BasicBlock &BB, const Weighter &W,
 }
 
 /// Compiles block \p BlockIndex of \p F in place through the whole
-/// section 4.1 chain: schedule, certify, allocate, certify, rename,
+/// section 4.1 chain: schedule, certify, allocate, rename, certify,
 /// reschedule, certify. Returns the block's static spill count, or the
 /// diagnostics that abort the compile: failed certificates (wrapped in
 /// PipelineCertificationFailed), an injected fault (BS810) or a governor
@@ -361,7 +361,7 @@ ErrorOr<unsigned> compileBlock(Function &F, unsigned BlockIndex,
     return ErrorOr<unsigned>(std::move(*D));
 
   // Snapshot the pre-allocation block: the allocation certificate
-  // re-executes the rewrite against it.
+  // re-executes the rewrite (allocation, then any renaming) against it.
   std::optional<BasicBlock> PreAlloc;
   if (Config.Certify)
     PreAlloc.emplace(BB);
@@ -375,6 +375,10 @@ ErrorOr<unsigned> compileBlock(Function &F, unsigned BlockIndex,
   const unsigned Spills = Alloc.spillInstructions();
   if (Metrics && Spills != 0)
     Metrics->SpillInstructions.add(Spills);
+
+  // Renaming keeps live-in names, so one certificate covers both rewrites.
+  if (Config.RenameAfterAllocation)
+    renameRegisters(BB, Config.Target);
 
   if (Config.Certify) {
     ScopedSpan Span(Config.Obs.Trace, "certify");
@@ -391,12 +395,6 @@ ErrorOr<unsigned> compileBlock(Function &F, unsigned BlockIndex,
     if (!Violations.empty())
       return Failed("register-allocation", std::move(Violations));
   }
-
-  // Renaming rewrites physical registers wholesale, so it runs after the
-  // allocation certificate; the reordered result is still covered by the
-  // second-pass schedule certificate below.
-  if (Config.RenameAfterAllocation)
-    renameRegisters(BB, Config.Target);
 
   // Pass 2: integrate the spill code into the schedule.
   if (W && Config.SecondSchedulingPass) {
@@ -534,6 +532,28 @@ ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
       Diags.push_back(std::move(D));
     return ErrorOr<CompiledFunction>(std::move(Diags));
   }
+
+  // The allocator binds every live-in to its own general register at
+  // block entry, so no class may have more live-ins than general registers.
+  if (Config.RunRegAlloc)
+    for (const BasicBlock &BB : Input) {
+      unsigned LiveIns[2] = {0, 0}; // [0] = Int, [1] = Fp.
+      for (Reg R : blockLiveIns(BB))
+        ++LiveIns[R.regClass() == RegClass::Fp ? 1 : 0];
+      for (RegClass RC : {RegClass::Int, RegClass::Fp}) {
+        const unsigned N = LiveIns[RC == RegClass::Fp ? 1 : 0];
+        const unsigned General = Config.Target.generalRegs(RC);
+        if (N > General)
+          return ErrorOr<CompiledFunction>(std::vector<Diagnostic>{
+              {0, 0,
+               "block '" + BB.name() + "' of function '" + Input.name() +
+                   "' reads " + std::to_string(N) + " " +
+                   (RC == RegClass::Fp ? "floating-point" : "integer") +
+                   " live-ins, more than the " + std::to_string(General) +
+                   " general registers that hold them at block entry",
+               Severity::Error, DiagCode::PipelineInvalidInput}});
+      }
+    }
 
   MetricRegistry *Reg = Config.Obs.Metrics;
   auto CountFailure = [&](const ErrorOr<CompiledFunction> &Failed) {

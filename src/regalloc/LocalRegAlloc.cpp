@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -52,8 +53,10 @@ public:
 
   /// Chooses the next reload register: FIFO rotation (the paper's
   /// improvement) or always-lowest (GCC's serializing default). Registers
-  /// in \p Pinned are skipped. Returns the pool index.
-  unsigned pickPoolIndex(const std::unordered_set<uint32_t> &Pinned) {
+  /// in \p Pinned are skipped. Returns the pool index, or nothing when
+  /// the pool is empty or every pool register is pinned.
+  std::optional<unsigned>
+  pickPoolIndex(const std::unordered_set<uint32_t> &Pinned) {
     unsigned N = Target.SpillPoolSize;
     for (unsigned Step = 0; Step != N; ++Step) {
       unsigned Index = Target.FifoSpillPool ? (NextPool + Step) % N : Step;
@@ -63,8 +66,7 @@ public:
         return Index;
       }
     }
-    assert(false && "every spill-pool register pinned by one instruction");
-    return 0;
+    return std::nullopt;
   }
 
   /// The virtual register currently reloaded into pool slot \p Index
@@ -138,9 +140,10 @@ private:
     State.Dirty = false;
   }
 
-  /// Frees one general register of \p Vreg's class, spilling the resident
+  /// Frees one general register of class \p RC, spilling the resident
   /// value with the farthest next use (Belady). Registers in \p Pinned are
-  /// untouchable.
+  /// untouchable; returns the invalid Reg when every resident value is
+  /// pinned.
   Reg evictOne(RegClass RC, unsigned Index,
                const std::unordered_set<uint32_t> &Pinned) {
     ClassFile &File = Files[RC == RegClass::Fp ? 1 : 0];
@@ -160,7 +163,8 @@ private:
       if (Use == NoNextUse)
         break; // Cannot do better than a dead value.
     }
-    assert(Victim != 0 && "no evictable register (file too small?)");
+    if (Victim == 0)
+      return Reg();
 
     ValueState &State = Values[Victim];
     Reg Freed = State.Phys;
@@ -171,7 +175,8 @@ private:
     return Freed;
   }
 
-  /// Returns a free general register of class \p RC, evicting if needed.
+  /// Returns a free general register of class \p RC, evicting if needed
+  /// (the invalid Reg when every general register is pinned).
   Reg allocateGeneral(RegClass RC, unsigned Index,
                       const std::unordered_set<uint32_t> &Pinned) {
     ClassFile &File = Files[RC == RegClass::Fp ? 1 : 0];
@@ -181,47 +186,60 @@ private:
     return evictOne(RC, Index, Pinned);
   }
 
-  /// Makes \p Vreg resident (reloading or binding a live-in) and returns
+  /// Makes \p Vreg resident (reloading it if it was spilled) and returns
   /// its physical register.
   Reg ensureResident(Reg Vreg, unsigned Index,
                      std::unordered_set<uint32_t> &Pinned) {
     ValueState &State = Values[Vreg.rawBits()];
-    if (State.Phys.isValid()) {
-      Pinned.insert(State.Phys.rawBits());
-      return State.Phys;
-    }
-
-    if (State.SpillSlot >= 0) {
-      // Reload through the spill pool.
+    if (!State.Phys.isValid()) {
+      // Every value is bound from its def (or block entry) until it dies,
+      // so a non-resident source was evicted and has a spill slot.
+      assert(State.SpillSlot >= 0 && "read of a value never made resident");
+      // Reload through the spill pool; when every pool register holds
+      // another operand of this instruction (or there is no pool), into
+      // a general register, which allocateGeneral picks around the pins.
       ClassFile &File = fileOf(Vreg);
-      unsigned PoolIndex = File.pickPoolIndex(Pinned);
-      Reg Pool = Target.spillPoolReg(Vreg.regClass(), PoolIndex);
-      if (uint32_t Displaced = File.poolBinding(PoolIndex)) {
+      Reg Phys;
+      if (std::optional<unsigned> PoolIndex = File.pickPoolIndex(Pinned)) {
+        Phys = Target.spillPoolReg(Vreg.regClass(), *PoolIndex);
         // Pool values are always clean copies; just unbind.
-        Values[Displaced].Phys = Reg();
+        if (uint32_t Displaced = File.poolBinding(*PoolIndex))
+          Values[Displaced].Phys = Reg();
+        File.setPoolBinding(*PoolIndex, Vreg.rawBits());
+      } else {
+        // At most two other operands are pinned, and a class has at least
+        // three general registers.
+        Phys = allocateGeneral(Vreg.regClass(), Index, Pinned);
+        assert(Phys.isValid() && "every general register pinned");
+        File.ResidentGeneral.insert(Vreg.rawBits());
       }
       Opcode Op = Vreg.regClass() == RegClass::Fp ? Opcode::FLoad
                                                   : Opcode::Load;
-      Out.push_back(Instruction::makeLoad(Op, Pool, Target.framePointer(),
+      Out.push_back(Instruction::makeLoad(Op, Phys, Target.framePointer(),
                                           State.SpillSlot, SpillClass));
       ++Result.SpillLoads;
-      File.setPoolBinding(PoolIndex, Vreg.rawBits());
-      State.Phys = Pool;
+      State.Phys = Phys;
       State.Dirty = false;
-      Pinned.insert(Pool.rawBits());
-      return Pool;
     }
+    Pinned.insert(State.Phys.rawBits());
+    return State.Phys;
+  }
 
-    // First touch of a live-in value: bind it to a general register. Its
-    // only copy is the register, so it is dirty until ever stored.
-    Reg R = allocateGeneral(Vreg.regClass(), Index, Pinned);
-    ClassFile &File = fileOf(Vreg);
-    File.ResidentGeneral.insert(Vreg.rawBits());
-    State.Phys = R;
-    State.Dirty = true;
-    Result.LiveInAssignment.emplace(Vreg.rawBits(), R);
-    Pinned.insert(R.rawBits());
-    return R;
+  /// Binds every live-in of the block to its own general register before
+  /// instruction 0, in first-read order, and records the binding. A
+  /// live-in's only copy is its register, so it is dirty until stored.
+  void bindLiveIns() {
+    for (Reg Vreg : blockLiveIns(BB)) {
+      ClassFile &File = fileOf(Vreg);
+      Reg R = File.takeFreeGeneral();
+      BSCHED_CHECK(R.isValid(), "block has more live-ins than general "
+                                "registers in a class");
+      File.ResidentGeneral.insert(Vreg.rawBits());
+      ValueState &State = Values[Vreg.rawBits()];
+      State.Phys = R;
+      State.Dirty = true;
+      Result.LiveInAssignment.emplace(Vreg.rawBits(), R);
+    }
   }
 
   /// Unbinds \p Vreg if it has no use after \p Index, freeing its register.
@@ -251,6 +269,7 @@ private:
 };
 
 RegAllocResult Allocator::run() {
+  bindLiveIns();
   for (unsigned Index = 0, E = BB.size(); Index != E; ++Index) {
     // Spill slots are 8 bytes each; admitting the current count keeps a
     // runaway-spill block from growing the frame without bound before the
@@ -297,6 +316,11 @@ RegAllocResult Allocator::run() {
       }
       if (!State.Phys.isValid()) {
         Reg R = allocateGeneral(DestVreg.regClass(), Index, Pinned);
+        // Every general register holds a source that lives on. The
+        // instruction reads its sources before it writes, so one of them
+        // may be spilled and its register reused.
+        if (!R.isValid())
+          R = allocateGeneral(DestVreg.regClass(), Index, {});
         fileOf(DestVreg).ResidentGeneral.insert(DestVreg.rawBits());
         State.Phys = R;
       }
@@ -312,6 +336,19 @@ RegAllocResult Allocator::run() {
 }
 
 } // namespace
+
+std::vector<Reg> bsched::blockLiveIns(const BasicBlock &BB) {
+  std::vector<Reg> LiveIns;
+  std::unordered_set<uint32_t> Seen; // Defined, or already a live-in.
+  for (const Instruction &I : BB) {
+    for (Reg Src : I.sources())
+      if (Seen.insert(Src.rawBits()).second)
+        LiveIns.push_back(Src);
+    if (I.hasDest())
+      Seen.insert(I.dest().rawBits());
+  }
+  return LiveIns;
+}
 
 RegAllocResult bsched::allocateRegisters(Function &F, BasicBlock &BB,
                                          const TargetDescription &Target,

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// A local (per-basic-block) register allocator with on-demand spilling:
-/// values are assigned physical registers at first touch, and when the file
-/// is full the resident value with the farthest next use is evicted
-/// (Belady's rule), storing it to a spill slot if it is dirty. Reloads draw
-/// their destination from the dedicated spill-register pool, rotated FIFO
-/// per the paper's section 4.1 improvement.
+/// live-ins are assigned physical registers at block entry and other
+/// values at their definition, and when the file is full the resident
+/// value with the farthest next use is evicted (Belady's rule), storing it
+/// to a spill slot if it is dirty. Reloads draw their destination from the
+/// dedicated spill-register pool, rotated FIFO per the paper's section 4.1
+/// improvement.
 ///
 /// The allocator exists because the paper's Tables 3-5 hinge on spill-code
 /// differences between the two schedulers: schedules with long producer/
@@ -28,6 +29,7 @@
 #include "regalloc/TargetRegisters.h"
 
 #include <unordered_map>
+#include <vector>
 
 namespace bsched {
 
@@ -41,9 +43,10 @@ struct RegAllocResult {
   /// Spill reloads inserted (memory -> register).
   unsigned SpillLoads = 0;
 
-  /// Physical register initially holding each live-in virtual register
-  /// (used by tests to seed the interpreter, and by callers that model
-  /// calling conventions).
+  /// The general register holding each live-in virtual register at block
+  /// entry, each live-in in its own (used by tests to seed the
+  /// interpreter, by the allocation certificate as its entry state, and by
+  /// callers that model calling conventions).
   std::unordered_map<uint32_t, Reg> LiveInAssignment;
 
   /// Total spill instructions inserted.
@@ -54,11 +57,17 @@ struct RegAllocResult {
 /// from every program alias class.
 constexpr const char *SpillAliasClassName = "__spill";
 
+/// The registers \p BB reads before defining (its live-ins), in
+/// first-read order.
+std::vector<Reg> blockLiveIns(const BasicBlock &BB);
+
 /// Rewrites \p BB in place from virtual to physical registers, inserting
 /// spill code as needed. \p F provides the alias-class table (a "__spill"
 /// class is interned) — \p BB must belong to \p F. All values are treated
 /// as dead at block end (the pipeline's workloads store live results to
-/// memory explicitly).
+/// memory explicitly). Live-ins are bound to general registers at block
+/// entry, so a class's live-ins must not outnumber its general registers
+/// (runPipeline refuses such blocks with BS501).
 ///
 /// When \p Governor is set it is polled once per instruction and consulted
 /// for the spill-slot admission budget; on a trip the allocator bails

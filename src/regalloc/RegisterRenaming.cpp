@@ -7,6 +7,8 @@
 
 #include "regalloc/RegisterRenaming.h"
 
+#include "regalloc/LocalRegAlloc.h"
+
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -54,13 +56,6 @@ struct RegTimeline {
       if (U > Pos && U <= SpanEnd)
         return false;
     return true;
-  }
-
-  /// True if the register is read before it is first defined (live-in).
-  bool isLiveIn() const {
-    if (UsePositions.empty())
-      return false;
-    return DefPositions.empty() || UsePositions.front() < DefPositions.front();
   }
 };
 
@@ -138,20 +133,10 @@ RenamingResult bsched::renameRegisters(BasicBlock &BB,
   // out of the pool up front.
   std::unordered_map<uint32_t, Reg> CurrentName;
   Reg FramePointer = Target.framePointer();
-  {
-    std::unordered_map<uint32_t, bool> Defined;
-    for (unsigned I = 0; I != N; ++I) {
-      const Instruction &Instr = BB[I];
-      for (Reg Src : Instr.sources())
-        if (!Defined.count(Src.rawBits()) &&
-            !CurrentName.count(Src.rawBits())) {
-          CurrentName.emplace(Src.rawBits(), Src);
-          if (Src != FramePointer)
-            RenamerOf(Src).reserve(Src);
-        }
-      if (Instr.hasDest())
-        Defined[Instr.dest().rawBits()] = true;
-    }
+  for (Reg Src : blockLiveIns(BB)) {
+    CurrentName.emplace(Src.rawBits(), Src);
+    if (Src != FramePointer)
+      RenamerOf(Src).reserve(Src);
   }
 
   // Main pass: rewrite uses through CurrentName, release values at their

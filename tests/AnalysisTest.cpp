@@ -5,11 +5,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/AddressAnalysis.h"
 #include "analysis/Dataflow.h"
 #include "analysis/Lint.h"
+#include "ir/Interpreter.h"
 #include "parser/Parser.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
 
 using namespace bsched;
 
@@ -316,4 +320,51 @@ block body freq 1 {
 )");
   for (const Diagnostic &D : lintFunction(F))
     EXPECT_EQ(D.Sev, Severity::Warning);
+}
+
+//===----------------------------------------------------------------------===
+// One integer ALU: the address analysis folds what the interpreter computes
+//===----------------------------------------------------------------------===
+
+// Every integer ALU opcode over an edge grid (0, +-1, the extremes, shift
+// counts 63/64/65; the divisors 0 and -1 are in it): two `li` constants
+// fold to exactly the value the interpreter computes for the block.
+TEST(IntAluTest, AddressAnalysisFoldsConstantsAsTheInterpreterComputes) {
+  const std::vector<int64_t> Grid = {0,
+                                     1,
+                                     -1,
+                                     std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max(),
+                                     63,
+                                     64,
+                                     65};
+  const Reg A = Reg::makeVirtual(RegClass::Int, 0);
+  const Reg B = Reg::makeVirtual(RegClass::Int, 1);
+  const Reg D = Reg::makeVirtual(RegClass::Int, 2);
+  unsigned Checked = 0;
+  for (unsigned OpIndex = 0; OpIndex != NumOpcodes; ++OpIndex) {
+    const Opcode Op = static_cast<Opcode>(OpIndex);
+    if (!isIntAluOpcode(Op))
+      continue;
+    for (int64_t X : Grid)
+      for (int64_t Y : Grid) {
+        BasicBlock BB("b");
+        BB.append(Instruction::makeLoadImm(A, X));
+        BB.append(Instruction::makeLoadImm(B, Y));
+        BB.append(opcodeHasImm(Op)
+                      ? Instruction::makeBinaryImm(Op, D, A, Y)
+                      : Instruction::makeBinary(Op, D, A, B));
+        Interpreter Interp;
+        Interp.run(BB);
+        AddressAnalysis AA;
+        for (const Instruction &I : BB)
+          AA.step(I);
+        const SymbolicAddr Folded = AA.valueOf(D);
+        EXPECT_TRUE(Folded.isConstant()) << BB[2].str();
+        EXPECT_EQ(Folded.Offset, Interp.getIntReg(D))
+            << opcodeName(Op) << " " << X << ", " << Y;
+        ++Checked;
+      }
+  }
+  EXPECT_EQ(Checked, 14u * 8u * 8u);
 }

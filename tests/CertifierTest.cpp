@@ -499,10 +499,56 @@ block body freq 1 {
 }
 )");
   ASSERT_FALSE(A.Alloc.LiveInAssignment.empty());
+  // LiveInAssignment is the entry state: without it no register holds the
+  // live-in, so its read is a wrong value.
   A.Alloc.LiveInAssignment.clear();
   std::vector<Diagnostic> Diags = A.certify();
-  EXPECT_TRUE(hasCode(Diags, DiagCode::CertifyAllocShapeMismatch))
+  EXPECT_TRUE(hasCode(Diags, DiagCode::CertifyAllocWrongValue))
       << codes(Diags);
+}
+
+TEST(AllocationCertifierTest, LiveInSharingARegisterWrittenEarlierIsRejected) {
+  const char *Source = R"(
+func @chase {
+block b freq 1 {
+  %i2 = addi %i1, -8
+  store %i2, [%i1 + 8] !0
+  %i1 = load [%i1 + 8] !0
+  store %i3, [%i1 + 16] !0
+}
+}
+)";
+  // An allocation that bound live-in %i3 at its first read, to the
+  // register %i2 was computed into: $i1 holds %i2 when the last store
+  // reads it, so seeding $i1 with %i3 at entry cannot reproduce the input.
+  Function In = parse(Source);
+  Function Out = parse(R"(
+func @chase {
+block b freq 1 {
+  $i1 = addi $i0, -8
+  store $i1, [$i0 + 8] !0
+  $i0 = load [$i0 + 8] !0
+  store $i1, [$i0 + 16] !0
+}
+}
+)");
+  RegAllocResult Alloc;
+  Alloc.LiveInAssignment = {
+      {Reg::makeVirtual(RegClass::Int, 1).rawBits(),
+       Reg::makePhysical(RegClass::Int, 0)},
+      {Reg::makeVirtual(RegClass::Int, 3).rawBits(),
+       Reg::makePhysical(RegClass::Int, 1)}};
+  TargetDescription Target;
+  std::vector<Diagnostic> Diags = certifyAllocation(
+      In.block(0), Out.block(0), Alloc, Target,
+      Out.getOrCreateAliasClass(SpillAliasClassName));
+  EXPECT_TRUE(hasCode(Diags, DiagCode::CertifyAllocWrongValue))
+      << codes(Diags);
+
+  // The allocator binds both live-ins at entry, and that certifies.
+  Allocated A(Source, Target);
+  Diags = A.certify();
+  EXPECT_TRUE(Diags.empty()) << codes(Diags);
 }
 
 //===----------------------------------------------------------------------===

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace bsched;
 
 //===----------------------------------------------------------------------===
@@ -397,6 +399,72 @@ TEST(InterpreterTest, LiveInSeeding) {
   I.setIntReg(vi(1), 2);
   I.run(BB);
   EXPECT_EQ(I.getIntReg(vi(2)), 42);
+}
+
+TEST(InterpreterTest, IntAluIsDefinedOnTheWholeDomain) {
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  EXPECT_EQ(evalIntAlu(Opcode::Add, Max, 1), Min);
+  EXPECT_EQ(evalIntAlu(Opcode::Sub, Min, 1), Max);
+  EXPECT_EQ(evalIntAlu(Opcode::Mul, Min, -1), Min);
+  EXPECT_EQ(evalIntAlu(Opcode::Div, Min, -1), Min);
+  EXPECT_EQ(evalIntAlu(Opcode::Div, 7, 0), 0);
+  EXPECT_EQ(evalIntAlu(Opcode::Rem, Min, -1), 0);
+  EXPECT_EQ(evalIntAlu(Opcode::Rem, 7, 0), 0);
+  EXPECT_EQ(evalIntAlu(Opcode::Rem, -7, 2), -1);
+  EXPECT_EQ(evalIntAlu(Opcode::Shl, 1, 63), Min);
+  EXPECT_EQ(evalIntAlu(Opcode::Shl, 1, 64), 1);
+  EXPECT_EQ(evalIntAlu(Opcode::ShlI, 1, 65), 2);
+  EXPECT_EQ(evalIntAlu(Opcode::Shr, -1, 63), 1); // Logical.
+  EXPECT_EQ(evalIntAlu(Opcode::Shr, -1, 64), -1);
+  EXPECT_EQ(evalIntAlu(Opcode::Slt, Min, 0), 1); // Signed.
+  EXPECT_EQ(evalIntAlu(Opcode::Slt, 0, Min), 0);
+  EXPECT_EQ(evalIntAlu(Opcode::MulI, Max, 2), -2);
+  EXPECT_EQ(evalIntAlu(Opcode::AddI, Min, -1), Max);
+
+  unsigned AluOps = 0;
+  for (unsigned Op = 0; Op != NumOpcodes; ++Op)
+    AluOps += isIntAluOpcode(static_cast<Opcode>(Op));
+  EXPECT_EQ(AluOps, 14u);
+  EXPECT_FALSE(isIntAluOpcode(Opcode::LoadImm));
+  EXPECT_FALSE(isIntAluOpcode(Opcode::Move));
+  EXPECT_FALSE(isIntAluOpcode(Opcode::Load));
+}
+
+TEST(InterpreterTest, StepExecutesWhatRunExecutes) {
+  BasicBlock BB("b");
+  AliasClassId M = 0;
+  BB.append(Instruction::makeLoadImm(vi(0), 64));
+  BB.append(Instruction::makeLoad(Opcode::Load, vi(1), vi(0), 8, M));
+  BB.append(Instruction::makeBinary(Opcode::Xor, vi(2), vi(1), vi(5)));
+  BB.append(Instruction::makeStore(Opcode::Store, vi(2), vi(0), 16, M));
+  BB.append(Instruction::makeLoad(Opcode::Load, vi(0), vi(0), 16, M));
+  BB.append(Instruction::makeStore(Opcode::Store, vi(0), vi(0), -8, M));
+  BB.append(Instruction::makeRet());
+  BB.append(Instruction::makeLoadImm(vi(3), 1)); // After the terminator.
+
+  Interpreter Run, Step;
+  Run.run(BB);
+  std::vector<int64_t> Addresses;
+  for (const Instruction &I : BB) {
+    if (I.isTerminator())
+      break;
+    if (I.isMemory())
+      Addresses.push_back(Step.effectiveAddress(I));
+    Step.step(I);
+  }
+  EXPECT_EQ(Run.memoryImage(), Step.memoryImage());
+  EXPECT_EQ(Run.instructionsExecuted(), Step.instructionsExecuted());
+  for (unsigned R = 0; R != 4; ++R)
+    EXPECT_EQ(Run.getIntReg(vi(R)), Step.getIntReg(vi(R))) << R;
+  // The self-base load's address uses the base before the load's def.
+  ASSERT_EQ(Addresses.size(), 4u);
+  EXPECT_EQ(Addresses[0], 72);
+  EXPECT_EQ(Addresses[2], 80);
+  EXPECT_EQ(Addresses[3], Run.getIntReg(vi(0)) - 8);
+  // A terminator does nothing.
+  Step.step(Instruction::makeRet());
+  EXPECT_EQ(Run.instructionsExecuted(), Step.instructionsExecuted());
 }
 
 TEST(InterpreterTest, StopsAtTerminator) {

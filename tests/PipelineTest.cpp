@@ -367,6 +367,64 @@ TEST(PipelineTest, SelfBaseLoadCompilesWithoutAliasAnalysis) {
   }
 }
 
+// The allocation certificate runs after renaming, so it checks the renamed
+// block against the pre-allocation one: every Perfect Club program, under
+// both aliasing translations and three first-pass schedules, certifies.
+TEST(PipelineTest, RenamedAllocationsCertify) {
+  for (bool Fortran : {true, false})
+    for (Benchmark B : allBenchmarks()) {
+      WorkloadOptions Options;
+      Options.FortranAliasing = Fortran;
+      Function F = buildBenchmark(B, Options);
+      for (SchedulerPolicy Policy :
+           {SchedulerPolicy::Balanced, SchedulerPolicy::Traditional,
+            SchedulerPolicy::NoScheduling}) {
+        PipelineConfig Config = PipelineConfig::paperDefault();
+        Config.Policy = Policy;
+        Config.RenameAfterAllocation = true;
+        ASSERT_TRUE(Config.Certify);
+        ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
+        EXPECT_TRUE(Compiled.has_value())
+            << benchmarkName(B) << " fortran=" << Fortran << " "
+            << policyName(Policy) << ": " << Compiled.errorText();
+      }
+    }
+}
+
+// Live-ins enter the block in general registers of their own, so a block
+// with more live-ins of a class than general registers is refused up
+// front (BS501, naming the block) when the allocator runs.
+TEST(PipelineTest, MoreLiveInsThanGeneralRegistersIsBS501) {
+  ParseResult Parsed = parseIr("func @li {\n"
+                               "block b freq 1 {\n"
+                               "  %i10 = li 4096\n"
+                               "  store %i1, [%i10 + 0] !0\n"
+                               "  store %i2, [%i10 + 8] !0\n"
+                               "  store %i3, [%i10 + 16] !0\n"
+                               "  store %i4, [%i10 + 24] !0\n"
+                               "  store %i5, [%i10 + 32] !0\n"
+                               "  store %i1, [%i10 + 40] !0\n"
+                               "}\n"
+                               "}\n");
+  ASSERT_TRUE(Parsed.ok());
+  const Function &F = Parsed.Functions.front();
+  PipelineConfig Config = PipelineConfig::paperDefault();
+  Config.Policy = SchedulerPolicy::NoScheduling;
+  Config.Target.NumIntRegs = 8; // 3 general + 4 pool + FP.
+  ErrorOr<CompiledFunction> Refused = runPipeline(F, Config);
+  ASSERT_FALSE(Refused.has_value());
+  EXPECT_EQ(Refused.errors().front().Code, DiagCode::PipelineInvalidInput);
+  EXPECT_NE(Refused.errorText().find("block 'b'"), std::string::npos)
+      << Refused.errorText();
+
+  Config.Target.NumIntRegs = 10; // 5 general: every live-in fits.
+  EXPECT_TRUE(runPipeline(F, Config).has_value());
+  // Without allocation live-ins take no registers.
+  Config.Target.NumIntRegs = 8;
+  Config.RunRegAlloc = false;
+  EXPECT_TRUE(runPipeline(F, Config).has_value());
+}
+
 //===----------------------------------------------------------------------===
 // Golden output: the compiled text of fixed inputs, pinned by hash
 //===----------------------------------------------------------------------===

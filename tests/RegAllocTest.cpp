@@ -32,19 +32,17 @@ bool fullyPhysical(const BasicBlock &BB) {
 }
 
 /// Runs \p Original and its allocated rewrite, seeding allocated live-ins
-/// from the original's register values, and compares program-visible
-/// memory (everything except the spill area).
+/// from the original's register values at block entry, and compares
+/// program-visible memory (everything except the spill area).
 void expectSemanticsPreserved(Function &F, const BasicBlock &Original,
                               const BasicBlock &Allocated,
                               const RegAllocResult &Alloc) {
   Interpreter Before;
-  Before.run(Original);
-
   Interpreter After;
   for (const auto &[VregRaw, Phys] : Alloc.LiveInAssignment) {
-    // Reconstruct the Reg from its raw bits via a fresh interpreter read.
-    // Live-ins were never written in `Before`, so their values are the
-    // deterministic defaults of the *virtual* registers.
+    // Reconstruct the Reg from its raw bits. `Before` has not run yet (the
+    // block may redefine a live-in), so it reads the deterministic default
+    // of the *virtual* register: the live-in's entry value.
     Reg Vreg = Phys.regClass() == RegClass::Fp
                    ? Reg::makeVirtual(RegClass::Fp, VregRaw & 0xFFFFFF)
                    : Reg::makeVirtual(RegClass::Int, VregRaw & 0xFFFFFF);
@@ -54,6 +52,7 @@ void expectSemanticsPreserved(Function &F, const BasicBlock &Original,
     else
       After.setIntReg(Phys, Before.getIntReg(Vreg));
   }
+  Before.run(Original);
   After.run(Allocated);
 
   AliasClassId Spill = F.getOrCreateAliasClass(SpillAliasClassName);
@@ -154,6 +153,152 @@ TEST(RegAllocTest, LiveInsGetStableAssignments) {
   EXPECT_TRUE(Alloc.LiveInAssignment.count(In0.rawBits()));
   EXPECT_TRUE(Alloc.LiveInAssignment.count(In1.rawBits()));
 }
+
+TEST(RegAllocTest, LiveInKeepsItsRegisterAfterAnotherValueDies) {
+  // %i2 dies at the second instruction, before live-in %i3 is first read;
+  // %i3 must still enter the block in a register of its own, not take
+  // the one %i2 was computed into.
+  Function F("chase");
+  BasicBlock &BB = F.addBlock("b");
+  AliasClassId M = F.getOrCreateAliasClass("m");
+  Reg I1 = Reg::makeVirtual(RegClass::Int, 1);
+  Reg I2 = Reg::makeVirtual(RegClass::Int, 2);
+  Reg I3 = Reg::makeVirtual(RegClass::Int, 3);
+  BB.append(Instruction::makeBinaryImm(Opcode::AddI, I2, I1, -8));
+  BB.append(Instruction::makeStore(Opcode::Store, I2, I1, 8, M));
+  BB.append(Instruction::makeLoad(Opcode::Load, I1, I1, 8, M));
+  BB.append(Instruction::makeStore(Opcode::Store, I3, I1, 16, M));
+
+  BasicBlock Original = BB;
+  RegAllocResult Alloc = allocateRegisters(F, BB);
+  ASSERT_EQ(Alloc.LiveInAssignment.size(), 2u);
+  EXPECT_NE(Alloc.LiveInAssignment.at(I1.rawBits()),
+            Alloc.LiveInAssignment.at(I3.rawBits()));
+  EXPECT_NE(BB[0].dest(), Alloc.LiveInAssignment.at(I3.rawBits()));
+  expectSemanticsPreserved(F, Original, BB, Alloc);
+}
+
+TEST(RegAllocTest, LiveInsAreBoundAtEntryInFirstReadOrder) {
+  // Five live-ins, each stored once (and %i1 twice), enter in $i0..$i4
+  // under the default target and under one with exactly five general
+  // registers, where %i10's def evicts a live-in that must then be
+  // spilled from the register it entered in.
+  auto Build = [](Function &F) -> BasicBlock & {
+    BasicBlock &BB = F.addBlock("b");
+    AliasClassId M = F.getOrCreateAliasClass("m");
+    Reg Base = Reg::makeVirtual(RegClass::Int, 10);
+    BB.append(Instruction::makeLoadImm(Base, 4096));
+    for (unsigned I = 1; I <= 5; ++I)
+      BB.append(Instruction::makeStore(Opcode::Store,
+                                       Reg::makeVirtual(RegClass::Int, I),
+                                       Base, 8 * (I - 1), M));
+    BB.append(Instruction::makeStore(
+        Opcode::Store, Reg::makeVirtual(RegClass::Int, 1), Base, 40, M));
+    return BB;
+  };
+  TargetDescription Five;
+  Five.NumIntRegs = 10; // 5 general + 4 pool + FP.
+  for (const TargetDescription &Target : {TargetDescription(), Five}) {
+    Function F("li");
+    BasicBlock &BB = Build(F);
+    BasicBlock Original = BB;
+    RegAllocResult Alloc = allocateRegisters(F, BB, Target);
+    ASSERT_EQ(Alloc.LiveInAssignment.size(), 5u);
+    for (unsigned I = 1; I <= 5; ++I)
+      EXPECT_EQ(Alloc.LiveInAssignment.at(
+                    Reg::makeVirtual(RegClass::Int, I).rawBits()),
+                Reg::makePhysical(RegClass::Int, I - 1));
+    expectSemanticsPreserved(F, Original, BB, Alloc);
+  }
+}
+
+TEST(RegAllocTest, BlockLiveInsListsFirstReads) {
+  BasicBlock BB("b");
+  Reg A = Reg::makeVirtual(RegClass::Int, 1);
+  Reg B = Reg::makeVirtual(RegClass::Int, 2);
+  Reg C = Reg::makeVirtual(RegClass::Fp, 3);
+  BB.append(Instruction::makeBinary(Opcode::Add, A, B, A)); // Reads B, A.
+  BB.append(Instruction::makeUnary(Opcode::CvtIF, C, A));    // A is defined.
+  BB.append(Instruction::makeStore(Opcode::FStore, C, B, 0, 0));
+  std::vector<Reg> LiveIns = blockLiveIns(BB);
+  EXPECT_EQ(LiveIns, (std::vector<Reg>{B, A}));
+}
+
+TEST(RegAllocTest, DestinationMayTakeASourceRegisterWhenAllArePinned) {
+  // Three general FP registers, all holding fmadd sources that live on:
+  // the destination spills one source and reuses its register.
+  Function F("f");
+  BasicBlock &BB = F.addBlock("b");
+  IrBuilder B(F, BB);
+  AliasClassId M = F.getOrCreateAliasClass("m");
+  Reg Base = B.emitLoadImm(64);
+  Reg F0 = B.emitFLoad(Base, 0, M);
+  Reg F1 = B.emitFLoad(Base, 8, M);
+  Reg F2 = B.emitFLoad(Base, 16, M);
+  Reg Sum = B.emitFMadd(F0, F1, F2);
+  B.emitStore(Sum, Base, 24, M);
+  B.emitStore(F0, Base, 32, M);
+  B.emitStore(F1, Base, 40, M);
+  B.emitStore(F2, Base, 48, M);
+
+  TargetDescription Target;
+  Target.NumFpRegs = 7; // 3 general + 4 pool.
+  BasicBlock Original = BB;
+  RegAllocResult Alloc = allocateRegisters(F, BB, Target);
+  EXPECT_TRUE(fullyPhysical(BB));
+  EXPECT_GT(Alloc.SpillStores, 0u);
+  expectSemanticsPreserved(F, Original, BB, Alloc);
+}
+
+/// Reloads under a spill pool too small for one instruction's operands:
+/// an add of two spilled integers and an fmadd of three spilled FP values,
+/// with three general registers per class.
+class ReloadPoolTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ReloadPoolTest, ReloadsNeverShareARegisterWithinOneInstruction) {
+  const unsigned Pool = GetParam();
+  Function F("p");
+  BasicBlock &BB = F.addBlock("b");
+  IrBuilder B(F, BB);
+  AliasClassId M = F.getOrCreateAliasClass("m");
+  // Five integers live at once: Belady evicts I2 and I3, which the second
+  // add reloads together.
+  std::vector<Reg> I;
+  for (int V = 0; V != 5; ++V)
+    I.push_back(B.emitLoadImm(V + 1));
+  Reg Sum = B.emitBinary(Opcode::Add, I[0], I[1]);
+  Sum = B.emitBinary(Opcode::Add, Sum, B.emitBinary(Opcode::Add, I[2], I[3]));
+  Sum = B.emitBinary(Opcode::Add, Sum, I[4]);
+  Reg Base = B.emitLoadImm(4096);
+  B.emitStore(Sum, Base, 64, M);
+  // Six FP values: the three used last are evicted, then reloaded by one
+  // fmadd.
+  std::vector<Reg> Fp;
+  for (int V = 0; V != 6; ++V)
+    Fp.push_back(B.emitFLoad(Base, 8 * V, M));
+  Reg Early = B.emitFMadd(Fp[3], Fp[4], Fp[5]);
+  Reg Late = B.emitFMadd(Fp[0], Fp[1], Fp[2]);
+  B.emitStore(B.emitBinary(Opcode::FAdd, Early, Late), Base, 72, M);
+
+  TargetDescription Target;
+  Target.SpillPoolSize = Pool;
+  Target.NumIntRegs = Pool + 4; // 3 general + pool + FP.
+  Target.NumFpRegs = Pool + 3;  // 3 general + pool.
+  BasicBlock Original = BB;
+  RegAllocResult Alloc = allocateRegisters(F, BB, Target);
+  EXPECT_GT(Alloc.SpillLoads, 0u);
+  EXPECT_TRUE(fullyPhysical(BB));
+  for (const Instruction &I : BB) {
+    if (I.opcode() != Opcode::Add && I.opcode() != Opcode::FMadd)
+      continue;
+    for (unsigned S = 1; S != I.sources().size(); ++S) {
+      EXPECT_NE(I.source(S), I.source(S - 1)) << I.str();
+    }
+  }
+  expectSemanticsPreserved(F, Original, BB, Alloc);
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ReloadPoolTest, ::testing::Values(0, 1, 2));
 
 TEST(RegAllocTest, FifoPoolRotatesReloadRegisters) {
   // Force many reloads and check that consecutive reloads use different
@@ -257,6 +402,8 @@ TEST(RegAllocTest, TerminatorOperandAllocated) {
 namespace {
 
 /// Random straight-line program over a handful of values and two arrays.
+/// Some operands are live-ins, first read at random positions; integer
+/// live-ins are only stored, never used as addresses.
 void buildRandomProgram(Function &F, BasicBlock &BB, Rng &R,
                         unsigned NumInstrs) {
   IrBuilder B(F, BB);
@@ -264,11 +411,24 @@ void buildRandomProgram(Function &F, BasicBlock &BB, Rng &R,
   AliasClassId ClassB = F.getOrCreateAliasClass("b");
   std::vector<Reg> Ints{B.emitLoadImm(64), B.emitLoadImm(512)};
   std::vector<Reg> Fps{B.emitFLoadImm(0.5)};
+  std::vector<Reg> IntLiveIns, FpLiveIns;
+  for (unsigned I = 0; I != 3; ++I) {
+    IntLiveIns.push_back(F.makeVirtualReg(RegClass::Int));
+    FpLiveIns.push_back(F.makeVirtualReg(RegClass::Fp));
+  }
   auto PickInt = [&] { return Ints[R.nextBounded(Ints.size())]; };
   auto PickFp = [&] { return Fps[R.nextBounded(Fps.size())]; };
 
   for (unsigned I = 0; I != NumInstrs; ++I) {
-    switch (R.nextBounded(7)) {
+    switch (R.nextBounded(9)) {
+    case 7:
+      B.emitStore(IntLiveIns[R.nextBounded(IntLiveIns.size())], PickInt(),
+                  8 * R.nextBounded(8), ClassA);
+      break;
+    case 8:
+      Fps.push_back(B.emitBinary(Opcode::FAdd, PickFp(),
+                                 FpLiveIns[R.nextBounded(FpLiveIns.size())]));
+      break;
     case 0:
       Ints.push_back(B.emitLoad(PickInt(), 8 * R.nextBounded(8), ClassA));
       break;
