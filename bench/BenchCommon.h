@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Shared configuration for the table/figure reproduction binaries: the
-/// paper's sixteen system rows (section 4.5) with their "Optimistic
-/// Latency" values, and the simulation settings of section 4.3 (30 runs
-/// per block, 100 bootstrap sample means, 95% CIs).
+/// paper's twelve memory systems (section 4.5) with their "Optimistic
+/// Latency" values (Table 2's 17 rows), and the simulation settings of
+/// section 4.3 (30 runs per block, 100 bootstrap sample means, 95% CIs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +19,10 @@
 #include "pipeline/ExperimentEngine.h"
 #include "sim/MemorySystem.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "workload/PerfectClub.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -39,7 +41,7 @@ struct SystemRow {
   const char *Group; ///< Section label in the paper's tables.
 };
 
-/// The sixteen system rows of Table 2, in the paper's order.
+/// The twelve memory systems of Table 2 (17 rows), in the paper's order.
 inline std::vector<SystemRow> paperSystems() {
   std::vector<SystemRow> Rows;
   const char *CacheGroup = "Data cache; bus-based interconnection";
@@ -87,18 +89,26 @@ inline std::vector<std::pair<Benchmark, Function>> paperPrograms() {
 
 /// Runs \p Cells through a fresh experiment engine (worker count from
 /// BSCHED_JOBS, else hardware concurrency) observed through \p Obs, and
-/// prints the run's accounting line. A failed cell degrades that cell
-/// only; callers render it as "n/a" and keep printing the table.
+/// prints its accounting line to \p Out, if any. A failed cell degrades
+/// that cell only; callers render it as "n/a" and keep printing the table.
 inline EngineResult runEngineMatrix(const std::vector<ExperimentCell> &Cells,
-                                    ObsContext Obs = {}) {
+                                    ObsContext Obs = {},
+                                    std::FILE *Out = stdout) {
   ExperimentEngine Engine(0, Obs);
   EngineResult Result = Engine.run(Cells);
   const EngineCounters &C = Result.Counters;
-  std::printf("[engine] %u workers, %u cells (%u failed), "
-              "%u hits / %u misses in the compile cache, %.0f ms\n\n",
-              C.Workers, C.Cells, C.Failed, C.CacheHits, C.CacheMisses,
-              C.WallMillis);
+  if (Out)
+    std::fprintf(Out,
+                 "[engine] %u workers, %u cells (%u failed), "
+                 "%u hits / %u misses in the compile cache, %.0f ms\n\n",
+                 C.Workers, C.Cells, C.Failed, C.CacheHits, C.CacheMisses,
+                 C.WallMillis);
   return Result;
+}
+
+/// A mean improvement as printed; NaN (a mean over a failed cell) is n/a.
+inline std::string formatMean(double M) {
+  return std::isnan(M) ? "n/a" : formatPercent(M);
 }
 
 /// Writes the finished JSON document \p W to `BENCH_<name>.json` in the

@@ -61,6 +61,7 @@ int main() {
         const CellOutcome &Bad = BalOut.ok() ? AvgOut : BalOut;
         T.addRow({benchmarkName(B), "n/a (" + Bad.firstError() + ")", "n/a",
                   "n/a", "n/a"});
+        BalSum = AvgSum = NAN; // The means lack this row.
         continue;
       }
       const SchedulerComparison &Bal = *BalOut.Comparison;
@@ -74,7 +75,7 @@ int main() {
       AvgSum += Avg.Improvement.MeanPercent;
     }
     T.addSeparator();
-    T.addRow({"Mean", formatPercent(BalSum / 8), formatPercent(AvgSum / 8)});
+    T.addRow({"Mean", formatMean(BalSum / 8), formatMean(AvgSum / 8)});
     T.print(stdout);
     std::printf("\n");
   }

@@ -61,10 +61,10 @@ int main(int argc, char **argv) {
       continue;
     }
     uint64_t N = 0;
-    if (!parseCount(argv[I], N, 256) || N < 1) {
+    if (!parseCount(argv[I], N, ThreadPool::MaxWorkers) || N < 1) {
       std::fprintf(stderr,
-                   "usage: %s [workers 1..256 ...] [--trace-out=FILE]\n",
-                   argv[0]);
+                   "usage: %s [workers 1..%u ...] [--trace-out=FILE]\n",
+                   argv[0], ThreadPool::MaxWorkers);
       return 2;
     }
     WorkerCounts.push_back(static_cast<unsigned>(N));

@@ -1,137 +1,3 @@
-//===- bench/bench_fig3_interlocks.cpp - Figures 1-3 reproduction ---------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces Figures 1-3: the example code DAG, the greedy (W=5), lazy
-// (W=1) and balanced (W=3) schedules of Figure 2, and the interlock
-// counts each schedule incurs as the actual memory latency varies
-// (Figure 3's chart). Also prints the schedules our own bottom-up list
-// scheduler produces for the same weights, plus the Figure 4/5 parallel-
-// loads example.
-//
-//===----------------------------------------------------------------------===//
-
-#include "sched/BalancedWeighter.h"
-#include "sched/ListScheduler.h"
-#include "sched/TraditionalWeighter.h"
-#include "sim/Simulator.h"
-#include "support/Table.h"
-#include "tests/TestDagHelpers.h"
-
-#include <cstdio>
-#include <string>
-#include <vector>
-
-using namespace bsched;
-
-namespace {
-
-/// Builds the Figure 1 program as executable IR in a fixed order. L0 loads
-/// through a live-in pointer, L1 chases L0's result, X4 consumes L1;
-/// X0..X3 are independent one-cycle fillers.
-BasicBlock figure1Schedule(const std::vector<std::string> &Order) {
-  auto Vi = [](unsigned Id) { return Reg::makeVirtual(RegClass::Int, Id); };
-  BasicBlock BB("fig1");
-  for (const std::string &Name : Order) {
-    if (Name == "L0")
-      BB.append(Instruction::makeLoad(Opcode::Load, Vi(1), Vi(0), 0, 0));
-    else if (Name == "L1")
-      BB.append(Instruction::makeLoad(Opcode::Load, Vi(2), Vi(1), 0, 0));
-    else if (Name == "X4")
-      BB.append(Instruction::makeBinaryImm(Opcode::AddI, Vi(3), Vi(2), 1));
-    else
-      BB.append(
-          Instruction::makeLoadImm(Vi(10 + (Name[1] - '0')), 7));
-  }
-  return BB;
-}
-
-uint64_t interlocksAt(const BasicBlock &BB, unsigned Latency) {
-  Rng R(1);
-  return simulateBlock(BB, ProcessorModel::unlimited(),
-                       FixedSystem(Latency), R)
-      .InterlockCycles;
-}
-
-/// Renders a schedule of the Figure 1 DAG as its node-name sequence.
-std::string nameSchedule(const Schedule &Sched) {
-  static const char *Names[] = {"L0", "L1", "X0", "X1", "X2", "X3", "X4"};
-  std::string Out;
-  for (unsigned Node : Sched.Order) {
-    if (!Out.empty())
-      Out += " ";
-    Out += Names[Node];
-  }
-  return Out;
-}
-
-} // namespace
-
-int main() {
-  std::printf("Figures 1-3: the paper's worked example\n"
-              "=======================================\n\n");
-
-  // --- Balanced weights on the Figure 1 DAG (section 3's 1 + 4/2 = 3).
-  DepDag Fig1 = fixtures::makeFigure1Dag();
-  BalancedWeighter().assignWeights(Fig1);
-  std::printf("Figure 1 DAG: L0 -> L1 -> X4; X0..X3 independent.\n");
-  std::printf("Balanced weights: L0 = %.2f, L1 = %.2f (paper: 3 = 1 + "
-              "4/2)\n\n",
-              Fig1.weight(0), Fig1.weight(1));
-
-  // --- Figure 2: the three illustrated schedules.
-  std::vector<std::string> Greedy = {"L0", "X0", "X1", "X2", "X3", "L1",
-                                     "X4"};
-  std::vector<std::string> Lazy = {"L0", "L1", "X0", "X1", "X2", "X3",
-                                   "X4"};
-  std::vector<std::string> Balanced = {"L0", "X0", "X1", "L1", "X2", "X3",
-                                       "X4"};
-  std::printf("Figure 2 schedules (as illustrated in the paper):\n");
-  std::printf("  (a) traditional W=5 (greedy): L0 X0 X1 X2 X3 L1 X4\n");
-  std::printf("  (b) traditional W=1 (lazy):   L0 L1 X0 X1 X2 X3 X4\n");
-  std::printf("  (c) balanced W=3:             L0 X0 X1 L1 X2 X3 X4\n\n");
-
-  // --- What our bottom-up list scheduler emits for the same weights.
-  auto ScheduleWith = [&](double W, bool UseBalanced) {
-    DepDag Dag = fixtures::makeFigure1Dag();
-    if (UseBalanced)
-      BalancedWeighter().assignWeights(Dag);
-    else
-      TraditionalWeighter(W).assignWeights(Dag);
-    return nameSchedule(scheduleDag(Dag));
-  };
-  std::printf("Our bottom-up list scheduler (mirror-image greedy/lazy; "
-              "see DESIGN.md):\n");
-  std::printf("  traditional W=5: %s\n", ScheduleWith(5, false).c_str());
-  std::printf("  traditional W=1: %s\n", ScheduleWith(1, false).c_str());
-  std::printf("  balanced:        %s\n\n", ScheduleWith(0, true).c_str());
-
-  // --- Figure 3: interlocks versus actual latency.
-  BasicBlock GreedyBB = figure1Schedule(Greedy);
-  BasicBlock LazyBB = figure1Schedule(Lazy);
-  BasicBlock BalancedBB = figure1Schedule(Balanced);
-
-  Table T("Figure 3: interlock cycles vs. actual load latency");
-  T.setHeader({"Latency", "Greedy (2a)", "Lazy (2b)", "Balanced (2c)"});
-  for (unsigned Latency = 1; Latency <= 8; ++Latency)
-    T.addRow({std::to_string(Latency),
-              std::to_string(interlocksAt(GreedyBB, Latency)),
-              std::to_string(interlocksAt(LazyBB, Latency)),
-              std::to_string(interlocksAt(BalancedBB, Latency))});
-  T.print(stdout);
-  std::printf("\nPaper's claim: for latencies 2-4 the balanced schedule "
-              "beats both\ntraditional schedules; outside that range they "
-              "are equivalent.\n\n");
-
-  // --- Figure 4/5: parallel loads share padding.
-  DepDag Fig4 = fixtures::makeFigure4Dag();
-  BalancedWeighter().assignWeights(Fig4);
-  std::printf("Figure 4 (parallel loads): balanced weights L0 = %.2f, "
-              "L1 = %.2f\n",
-              Fig4.weight(0), Fig4.weight(1));
-  std::printf("(prose says 6 = 1 + 5/1 counting only the X instructions; "
-              "Figure 6's\nalgorithm adds the other parallel load's slot, "
-              "giving 7 — see DESIGN.md.)\n");
-  return 0;
-}
+//===- bench/bench_fig3_interlocks.cpp - Figures 1-5 reproduction ---------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::figures1to5); }

@@ -1,72 +1,3 @@
 //===- bench/bench_table1_weights.cpp - Table 1 reproduction --------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces Table 1: the per-instruction weight-contribution matrix of
-// the Figure 7 example DAG, printed as mixed fractions over twelfths the
-// way the paper does, plus the final per-load weights.
-//
-//===----------------------------------------------------------------------===//
-
-#include "sched/BalancedWeighter.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-#include "tests/TestDagHelpers.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using bsched::fixtures::Figure7;
-
-int main() {
-  std::printf("Table 1: weight contributions for the Figure 7 DAG\n"
-              "==================================================\n\n");
-  std::printf(
-      "Figure 7 reconstruction (DESIGN.md): L1 isolated; L2 -> {L3, X1, "
-      "X2};\nL3 -> {L4, L5}; L5 -> L6; X3 -> X2; X4 -> X2.\n\n");
-
-  DepDag Dag = fixtures::makeFigure7Dag();
-  BalancedWeighter Weighter;
-  BalancedWeighter::Breakdown BD = Weighter.computeBreakdown(Dag);
-
-  // Paper layout: one row per load, one column per contributor.
-  struct NamedNode {
-    const char *Name;
-    unsigned Index;
-  };
-  const NamedNode Loads[] = {{"L1", Figure7::L1}, {"L2", Figure7::L2},
-                             {"L3", Figure7::L3}, {"L4", Figure7::L4},
-                             {"L5", Figure7::L5}, {"L6", Figure7::L6}};
-  const NamedNode Contributors[] = {
-      {"L1", Figure7::L1}, {"L2", Figure7::L2}, {"L3", Figure7::L3},
-      {"L4", Figure7::L4}, {"L5", Figure7::L5}, {"L6", Figure7::L6},
-      {"X1", Figure7::X1}, {"X2", Figure7::X2}, {"X3", Figure7::X3},
-      {"X4", Figure7::X4}};
-
-  Table T;
-  std::vector<std::string> Header = {"Load"};
-  for (const NamedNode &C : Contributors)
-    Header.push_back(C.Name);
-  Header.push_back("Weight");
-  T.setHeader(std::move(Header));
-
-  for (const NamedNode &L : Loads) {
-    std::vector<std::string> Row = {L.Name};
-    for (const NamedNode &C : Contributors)
-      Row.push_back(formatTwelfths(BD.Contribution[C.Index][L.Index]));
-    Row.push_back(formatTwelfths(BD.Weights[L.Index]));
-    T.addRow(std::move(Row));
-  }
-  T.print(stdout);
-
-  std::printf(
-      "\nPaper's printed totals: L1 = 10, L2 = 1 1/4, L3 = 2 5/12,\n"
-      "L4 = 4 5/12, L5 = L6 = 2 11/12.\n"
-      "Our reconstruction matches every total except L2, where Figure 6's\n"
-      "algorithm forces 1 3/4 (X3 and X4 each see L2 on a 4-load path and\n"
-      "must contribute 1/4); the paper's own per-cell rows are\n"
-      "inconsistent with its totals there (hand-computed figure erratum —\n"
-      "see DESIGN.md).\n");
-  return 0;
-}
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::table1); }

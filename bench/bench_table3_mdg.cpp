@@ -1,105 +1,3 @@
 //===- bench/bench_table3_mdg.cpp - Table 3 reproduction ------------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces Table 3: the detailed component analysis of MDG — percent
-// improvement, traditional interlock share (TI%) and balanced interlock
-// share (BI%) — for all three processor models (UNLIMITED, MAX-8, LEN-8)
-// across every system configuration, plus the dynamic instruction counts
-// (TIns/BIns) whose difference is the spill-code effect.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Table 3: detailed analysis of MDG\n"
-              "(Imp%% = improvement; TI%%/BI%% = interlock share of cycles "
-              "for traditional/balanced;\n TIns/BIns = dynamic "
-              "instructions, in thousands)\n\n");
-
-  Function F = buildBenchmark(Benchmark::MDG);
-  const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
-                                       ProcessorModel::maxOutstanding(8),
-                                       ProcessorModel::maxLength(8)};
-
-  // Only the simulated processor differs between the three cells of a
-  // (system, latency) row, so every compilation after the first row is a
-  // cache hit.
-  std::vector<SystemRow> Systems = paperSystems();
-  std::vector<ExperimentCell> Matrix;
-  for (const SystemRow &Row : Systems)
-    for (double OptLat : Row.OptimisticLatencies)
-      for (const ProcessorModel &P : Processors)
-        Matrix.push_back({Row.Memory->name() + "/" + P.name(), &F,
-                          Row.Memory.get(), OptLat,
-                          SchedulerPolicy::Balanced,
-                          PipelineConfig::paperDefault(),
-                          paperSimulation(P)});
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  Table T;
-  T.setHeader({"System", "OptLat", "TIns", "BIns", "UNL Imp%", "UNL TI%",
-               "UNL BI%", "MAX8 Imp%", "MAX8 TI%", "MAX8 BI%", "LEN8 Imp%",
-               "LEN8 TI%", "LEN8 BI%"});
-
-  const char *LastGroup = nullptr;
-  size_t Next = 0;
-  for (const SystemRow &Row : Systems) {
-    if (LastGroup != Row.Group) {
-      if (LastGroup)
-        T.addSeparator();
-      T.addRow({Row.Group});
-      LastGroup = Row.Group;
-    }
-    for (double OptLat : Row.OptimisticLatencies) {
-      std::vector<std::string> Cells = {Row.Memory->name(),
-                                        formatDouble(OptLat, 2)};
-      bool CountsEmitted = false;
-      for (const ProcessorModel &P : Processors) {
-        (void)P;
-        const CellOutcome &Out = Run.Cells[Next++];
-        if (!Out.ok()) {
-          if (!CountsEmitted) {
-            Cells.push_back("n/a");
-            Cells.push_back("n/a");
-            CountsEmitted = true;
-          }
-          Cells.push_back("n/a (" + Out.firstError() + ")");
-          Cells.push_back("n/a");
-          Cells.push_back("n/a");
-          continue;
-        }
-        const SchedulerComparison &Cmp = *Out.Comparison;
-        if (!CountsEmitted) {
-          Cells.push_back(formatDouble(
-              Cmp.TraditionalSim.DynamicInstructions / 1000.0, 0));
-          Cells.push_back(formatDouble(
-              Cmp.CandidateSim.DynamicInstructions / 1000.0, 0));
-          CountsEmitted = true;
-        }
-        Cells.push_back(formatPercent(Cmp.Improvement.MeanPercent));
-        Cells.push_back(
-            formatPercent(Cmp.TraditionalSim.interlockPercent()));
-        Cells.push_back(
-            formatPercent(Cmp.CandidateSim.interlockPercent()));
-      }
-      T.addRow(std::move(Cells));
-    }
-  }
-  T.print(stdout);
-  std::printf("\nPaper's shape: BI%% < TI%% on (almost) every row — "
-              "balanced schedules\nincur fewer interlocks; MAX-8 shows the "
-              "highest interlock shares, and\nimprovements persist on the "
-              "restricted processors even though the\nbalanced scheduler "
-              "is not tuned for them (section 4.4).\n");
-  return 0;
-}
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::table3); }

@@ -1,65 +1,3 @@
 //===- bench/bench_table4_spills.cpp - Table 4 reproduction ---------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces Table 4: the percentage of executed instructions that are
-// spill code, for the balanced scheduler and for the traditional
-// scheduler at each of the paper's optimistic latencies
-// {2, 2.15, 2.4, 2.6, 3, 3.6, 5, 7.6, 30}.
-//
-//===----------------------------------------------------------------------===//
-
-#include "pipeline/Pipeline.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-#include "workload/PerfectClub.h"
-
-#include <cstdio>
-
-using namespace bsched;
-
-int main() {
-  std::printf("Table 4: spill instructions as a percentage of executed "
-              "instructions\n(BIns = balanced dynamic instructions, in "
-              "thousands)\n\n");
-
-  const double Latencies[] = {2, 2.15, 2.4, 2.6, 3, 3.6, 5, 7.6, 30};
-
-  Table T;
-  std::vector<std::string> Header = {"Program", "BIns", "Balanced"};
-  for (double L : Latencies)
-    Header.push_back("T@" + formatDouble(L, 2));
-  T.setHeader(std::move(Header));
-
-  for (Benchmark B : allBenchmarks()) {
-    Function F = buildBenchmark(B);
-
-    PipelineConfig BalConfig;
-    BalConfig.Policy = SchedulerPolicy::Balanced;
-    CompiledFunction Bal = runPipeline(F, BalConfig).value();
-
-    std::vector<std::string> Row = {
-        benchmarkName(B),
-        formatDouble(Bal.DynamicInstructions / 1000.0, 0),
-        formatDouble(Bal.spillPercent(), 2)};
-    for (double L : Latencies) {
-      PipelineConfig TradConfig;
-      TradConfig.Policy = SchedulerPolicy::Traditional;
-      TradConfig.OptimisticLatency = L;
-      Row.push_back(formatDouble(
-          runPipeline(F, TradConfig).value().spillPercent(), 2));
-    }
-    T.addRow(std::move(Row));
-  }
-  T.print(stdout);
-
-  std::printf(
-      "\nPaper's shape: QCD2 and BDNA are the spill-heavy programs, "
-      "FLO52Q the\nlightest; traditional spill grows sharply at the "
-      "30-cycle optimistic\nlatency (long hoisting distances stretch live "
-      "ranges). Divergence from\nthe paper: at small optimistic latencies "
-      "our traditional scheduler spills\nless than balanced, where GCC's "
-      "spilled more — see EXPERIMENTS.md.\n");
-  return 0;
-}
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::table4); }

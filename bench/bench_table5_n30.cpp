@@ -1,91 +1,3 @@
 //===- bench/bench_table5_n30.cpp - Table 5 reproduction ------------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces Table 5: the N(30,5) stress case — a mean latency far above
-// the workload's load-level parallelism — analysed per benchmark for all
-// three processor models: improvement, interlock shares, and dynamic
-// instruction counts (the spill-code effect).
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Table 5: analysis of the N(30,5) results (the effect of "
-              "spill code and\nunhideable latency)\n\n");
-
-  NetworkSystem Memory(30, 5);
-  const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
-                                       ProcessorModel::maxOutstanding(8),
-                                       ProcessorModel::maxLength(8)};
-
-  // Cells vary only in the simulated processor within a benchmark row, so
-  // the engine compiles each benchmark's pair of schedules exactly once.
-  std::vector<std::pair<Benchmark, Function>> Programs = paperPrograms();
-  std::vector<ExperimentCell> Matrix;
-  for (const auto &[B, F] : Programs)
-    for (const ProcessorModel &P : Processors)
-      Matrix.push_back({benchmarkName(B) + "/" + P.name(), &F, &Memory,
-                        /*OptimisticLatency=*/30, SchedulerPolicy::Balanced,
-                        PipelineConfig::paperDefault(), paperSimulation(P)});
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  Table T;
-  T.setHeader({"Program", "TIns", "BIns", "UNL Imp%", "UNL TI%", "UNL BI%",
-               "MAX8 Imp%", "MAX8 TI%", "MAX8 BI%", "LEN8 Imp%", "LEN8 TI%",
-               "LEN8 BI%"});
-
-  size_t Next = 0;
-  for (const auto &[B, F] : Programs) {
-    (void)F;
-    std::vector<std::string> Cells = {benchmarkName(B)};
-    bool CountsEmitted = false;
-    for (const ProcessorModel &P : Processors) {
-      (void)P;
-      const CellOutcome &Out = Run.Cells[Next++];
-      if (!Out.ok()) {
-        if (!CountsEmitted) {
-          Cells.insert(Cells.end(), {"n/a", "n/a"});
-          CountsEmitted = true;
-        }
-        Cells.insert(Cells.end(),
-                     {"n/a (" + Out.firstError() + ")", "n/a", "n/a"});
-        continue;
-      }
-      const SchedulerComparison &Cmp = *Out.Comparison;
-      if (!CountsEmitted) {
-        Cells.insert(Cells.end(),
-                     {formatDouble(
-                          Cmp.TraditionalSim.DynamicInstructions / 1000.0,
-                          0),
-                      formatDouble(
-                          Cmp.CandidateSim.DynamicInstructions / 1000.0,
-                          0)});
-        CountsEmitted = true;
-      }
-      Cells.push_back(formatPercent(Cmp.Improvement.MeanPercent));
-      Cells.push_back(formatPercent(Cmp.TraditionalSim.interlockPercent()));
-      Cells.push_back(formatPercent(Cmp.CandidateSim.interlockPercent()));
-    }
-    T.addRow(std::move(Cells));
-  }
-  T.print(stdout);
-
-  std::printf(
-      "\nPaper's shape: with a 30-cycle mean latency, interlocks dominate "
-      "both\nschedulers' runtimes, improvements hover around zero (some "
-      "negative),\nand whichever scheduler executes more spill "
-      "instructions loses. Our\ntraditional scheduler clusters loads more "
-      "cheaply than GCC's could, so\nits wins here are larger than the "
-      "paper's — see EXPERIMENTS.md.\n");
-  return 0;
-}
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::table5); }

@@ -1,0 +1,54 @@
+//===- bench/repro/PaperExperiments.h - The paper's experiments -*- C++ -*-===//
+//
+// Part of the bsched project: a reproduction of Kerns & Eggers,
+// "Balanced Scheduling" (PLDI 1993).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// One definition of each paper experiment (Figures 1-5, Tables 1-5): its
+/// inputs, table, claims and artifact, from PipelineConfig::paperDefault()
+/// and the default simulation seed. Each paper bench main is one benchMain
+/// call; repro_digest hashes what every definition measured.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef BSCHED_BENCH_REPRO_PAPEREXPERIMENTS_H
+#define BSCHED_BENCH_REPRO_PAPEREXPERIMENTS_H
+
+#include <cstdio>
+#include <string>
+#include <string_view>
+
+namespace bsched::repro {
+
+/// One run of a paper experiment. A bench main reports to stdout and
+/// writes the BENCH artifact; repro_digest reports nowhere, hashing Bits.
+struct Report {
+  std::FILE *Out = nullptr; ///< Where the report goes; nullptr: nowhere.
+  std::string Bits;         ///< The exact bytes of every result, in order.
+  bool ClaimsHold = true;   ///< Cleared by a failed claim (exit code 1).
+
+  void say(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
+  /// Append a number's bytes (a double's bit pattern) or a string to Bits.
+  template <typename T> void add(T V) {
+    Bits.append(reinterpret_cast<const char *>(&V), sizeof V);
+  }
+  void addText(std::string_view Text) { (Bits += Text) += '\0'; }
+};
+
+using Experiment = void (*)(Report &);
+
+void figures1to5(Report &R); ///< Weights, schedules, Fig. 3's interlocks.
+void table1(Report &R);      ///< Fig. 7's weight-contribution matrix.
+void table2(Report &R);      ///< UNLIMITED; checks 11 shape claims.
+void table3(Report &R);      ///< MDG on every system and processor.
+void table4(Report &R);      ///< Spill share of executed instructions.
+void table5(Report &R);      ///< N(30,5) on every processor model.
+
+/// Runs \p Run reporting to stdout; 1 (a failed claim) or 0 for main.
+int benchMain(Experiment Run);
+
+} // namespace bsched::repro
+
+#endif // BSCHED_BENCH_REPRO_PAPEREXPERIMENTS_H

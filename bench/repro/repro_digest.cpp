@@ -1,0 +1,31 @@
+//===- bench/repro/repro_digest.cpp - Digest of the paper experiments -----==//
+//
+// Runs every paper experiment once and prints a stableHash of what each
+// measured, then one of all of them. The `repro_digest` ctest pins these
+// lines (repro/digest.txt), so "nothing moved" is one command.
+//
+//===----------------------------------------------------------------------===//
+
+#include "bench/repro/PaperExperiments.h"
+#include "support/StringUtils.h"
+
+#include <cinttypes>
+
+int main() {
+  using namespace bsched::repro;
+  // Every paper experiment under its digest name, in the paper's order.
+  const struct {
+    const char *Name;
+    Experiment Run;
+  } Experiments[] = {{"fig1-5", figures1to5}, {"table1", table1},
+                     {"table2", table2},      {"table3", table3},
+                     {"table4", table4},      {"table5", table5}};
+  std::string All;
+  for (const auto &E : Experiments) {
+    Report R;
+    E.Run(R);
+    std::printf("%-6s 0x%016" PRIx64 "\n", E.Name, bsched::stableHash(R.Bits));
+    All += R.Bits;
+  }
+  std::printf("total  0x%016" PRIx64 "\n", bsched::stableHash(All));
+}

@@ -28,6 +28,7 @@
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/Socket.h"
+#include "support/ThreadPool.h"
 #include "support/Wire.h"
 #include "workload/KernelGen.h"
 
@@ -144,7 +145,7 @@ int main(int argc, char **argv) {
     } else if (Arg == "--requests" && (V = Value()) && parseCount(V, N)) {
       Requests = N;
     } else if (Arg == "--concurrency" && (V = Value()) &&
-               parseCount(V, N, MaxUnsigned) && N != 0) {
+               parseCount(V, N, ThreadPool::MaxWorkers) && N != 0) {
       Concurrency = static_cast<unsigned>(N);
     } else if (Arg == "--kernels" && (V = Value()) &&
                parseCount(V, N, MaxUnsigned) && N != 0) {

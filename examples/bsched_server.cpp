@@ -25,6 +25,7 @@
 #include "obs/Log.h"
 #include "server/Server.h"
 #include "support/CliOptions.h"
+#include "support/ThreadPool.h"
 
 #include <csignal>
 #include <cstdint>
@@ -80,7 +81,7 @@ int main(int argc, char **argv) {
       Stdio = true;
     } else if (Arg == "--workers") {
       const char *V = Value();
-      if (!V || !parseCount(V, N, MaxUnsigned)) {
+      if (!V || !parseCount(V, N, ThreadPool::MaxWorkers)) {
         usage(argv[0]);
         return 1;
       }

@@ -533,10 +533,26 @@ ErrorOr<CompiledFunction> bsched::runPipeline(const Function &Input,
     return ErrorOr<CompiledFunction>(std::move(Diags));
   }
 
-  // The allocator binds every live-in to its own general register at
-  // block entry, so no class may have more live-ins than general registers.
+  // The allocator maps virtual registers onto the target's, so a kernel
+  // that names a physical register would have it silently renumbered. It
+  // also binds every live-in to its own general register at block entry,
+  // so no class may have more live-ins than general registers.
   if (Config.RunRegAlloc)
     for (const BasicBlock &BB : Input) {
+      for (const Instruction &I : BB) {
+        Reg Physical = I.hasDest() && I.dest().isPhysical() ? I.dest() : Reg();
+        for (Reg R : I.sources())
+          if (R.isPhysical())
+            Physical = R;
+        if (Physical.isValid())
+          return ErrorOr<CompiledFunction>(std::vector<Diagnostic>{
+              {0, 0,
+               "block '" + BB.name() + "' of function '" + Input.name() +
+                   "': '" + I.str() + "' names physical register " +
+                   Physical.str() +
+                   "; register allocation takes virtual registers only",
+               Severity::Error, DiagCode::PipelineInvalidInput}});
+      }
       unsigned LiveIns[2] = {0, 0}; // [0] = Int, [1] = Fp.
       for (Reg R : blockLiveIns(BB))
         ++LiveIns[R.regClass() == RegClass::Fp ? 1 : 0];

@@ -12,7 +12,6 @@
 #include "support/FailPoint.h"
 
 #include <atomic>
-#include <climits>
 #include <cstdlib>
 #include <exception>
 
@@ -21,7 +20,7 @@ using namespace bsched;
 unsigned ThreadPool::defaultWorkerCount() {
   uint64_t Jobs = 0;
   if (const char *Env = std::getenv("BSCHED_JOBS");
-      Env && parseCount(Env, Jobs, UINT_MAX) && Jobs >= 1)
+      Env && parseCount(Env, Jobs, MaxWorkers) && Jobs >= 1)
     return static_cast<unsigned>(Jobs);
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw == 0 ? 1 : Hw;

@@ -16,6 +16,9 @@
 ///
 /// Worker count resolution: an explicit constructor argument wins; 0 means
 /// "the BSCHED_JOBS environment variable, else hardware concurrency".
+/// Every count that comes from outside the program (BSCHED_JOBS, a CLI
+/// flag) is capped at MaxWorkers, since a pool starts all of its threads
+/// at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +40,10 @@ namespace bsched {
 /// Fixed-size worker pool draining a FIFO task queue.
 class ThreadPool {
 public:
+  /// The largest worker count accepted from the environment or a command
+  /// line.
+  static constexpr unsigned MaxWorkers = 256;
+
   /// Spawns \p Workers worker threads; 0 resolves via defaultWorkerCount().
   /// A pool of one spawns no threads at all — tasks run inline in run() /
   /// parallelForEach(), which keeps single-job runs bit-for-bit the serial
@@ -74,7 +81,7 @@ public:
   /// parallelForEach can capture per-index body faults too).
   void recordFault(std::string Message);
 
-  /// BSCHED_JOBS if it is a count from 1 to UINT_MAX in bare decimal
+  /// BSCHED_JOBS if it is a count from 1 to MaxWorkers in bare decimal
   /// digits (as `--workers` takes it), else hardware concurrency (at
   /// least 1).
   static unsigned defaultWorkerCount();

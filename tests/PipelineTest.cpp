@@ -425,6 +425,35 @@ TEST(PipelineTest, MoreLiveInsThanGeneralRegistersIsBS501) {
   EXPECT_TRUE(runPipeline(F, Config).has_value());
 }
 
+// The allocator renames virtual registers only. A kernel written in
+// physical registers is refused up front (BS501, naming the block, the
+// instruction and the register) whether or not the certifiers run, rather
+// than renumbered; without allocation it compiles unchanged.
+TEST(PipelineTest, PhysicalRegistersUnderAllocationAreBS501) {
+  ParseResult Parsed = parseIr("func @p {\n"
+                               "block b freq 1 {\n"
+                               "  $i5 = addi $i4, 8\n"
+                               "  store $i5, [$i4 + 0] !0\n"
+                               "}\n"
+                               "}\n");
+  ASSERT_TRUE(Parsed.ok());
+  const Function &F = Parsed.Functions.front();
+  PipelineConfig Config = PipelineConfig::paperDefault();
+  for (bool Certify : {true, false}) {
+    Config.Certify = Certify;
+    ErrorOr<CompiledFunction> Refused = runPipeline(F, Config);
+    ASSERT_FALSE(Refused.has_value()) << "certify=" << Certify;
+    EXPECT_EQ(Refused.errors().front().Code, DiagCode::PipelineInvalidInput);
+    for (const char *Part : {"block 'b'", "$i5 = addi $i4, 8", "$i4"})
+      EXPECT_NE(Refused.errorText().find(Part), std::string::npos)
+          << Part << " missing from: " << Refused.errorText();
+  }
+  Config.RunRegAlloc = false;
+  ErrorOr<CompiledFunction> Kept = runPipeline(F, Config);
+  ASSERT_TRUE(Kept.has_value()) << Kept.errorText();
+  EXPECT_EQ(printFunction(Kept->Compiled), printFunction(F));
+}
+
 //===----------------------------------------------------------------------===
 // Golden output: the compiled text of fixed inputs, pinned by hash
 //===----------------------------------------------------------------------===

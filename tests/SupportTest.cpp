@@ -440,11 +440,14 @@ TEST(ThreadPoolTest, DefaultWorkerCountHonorsEnvOverride) {
   EXPECT_GE(Fallback, 1u);
   ASSERT_EQ(setenv("BSCHED_JOBS", "5", /*overwrite=*/1), 0);
   EXPECT_EQ(ThreadPool::defaultWorkerCount(), 5u);
-  // Anything --workers would reject, zero, or a count that does not fit
-  // an unsigned (and used to wrap) falls back. Only the count is asked
-  // for; no pool is built from these values.
-  for (const char *Bad : {"-2", "0", "", " 3", "+3", "3 ", "3x", "4294967296",
-                          "4294967298", "99999999999999999999"}) {
+  ASSERT_EQ(setenv("BSCHED_JOBS", "256", 1), 0);
+  EXPECT_EQ(ThreadPool::defaultWorkerCount(), ThreadPool::MaxWorkers);
+  // Anything --workers would reject, zero, a count past the cap, or one
+  // that does not fit an unsigned (and used to wrap) falls back. Only the
+  // count is asked for; no pool is built from these values.
+  for (const char *Bad : {"-2", "0", "", " 3", "+3", "3 ", "3x", "257",
+                          "4294967296", "4294967298",
+                          "99999999999999999999"}) {
     ASSERT_EQ(setenv("BSCHED_JOBS", Bad, 1), 0);
     EXPECT_EQ(ThreadPool::defaultWorkerCount(), Fallback) << '"' << Bad << '"';
   }
