@@ -87,30 +87,6 @@ inline std::vector<std::pair<Benchmark, Function>> paperPrograms() {
   return Programs;
 }
 
-/// Runs \p Cells through a fresh experiment engine (worker count from
-/// BSCHED_JOBS, else hardware concurrency) observed through \p Obs, and
-/// prints its accounting line to \p Out, if any. A failed cell degrades
-/// that cell only; callers render it as "n/a" and keep printing the table.
-inline EngineResult runEngineMatrix(const std::vector<ExperimentCell> &Cells,
-                                    ObsContext Obs = {},
-                                    std::FILE *Out = stdout) {
-  ExperimentEngine Engine(0, Obs);
-  EngineResult Result = Engine.run(Cells);
-  const EngineCounters &C = Result.Counters;
-  if (Out)
-    std::fprintf(Out,
-                 "[engine] %u workers, %u cells (%u failed), "
-                 "%u hits / %u misses in the compile cache, %.0f ms\n\n",
-                 C.Workers, C.Cells, C.Failed, C.CacheHits, C.CacheMisses,
-                 C.WallMillis);
-  return Result;
-}
-
-/// A mean improvement as printed; NaN (a mean over a failed cell) is n/a.
-inline std::string formatMean(double M) {
-  return std::isnan(M) ? "n/a" : formatPercent(M);
-}
-
 /// Writes the finished JSON document \p W to `BENCH_<name>.json` in the
 /// working directory and prints where it went. Every benchmark emits one
 /// of these so CI and EXPERIMENTS.md updates can diff machine-readable

@@ -1,62 +1,3 @@
-//===- bench/bench_ablation_renaming.cpp - Post-RA renaming ablation ------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Evaluates the section 4.1 alternative the paper sketches but does not
-// implement: software register renaming after allocation, instead of (and
-// on top of) the FIFO spill-register pool. Renaming dissolves the
-// WAR/WAW false dependences register reuse imposes on the second
-// scheduling pass, giving it more freedom to re-balance spill code.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Ablation: post-RA software register renaming (section 4.1's "
-              "sketched\nalternative), balanced scheduling, N(3,5)\n\n");
-
-  NetworkSystem Memory(3, 5);
-  SimulationConfig Sim = paperSimulation();
-
-  Table T;
-  T.setHeader({"Program", "Runtime base", "Runtime renamed", "Gain%"});
-  double SumGain = 0;
-  for (Benchmark B : allBenchmarks()) {
-    Function F = buildBenchmark(B);
-
-    PipelineConfig BaseConfig;
-    BaseConfig.Policy = SchedulerPolicy::Balanced;
-    CompiledFunction Base = runPipeline(F, BaseConfig).value();
-
-    PipelineConfig RenameConfig = BaseConfig;
-    RenameConfig.RenameAfterAllocation = true;
-    CompiledFunction Renamed = runPipeline(F, RenameConfig).value();
-
-    ProgramSimResult BaseSim = runSimulation(Base, Memory, Sim).value();
-    ProgramSimResult RenSim = runSimulation(Renamed, Memory, Sim).value();
-    double Gain =
-        100.0 * (BaseSim.MeanRuntime - RenSim.MeanRuntime) /
-        BaseSim.MeanRuntime;
-    SumGain += Gain;
-    T.addRow({benchmarkName(B),
-              formatDouble(BaseSim.MeanRuntime / 1000.0, 1) + "k",
-              formatDouble(RenSim.MeanRuntime / 1000.0, 1) + "k",
-              formatPercent(Gain)});
-  }
-  T.addSeparator();
-  T.addRow({"Mean", "", "", formatPercent(SumGain / 8)});
-  T.print(stdout);
-  std::printf("\nRenaming helps most where spill reloads and register "
-              "reuse serialized\nthe post-RA schedule; programs that "
-              "never spill see no change.\n");
-  return 0;
-}
+//===- bench/bench_ablation_renaming.cpp - Post-RA renaming ablation -------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::ablationRenaming); }

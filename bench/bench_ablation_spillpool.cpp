@@ -1,71 +1,5 @@
-//===- bench/bench_ablation_spillpool.cpp - Spill-pool ablation -----------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Reproduces the section 4.1 spill-register-pool study: GCC draws reload
-// registers from a small fixed pool, serializing spill code; the paper
-// enlarges the pool by two and rotates it FIFO. We compare pool sizes and
-// orderings on the spill-heavy programs.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
+//===- bench/bench_ablation_spillpool.cpp - Spill-pool ablation ------------==//
+#include "bench/repro/PaperExperiments.h"
 int main() {
-  std::printf("Ablation: spill-register pool size and ordering "
-              "(section 4.1)\n(balanced scheduling, N(3,5); runtime in "
-              "mean cycles, thousands)\n\n");
-
-  NetworkSystem Memory(3, 5);
-  SimulationConfig Sim = paperSimulation();
-
-  struct PoolSpec {
-    const char *Name;
-    unsigned Size;
-    bool Fifo;
-  };
-  // GCC's default is a pool of 2; the paper adds two and rotates FIFO.
-  const PoolSpec Pools[] = {{"fixed-2 (GCC)", 2, false},
-                            {"fifo-2", 2, true},
-                            {"fixed-4", 4, false},
-                            {"fifo-4 (paper)", 4, true}};
-
-  const Benchmark SpillHeavy[] = {Benchmark::QCD2, Benchmark::BDNA,
-                                  Benchmark::MDG};
-
-  for (Benchmark B : SpillHeavy) {
-    Function F = buildBenchmark(B);
-    Table T("Program " + benchmarkName(B));
-    T.setHeader({"Pool", "Spill%", "Runtime", "vs fixed-2"});
-    double Baseline = 0.0;
-    for (const PoolSpec &Pool : Pools) {
-      PipelineConfig Config;
-      Config.Policy = SchedulerPolicy::Balanced;
-      Config.Target.SpillPoolSize = Pool.Size;
-      Config.Target.FifoSpillPool = Pool.Fifo;
-      CompiledFunction C = runPipeline(F, Config).value();
-      ProgramSimResult SimResult = runSimulation(C, Memory, Sim).value();
-      if (Baseline == 0.0)
-        Baseline = SimResult.MeanRuntime;
-      double Gain =
-          100.0 * (Baseline - SimResult.MeanRuntime) / Baseline;
-      T.addRow({Pool.Name, formatDouble(C.spillPercent(), 2),
-                formatDouble(SimResult.MeanRuntime / 1000.0, 1),
-                formatPercent(Gain) + "%"});
-    }
-    T.print(stdout);
-    std::printf("\n");
-  }
-  std::printf("Paper's claim: a larger, FIFO-ordered pool lets spill "
-              "reloads schedule\nin parallel instead of serializing on "
-              "one or two registers.\n");
-  return 0;
+  return bsched::repro::benchMain(bsched::repro::ablationSpillPool);
 }

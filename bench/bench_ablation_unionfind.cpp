@@ -1,107 +1,5 @@
-//===- bench/bench_ablation_unionfind.cpp - Chances-estimate ablation -----==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Compares the two ways of computing the paper's "Chances" (maximum loads
-// in series per connected component): the exact longest-load-path DP, and
-// the paper's O(n a(n)) union-find min/max-level trick (section 3). We
-// measure how often the weights differ and whether the resulting
-// schedules' quality differs.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "dag/DagBuilder.h"
-#include "sched/BalancedWeighter.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cmath>
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
+//===- bench/bench_ablation_unionfind.cpp - Chances-estimate ablation ------==//
+#include "bench/repro/PaperExperiments.h"
 int main() {
-  std::printf("Ablation: exact longest-load-path vs. the paper's "
-              "union-find level\napproximation of Chances\n\n");
-
-  // -- Weight agreement on the workload blocks.
-  Table WT("Per-block weight agreement");
-  WT.setHeader({"Program", "Loads", "Equal", "MaxAbsDelta"});
-  for (Benchmark B : allBenchmarks()) {
-    Function F = buildBenchmark(B);
-    unsigned Loads = 0, Equal = 0;
-    double MaxDelta = 0.0;
-    for (BasicBlock &BB : F) {
-      DepDag Exact = buildDag(BB);
-      DepDag Approx = buildDag(BB);
-      BalancedWeighter(LatencyModel(), ChancesMethod::ExactLongestPath)
-          .assignWeights(Exact);
-      BalancedWeighter(LatencyModel(), ChancesMethod::UnionFindLevels)
-          .assignWeights(Approx);
-      for (unsigned I = 0; I != Exact.size(); ++I) {
-        if (!Exact.isLoad(I))
-          continue;
-        ++Loads;
-        double Delta = std::fabs(Exact.weight(I) - Approx.weight(I));
-        Equal += Delta < 1e-9;
-        MaxDelta = std::max(MaxDelta, Delta);
-      }
-    }
-    WT.addRow({benchmarkName(B), std::to_string(Loads),
-               std::to_string(Equal), formatDouble(MaxDelta, 3)});
-  }
-  WT.print(stdout);
-
-  // -- End-to-end improvement with each variant.
-  std::printf("\nEnd-to-end improvement over traditional, N(3,5):\n\n");
-  NetworkSystem Memory(3, 5);
-  SimulationConfig Sim = paperSimulation();
-
-  // The exact and union-find cells of each benchmark share their
-  // traditional baseline compile through the engine cache.
-  std::vector<std::pair<Benchmark, Function>> Programs = paperPrograms();
-  std::vector<ExperimentCell> Matrix;
-  for (const auto &[B, F] : Programs)
-    for (SchedulerPolicy Candidate : {SchedulerPolicy::Balanced,
-                                      SchedulerPolicy::BalancedUnionFind})
-      Matrix.push_back({benchmarkName(B) + "/" + policyName(Candidate), &F,
-                        &Memory, 3, Candidate,
-                        PipelineConfig::paperDefault(), Sim});
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  Table ET;
-  ET.setHeader({"Program", "Exact Imp%", "UnionFind Imp%"});
-  double SumExact = 0, SumApprox = 0;
-  size_t Next = 0;
-  for (const auto &[B, F] : Programs) {
-    (void)F;
-    const CellOutcome &ExactOut = Run.Cells[Next++];
-    const CellOutcome &ApproxOut = Run.Cells[Next++];
-    if (!ExactOut.ok() || !ApproxOut.ok()) {
-      const CellOutcome &Bad = ExactOut.ok() ? ApproxOut : ExactOut;
-      ET.addRow({benchmarkName(B), "n/a (" + Bad.firstError() + ")",
-                 "n/a"});
-      continue;
-    }
-    const SchedulerComparison &Exact = *ExactOut.Comparison;
-    const SchedulerComparison &Approx = *ApproxOut.Comparison;
-    ET.addRow({benchmarkName(B),
-               formatPercent(Exact.Improvement.MeanPercent),
-               formatPercent(Approx.Improvement.MeanPercent)});
-    SumExact += Exact.Improvement.MeanPercent;
-    SumApprox += Approx.Improvement.MeanPercent;
-  }
-  ET.addSeparator();
-  ET.addRow({"Mean", formatPercent(SumExact / 8),
-             formatPercent(SumApprox / 8)});
-  ET.print(stdout);
-  std::printf("\nThe level approximation equals the exact count whenever "
-              "every node on\nthe longest path is a load; on mixed paths "
-              "it deviates, but schedule\nquality is essentially "
-              "unchanged — supporting the paper's use of the\ncheaper "
-              "union-find formulation.\n");
-  return 0;
+  return bsched::repro::benchMain(bsched::repro::ablationUnionFind);
 }

@@ -1,190 +1,5 @@
-//===- bench/bench_alias_pruning.cpp - Symbolic memory disambiguation -----==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Measures what the symbolic memory-dependence analysis (DESIGN.md §3k)
-// buys on the alias-class-poor workload: the Perfect Club stand-ins built
-// under the conservative f2c/C translation, where every array shares one
-// alias class and — without address-level disambiguation — every
-// load/store pair in a block is serialized by a DepKind::Memory edge.
-//
-// For each benchmark the DAG is built with the alias analysis on and off
-// and the memory edges are counted; both configurations are then compiled
-// through the full certifying pipeline and the interpreted memory image of
-// every block is compared against the original program (spill traffic
-// excluded), so the reported pruning comes with a bit-identical-results
-// check, not just the in-pipeline certificate. Finally both
-// configurations are simulated (balanced vs. traditional, NetworkSystem
-// <3,5>) to show how the recovered freedom moves runtimes.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "dag/DagBuilder.h"
-#include "ir/Interpreter.h"
-#include "regalloc/LocalRegAlloc.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-#include <cstdlib>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-namespace {
-
-/// DepKind::Memory edges summed over a function's block DAGs.
-unsigned countMemoryEdges(const Function &F, bool AliasAnalysis) {
-  DagBuildOptions Options;
-  Options.AliasAnalysis = AliasAnalysis;
-  unsigned Total = 0;
-  for (const BasicBlock &BB : F) {
-    DepDag Dag = buildDag(BB, Options);
-    for (unsigned I = 0; I != Dag.size(); ++I)
-      for (const DepEdge &E : Dag.succs(I))
-        Total += E.Kind == DepKind::Memory;
-  }
-  return Total;
-}
-
-/// Compiles \p F with the given alias setting and checks every block's
-/// interpreted memory image against the original program. Exits nonzero
-/// on any mismatch: the pruning claim is only reportable with
-/// bit-identical results behind it.
-void checkBitIdentical(const Function &F, const char *Name,
-                       bool AliasAnalysis) {
-  PipelineConfig Config = PipelineConfig::paperDefault();
-  Config.DagOptions.AliasAnalysis = AliasAnalysis;
-  ErrorOr<CompiledFunction> Compiled = runPipeline(F, Config);
-  if (!Compiled.has_value()) {
-    std::fprintf(stderr, "FATAL: %s failed to compile (alias=%d): %s\n",
-                 Name, AliasAnalysis, Compiled.errorText().c_str());
-    std::exit(1);
-  }
-  AliasClassId Spill =
-      Compiled->Compiled.getOrCreateAliasClass(SpillAliasClassName);
-  for (unsigned B = 0; B != F.numBlocks(); ++B) {
-    Interpreter Before, After;
-    Before.run(F.block(B));
-    After.run(Compiled->Compiled.block(B));
-    if (Before.memoryImage() != After.memoryImageExcluding(Spill)) {
-      std::fprintf(stderr,
-                   "FATAL: %s block %u memory image diverges (alias=%d)\n",
-                   Name, B, AliasAnalysis);
-      std::exit(1);
-    }
-  }
-}
-
-} // namespace
-
-int main() {
-  std::printf("Symbolic memory disambiguation on the alias-class-poor "
-              "suite\n(conservative f2c/C translation: all arrays share "
-              "one alias class)\n\n");
-
-  WorkloadOptions Conservative;
-  Conservative.FortranAliasing = false;
-  std::vector<std::pair<Benchmark, Function>> Programs;
-  for (Benchmark B : allBenchmarks())
-    Programs.emplace_back(B, buildBenchmark(B, Conservative));
-
-  // Simulated runtimes: balanced vs. traditional under both alias
-  // settings, on the paper's <3,5> network row.
-  NetworkSystem Memory(3, 5);
-  SimulationConfig Sim = paperSimulation();
-  PipelineConfig On = PipelineConfig::paperDefault();
-  PipelineConfig Off = PipelineConfig::paperDefault();
-  Off.DagOptions.AliasAnalysis = false;
-  std::vector<ExperimentCell> Matrix;
-  for (auto &[B, F] : Programs) {
-    std::string Name = benchmarkName(B);
-    Matrix.push_back({Name + "/alias-on", &F, &Memory, 3,
-                      SchedulerPolicy::Balanced, On, Sim});
-    Matrix.push_back({Name + "/alias-off", &F, &Memory, 3,
-                      SchedulerPolicy::Balanced, Off, Sim});
-  }
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  Table T;
-  T.setHeader({"Program", "Mem edges off", "Mem edges on", "Pruned%",
-               "Runtime off", "Runtime on", "Imp% off", "Imp% on"});
-  JsonWriter W;
-  W.beginObject();
-  W.key("benchmark").value("alias_pruning");
-  W.key("workload").value("perfect-club conservative aliasing");
-  W.key("programs").beginArray();
-
-  unsigned TotalOff = 0, TotalOn = 0;
-  size_t Next = 0;
-  for (auto &[B, F] : Programs) {
-    std::string Name = benchmarkName(B);
-    unsigned EdgesOff = countMemoryEdges(F, false);
-    unsigned EdgesOn = countMemoryEdges(F, true);
-    TotalOff += EdgesOff;
-    TotalOn += EdgesOn;
-    checkBitIdentical(F, Name.c_str(), true);
-    checkBitIdentical(F, Name.c_str(), false);
-    double Pruned =
-        EdgesOff == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(EdgesOff - EdgesOn) / EdgesOff;
-
-    const CellOutcome &OutOn = Run.Cells[Next++];
-    const CellOutcome &OutOff = Run.Cells[Next++];
-    std::string RunOff = "n/a", RunOn = "n/a", ImpOff = "n/a",
-                ImpOn = "n/a";
-    if (OutOff.ok()) {
-      RunOff = formatDouble(OutOff.Comparison->CandidateSim.MeanRuntime, 0);
-      ImpOff = formatPercent(OutOff.Comparison->Improvement.MeanPercent);
-    }
-    if (OutOn.ok()) {
-      RunOn = formatDouble(OutOn.Comparison->CandidateSim.MeanRuntime, 0);
-      ImpOn = formatPercent(OutOn.Comparison->Improvement.MeanPercent);
-    }
-    T.addRow({Name, std::to_string(EdgesOff), std::to_string(EdgesOn),
-              formatDouble(Pruned, 1), RunOff, RunOn, ImpOff, ImpOn});
-
-    W.beginObject();
-    W.key("name").value(Name);
-    W.key("mem_edges_alias_off").value(EdgesOff);
-    W.key("mem_edges_alias_on").value(EdgesOn);
-    W.key("pruned_percent").valueFixed(Pruned, 1);
-    W.key("bit_identical").value(true);
-    if (OutOff.ok() && OutOn.ok()) {
-      W.key("balanced_runtime_alias_off")
-          .valueFixed(OutOff.Comparison->CandidateSim.MeanRuntime, 1);
-      W.key("balanced_runtime_alias_on")
-          .valueFixed(OutOn.Comparison->CandidateSim.MeanRuntime, 1);
-      W.key("improvement_percent_alias_off")
-          .valueFixed(OutOff.Comparison->Improvement.MeanPercent, 2);
-      W.key("improvement_percent_alias_on")
-          .valueFixed(OutOn.Comparison->Improvement.MeanPercent, 2);
-    }
-    W.endObject();
-  }
-  W.endArray();
-
-  double TotalPruned =
-      TotalOff == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(TotalOff - TotalOn) / TotalOff;
-  T.addSeparator();
-  T.addRow({"Total", std::to_string(TotalOff), std::to_string(TotalOn),
-            formatDouble(TotalPruned, 1), "", "", "", ""});
-  T.print(stdout);
-
-  W.key("total_mem_edges_alias_off").value(TotalOff);
-  W.key("total_mem_edges_alias_on").value(TotalOn);
-  W.key("total_pruned_percent").valueFixed(TotalPruned, 1);
-  W.endObject();
-  writeBenchArtifact("alias_pruning", W);
-
-  std::printf("\nEvery compiled configuration above also interpreted to a "
-              "bit-identical\nmemory image against its source program "
-              "(spill traffic excluded), on top\nof the in-pipeline "
-              "memory-dependence certificate (BS730-734).\n");
-  return 0;
-}
+//===- bench/bench_alias_pruning.cpp - Symbolic memory disambiguation ------==//
+// Writes BENCH_alias_pruning.json; exits 1 if a compiled memory image
+// diverges from its source program.
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::aliasPruning); }

@@ -1,80 +1,3 @@
-//===- bench/bench_ext_fp.cpp - Multi-cycle FP extension ------------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Explores the paper's section 6 extension: applying balanced weighting
-// when *other* instructions are multi-cycle too — floating-point
-// operations served by an asynchronous FP unit. IssueSlots(i) becomes the
-// op's latency, so a 4-cycle FMul offers 4 slots of latency-hiding
-// capacity to a parallel load.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Extension (section 6): balanced scheduling with multi-cycle "
-              "FP operations\n(improvement over traditional at the system "
-              "mean; N(3,5))\n\n");
-
-  NetworkSystem Memory(3, 5);
-
-  Table T;
-  T.setHeader({"FP latency", "ADM", "BDNA", "MDG", "QCD2", "Mean"});
-  const Benchmark Set[] = {Benchmark::ADM, Benchmark::BDNA, Benchmark::MDG,
-                           Benchmark::QCD2};
-  const double FpLats[] = {1.0, 2.0, 4.0};
-
-  std::vector<std::pair<Benchmark, Function>> Programs;
-  for (Benchmark B : Set)
-    Programs.emplace_back(B, buildBenchmark(B));
-
-  std::vector<ExperimentCell> Matrix;
-  for (double FpLat : FpLats) {
-    LatencyModel Ops = LatencyModel::withFpLatency(FpLat);
-    PipelineConfig Base = PipelineConfig::paperDefault();
-    Base.Ops = Ops;
-    SimulationConfig Sim = paperSimulation();
-    Sim.Ops = Ops;
-    for (const auto &[B, F] : Programs)
-      Matrix.push_back({benchmarkName(B) + "/fp" + formatDouble(FpLat, 0),
-                        &F, &Memory, 3, SchedulerPolicy::Balanced, Base,
-                        Sim});
-  }
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  size_t Next = 0;
-  for (double FpLat : FpLats) {
-    std::vector<std::string> Row = {formatDouble(FpLat, 0)};
-    double Sum = 0;
-    for (const auto &Program : Programs) {
-      (void)Program;
-      const CellOutcome &Out = Run.Cells[Next++];
-      if (!Out.ok()) {
-        Row.push_back("n/a (" + Out.firstError() + ")");
-        continue;
-      }
-      Row.push_back(formatPercent(Out.Comparison->Improvement.MeanPercent));
-      Sum += Out.Comparison->Improvement.MeanPercent;
-    }
-    Row.push_back(formatPercent(Sum / 4));
-    T.addRow(std::move(Row));
-  }
-  T.print(stdout);
-  std::printf("\nEach FP op still occupies one issue slot (its latency "
-              "shows up in its\nproducer weight, which both schedulers "
-              "honour), so longer FP latencies\nadd deterministic stalls "
-              "that neither policy can trade against the\nuncertain load "
-              "latencies. Balanced scheduling's advantage shrinks on\nthe "
-              "FP-bound programs and persists on the load-bound ones "
-              "(MDG).\n");
-  return 0;
-}
+//===- bench/bench_ext_fp.cpp - Multi-cycle FP extension -------------------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::extFp); }

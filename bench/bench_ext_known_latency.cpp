@@ -1,77 +1,3 @@
-//===- bench/bench_ext_known_latency.cpp - Known-latency extension --------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// The section 6 "disable balanced scheduling when the latency is known"
-// extension: a static pass marks second-accesses to cache lines as known
-// hits; the balanced weighter then gives those loads their fixed latency
-// and reserves the block's parallelism for the genuinely uncertain loads.
-// We compare balanced with and without the opt-out on line-marked code
-// (the machine honours the known hits either way).
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-#include "workload/LineReuse.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Extension (section 6): known-latency opt-out for second "
-              "accesses to a\ncache line (32-byte lines, 2-cycle known "
-              "hits; cache L80(2,10))\n\n");
-
-  CacheSystem Memory(0.8, 2, 10);
-  SimulationConfig Sim = paperSimulation();
-
-  Table T;
-  T.setHeader({"Program", "Loads", "Marked", "Naive runtime",
-               "Opt-out runtime", "Gain%", "Naive spill%", "Opt spill%"});
-  double SumGain = 0;
-  unsigned Rows = 0;
-  for (Benchmark B : allBenchmarks()) {
-    Function F = buildBenchmark(B);
-    unsigned Loads = 0, Marked = 0;
-    for (BasicBlock &BB : F) {
-      for (const Instruction &I : BB)
-        Loads += I.isLoad();
-      Marked += markKnownLineHits(BB, 32, 2);
-    }
-
-    PipelineConfig Naive;
-    Naive.Policy = SchedulerPolicy::Balanced;
-    Naive.HonorKnownLatency = false;
-    PipelineConfig OptOut = Naive;
-    OptOut.HonorKnownLatency = true;
-
-    CompiledFunction NaiveC = runPipeline(F, Naive).value();
-    CompiledFunction OptC = runPipeline(F, OptOut).value();
-    ProgramSimResult NaiveSim = runSimulation(NaiveC, Memory, Sim).value();
-    ProgramSimResult OptSim = runSimulation(OptC, Memory, Sim).value();
-    double Gain = 100.0 * (NaiveSim.MeanRuntime - OptSim.MeanRuntime) /
-                  NaiveSim.MeanRuntime;
-    SumGain += Gain;
-    ++Rows;
-    T.addRow({benchmarkName(B), std::to_string(Loads),
-              std::to_string(Marked),
-              formatDouble(NaiveSim.MeanRuntime / 1000.0, 1) + "k",
-              formatDouble(OptSim.MeanRuntime / 1000.0, 1) + "k",
-              formatPercent(Gain),
-              formatPercent(NaiveC.spillPercent()),
-              formatPercent(OptC.spillPercent())});
-  }
-  T.addSeparator();
-  T.addRow({"Mean", "", "", "", "", formatPercent(SumGain / Rows)});
-  T.print(stdout);
-  std::printf("\nKnown-hit loads keep a fixed 2-cycle weight and stop "
-              "absorbing the\nblock's parallelism; the win shows up as "
-              "less wasted hoisting (lower\nspill%%) on line-dense code "
-              "and is neutral where every line is touched\nonce.\n");
-  return 0;
-}
+//===- bench/bench_ext_known_latency.cpp - Known-latency extension ---------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::extKnownLatency); }

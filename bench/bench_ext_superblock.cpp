@@ -1,75 +1,3 @@
-//===- bench/bench_ext_superblock.cpp - Block-enlargement extension -------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// The section 6 "techniques that enlarge basic blocks" extension: balanced
-// scheduling measures load-level parallelism *within a block*, so its
-// advantage should grow with the scheduling region. We split the workload
-// into small jump-linked pieces (a compiler with no unrolling or region
-// formation), then progressively restore region size with the superblock
-// former, comparing balanced vs traditional at each region size.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-#include "trace/TraceFormation.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Extension (section 6): enlarging scheduling regions with "
-              "superblock\nformation (N(3,5), optimistic latency 3)\n\n");
-
-  NetworkSystem Memory(3, 5);
-  SimulationConfig Sim = paperSimulation();
-
-  Table T;
-  T.setHeader({"Regions", "Mean block", "ADM", "FLO52Q", "MDG", "QCD2",
-               "Mean Imp%"});
-  const Benchmark Set[] = {Benchmark::ADM, Benchmark::FLO52Q,
-                           Benchmark::MDG, Benchmark::QCD2};
-
-  for (unsigned PieceSize : {6u, 12u, 0u /* 0 = formed superblocks */}) {
-    std::vector<std::string> Row;
-    double SumImp = 0, SumBlockSize = 0;
-    unsigned Blocks = 0;
-    std::vector<double> Imps;
-    for (Benchmark B : Set) {
-      Function F = buildBenchmark(B);
-      // Always split first (the small-region compiler)...
-      Function Split = splitIntoChains(F, PieceSize == 0 ? 6 : PieceSize);
-      // ...then optionally re-form superblocks.
-      Function Program =
-          PieceSize == 0 ? formSuperblocks(Split).Formed : Split;
-
-      for (const BasicBlock &BB : Program) {
-        SumBlockSize += BB.schedulableSize();
-        ++Blocks;
-      }
-      SchedulerComparison Cmp =
-          runComparison(Program, Memory, 3, Sim).value();
-      Imps.push_back(Cmp.Improvement.MeanPercent);
-      SumImp += Cmp.Improvement.MeanPercent;
-    }
-    Row.push_back(PieceSize == 0 ? "superblocks" :
-                  ("pieces<=" + std::to_string(PieceSize)));
-    Row.push_back(formatDouble(SumBlockSize / Blocks, 1));
-    for (double I : Imps)
-      Row.push_back(formatPercent(I));
-    Row.push_back(formatPercent(SumImp / 4));
-    T.addRow(std::move(Row));
-  }
-  T.print(stdout);
-  std::printf("\nBalanced scheduling needs parallelism it can *see*: with "
-              "6-instruction\nregions there is almost nothing to balance; "
-              "superblock formation restores\nthe full-block advantage — "
-              "the paper's motivation for pairing balanced\nscheduling "
-              "with trace scheduling and unrolling.\n");
-  return 0;
-}
+//===- bench/bench_ext_superblock.cpp - Block-enlargement extension --------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::extSuperblock); }

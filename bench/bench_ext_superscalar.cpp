@@ -1,80 +1,3 @@
-//===- bench/bench_ext_superscalar.cpp - Superscalar extension ------------==//
-//
-// Part of the bsched project: a reproduction of Kerns & Eggers,
-// "Balanced Scheduling" (PLDI 1993).
-//
-// Explores the paper's section 6 superscalar extension: issue widths of
-// 1, 2 and 4 on an UNLIMITED-load machine. Wider issue consumes the
-// independent instructions faster, leaving fewer cycles of latency hiding
-// per load — the interesting question is whether balanced scheduling's
-// advantage survives.
-//
-//===----------------------------------------------------------------------===//
-
-#include "bench/BenchCommon.h"
-#include "support/StringUtils.h"
-#include "support/Table.h"
-
-#include <cstdio>
-
-using namespace bsched;
-using namespace bsched::bench;
-
-int main() {
-  std::printf("Extension (section 6): superscalar issue widths\n"
-              "(improvement over traditional, N(3,5), optimistic latency "
-              "3)\n\n");
-
-  NetworkSystem Memory(3, 5);
-
-  Table T;
-  std::vector<std::string> Header = {"Width"};
-  for (Benchmark B : allBenchmarks())
-    Header.push_back(benchmarkName(B));
-  Header.push_back("Mean");
-  T.setHeader(std::move(Header));
-
-  const unsigned Widths[] = {1u, 2u, 4u};
-  std::vector<std::pair<Benchmark, Function>> Programs = paperPrograms();
-  std::vector<ExperimentCell> Matrix;
-  for (unsigned Width : Widths) {
-    // The superscalar preset sets the scheduler's issue width; the
-    // simulator's processor model carries its own.
-    PipelineConfig Base = PipelineConfig::superscalar(Width);
-    ProcessorModel P = ProcessorModel::unlimited();
-    P.IssueWidth = Width;
-    SimulationConfig Sim = paperSimulation(P);
-    for (const auto &[B, F] : Programs)
-      Matrix.push_back({benchmarkName(B) + "/w" + std::to_string(Width), &F,
-                        &Memory, 3, SchedulerPolicy::Balanced, Base, Sim});
-  }
-  EngineResult Run = runEngineMatrix(Matrix);
-
-  size_t Next = 0;
-  for (unsigned Width : Widths) {
-    std::vector<std::string> Row = {std::to_string(Width)};
-    double Sum = 0;
-    for (const auto &Program : Programs) {
-      (void)Program;
-      const CellOutcome &Out = Run.Cells[Next++];
-      if (!Out.ok()) {
-        Row.push_back("n/a (" + Out.firstError() + ")");
-        continue;
-      }
-      Row.push_back(formatPercent(Out.Comparison->Improvement.MeanPercent));
-      Sum += Out.Comparison->Improvement.MeanPercent;
-    }
-    Row.push_back(formatPercent(Sum / 8));
-    T.addRow(std::move(Row));
-  }
-  T.print(stdout);
-  std::printf("\nBoth the list scheduler and the simulator honour the "
-              "issue width, and\nthe balanced weighter divides each "
-              "instruction's hiding capacity by the\nwidth (one slot now "
-              "hides 1/W cycles). As width grows the machine\nconsumes "
-              "the independent instructions faster, less latency can be "
-              "hidden\nby either policy, and balanced scheduling's edge "
-              "narrows -- the open\nquestion the paper's section 6 "
-              "flags.\n");
-  return 0;
-}
+//===- bench/bench_ext_superscalar.cpp - Superscalar extension -------------==//
+#include "bench/repro/PaperExperiments.h"
+int main() { return bsched::repro::benchMain(bsched::repro::extSuperscalar); }

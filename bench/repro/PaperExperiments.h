@@ -6,10 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One definition of each paper experiment (Figures 1-5, Tables 1-5): its
-/// inputs, table, claims and artifact, from PipelineConfig::paperDefault()
-/// and the default simulation seed. Each paper bench main is one benchMain
-/// call; repro_digest hashes what every definition measured.
+/// One definition of each experiment: the paper's Figures 1-5 and Tables
+/// 1-5, its variants (sections 3, 4.1 and 4.2), its section 6 extensions
+/// and alias pruning. Each holds its inputs, table, claims and artifact,
+/// from PipelineConfig::paperDefault() and the default simulation seed;
+/// every simulated number comes from experiment-engine cells. Each bench
+/// main is one benchMain call; repro_digest hashes what every definition
+/// measured.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +48,19 @@ void table2(Report &R);      ///< UNLIMITED; checks 11 shape claims.
 void table3(Report &R);      ///< MDG on every system and processor.
 void table4(Report &R);      ///< Spill share of executed instructions.
 void table5(Report &R);      ///< N(30,5) on every processor model.
+
+void ablationAverage(Report &R);   ///< Section 3's block-average LLP.
+void ablationUnionFind(Report &R); ///< Section 3's union-find Chances.
+void ablationAliasing(Report &R);  ///< Section 4.2's alias transformation.
+void ablationSpillPool(Report &R); ///< Section 4.1's spill-register pool.
+void ablationRenaming(Report &R);  ///< Section 4.1's renaming alternative.
+void extFp(Report &R);             ///< Section 6: multi-cycle FP ops.
+void extSuperscalar(Report &R);    ///< Section 6: issue widths 1, 2, 4.
+void extKnownLatency(Report &R);   ///< Section 6: known hits opt out.
+void extSuperblock(Report &R);     ///< Section 6: scheduling-region size.
+/// Memory edges pruned by the symbolic analysis; a compiled program whose
+/// interpreted memory image diverges from its source fails the claim.
+void aliasPruning(Report &R);
 
 /// Runs \p Run reporting to stdout; 1 (a failed claim) or 0 for main.
 int benchMain(Experiment Run);

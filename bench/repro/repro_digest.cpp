@@ -1,6 +1,6 @@
-//===- bench/repro/repro_digest.cpp - Digest of the paper experiments -----==//
+//===- bench/repro/repro_digest.cpp - Digest of every experiment ----------==//
 //
-// Runs every paper experiment once and prints a stableHash of what each
+// Runs every experiment once and prints a stableHash of what each
 // measured, then one of all of them. The `repro_digest` ctest pins these
 // lines (repro/digest.txt), so "nothing moved" is one command.
 //
@@ -13,13 +13,27 @@
 
 int main() {
   using namespace bsched::repro;
-  // Every paper experiment under its digest name, in the paper's order.
+  // Every experiment under its digest name: the paper's in its order, then
+  // the others under their bench names.
   const struct {
     const char *Name;
     Experiment Run;
-  } Experiments[] = {{"fig1-5", figures1to5}, {"table1", table1},
-                     {"table2", table2},      {"table3", table3},
-                     {"table4", table4},      {"table5", table5}};
+  } Experiments[] = {{"fig1-5", figures1to5},
+                     {"table1", table1},
+                     {"table2", table2},
+                     {"table3", table3},
+                     {"table4", table4},
+                     {"table5", table5},
+                     {"ablation_average", ablationAverage},
+                     {"ablation_unionfind", ablationUnionFind},
+                     {"ablation_aliasing", ablationAliasing},
+                     {"ablation_spillpool", ablationSpillPool},
+                     {"ablation_renaming", ablationRenaming},
+                     {"ext_fp", extFp},
+                     {"ext_superscalar", extSuperscalar},
+                     {"ext_known_latency", extKnownLatency},
+                     {"ext_superblock", extSuperblock},
+                     {"alias_pruning", aliasPruning}};
   std::string All;
   for (const auto &E : Experiments) {
     Report R;

@@ -7,7 +7,9 @@
 #      10k-iteration chaos fuzz bulk, all under the sanitizer.
 #   2. A BSCHED_FAILPOINTS environment replay: the fuzz harness's fixed
 #      seed trio runs with pipeline sites armed from the environment, the
-#      way an operator would chaos-test a deployment.
+#      way an operator would chaos-test a deployment, and repro_digest
+#      runs every experiment under the same faults and must exit 0 (a
+#      failed cell prints n/a; it never aborts the digest).
 #   3. A BSCHED_NO_FAILPOINTS=ON build of the same suites: the injection
 #      layer compiles out to nothing and every test either passes or
 #      skips itself — production builds carry zero chaos overhead.
@@ -25,8 +27,10 @@ ctest --test-dir build-asan -L "chaos|governor" --output-on-failure \
   -j "$(nproc)"
 
 echo "== chaos: BSCHED_FAILPOINTS environment replay (asan) =="
-BSCHED_FAILPOINTS="dag-build:0.02:7,regalloc:0.02:11,certify:0.02:13" \
+FAULTS="dag-build:0.02:7,regalloc:0.02:11,certify:0.02:13"
+BSCHED_FAILPOINTS="$FAULTS" \
   ./build-asan/tests/fuzz_harness --seed 0xC4A05 --iters 2000 --mode chaos
+BSCHED_FAILPOINTS="$FAULTS" ./build-asan/bench/repro_digest
 
 echo "== chaos: BSCHED_NO_FAILPOINTS=ON build =="
 cmake -B build-nofp -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

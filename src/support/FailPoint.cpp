@@ -7,12 +7,17 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 using namespace bsched;
 
@@ -173,6 +178,15 @@ bool FailPointRegistry::parseSpec(std::string_view Spec,
                " (expected site:prob:seed[,site:prob:seed...])";
     return false;
   };
+  // A spec that a typo or an unusable number would leave partly armed
+  // makes a chaos run quietly test less than it says: check every entry
+  // before arming any.
+  struct Arming {
+    std::string Site;
+    double Prob;
+    uint64_t Seed;
+  };
+  std::vector<Arming> Armings;
   size_t Pos = 0;
   while (Pos < Spec.size()) {
     size_t End = Spec.find(',', Pos);
@@ -189,19 +203,28 @@ bool FailPointRegistry::parseSpec(std::string_view Spec,
     std::string Site(Entry.substr(0, C1));
     std::string ProbText(Entry.substr(C1 + 1, C2 - C1 - 1));
     std::string SeedText(Entry.substr(C2 + 1));
-    if (Site.empty())
-      return Fail("empty site name in '" + std::string(Entry) + "'");
+    if (std::find(std::begin(failpoints::All), std::end(failpoints::All),
+                  Site) == std::end(failpoints::All))
+      return Fail("unknown site '" + Site + "'");
 
+    // NaN fails both comparisons.
     char *ProbEnd = nullptr;
     double Prob = std::strtod(ProbText.c_str(), &ProbEnd);
-    if (ProbEnd == ProbText.c_str() || *ProbEnd != '\0' || Prob < 0.0)
-      return Fail("probability '" + ProbText + "'");
+    if (ProbEnd == ProbText.c_str() || *ProbEnd != '\0' ||
+        !(Prob >= 0.0 && Prob <= 1.0))
+      return Fail("probability '" + ProbText + "' (not in [0, 1])");
+    // strtoull would wrap a sign and saturate an overflow silently.
     char *SeedEnd = nullptr;
+    errno = 0;
     uint64_t Seed = std::strtoull(SeedText.c_str(), &SeedEnd, 0);
-    if (SeedEnd == SeedText.c_str() || *SeedEnd != '\0')
-      return Fail("seed '" + SeedText + "'");
-    enable(Site, Prob, Seed);
+    if (SeedText.empty() || !std::isdigit(static_cast<unsigned char>(
+                                SeedText.front())) ||
+        *SeedEnd != '\0' || errno == ERANGE)
+      return Fail("seed '" + SeedText + "' (not an unsigned 64-bit integer)");
+    Armings.push_back({std::move(Site), Prob, Seed});
   }
+  for (const Arming &A : Armings)
+    enable(A.Site, A.Prob, A.Seed);
   return true;
 }
 

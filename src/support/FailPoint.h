@@ -56,6 +56,10 @@ constexpr const char *Certify = "certify";
 constexpr const char *Sim = "sim";
 constexpr const char *PoolTask = "pool-task";
 constexpr const char *EngineCell = "engine-cell";
+/// Every site above; parseSpec arms no other name.
+constexpr const char *All[] = {Parse,     DagBuild, ClosureAlloc, Weighting,
+                               Scheduling, RegAlloc, Certify,      Sim,
+                               PoolTask,   EngineCell};
 } // namespace failpoints
 
 /// Thrown by throwIfFailPointHit (the thread-pool task-entry site); the
@@ -117,9 +121,10 @@ public:
   uint64_t evaluations() const;
   uint64_t hits() const;
 
-  /// Arms sites from "site:prob:seed[,site:prob:seed...]". Returns false
-  /// (and explains in \p Error, when non-null) on a malformed entry;
-  /// well-formed entries before the bad one stay armed.
+  /// Arms sites from "site:prob:seed[,site:prob:seed...]": a
+  /// failpoints::All name, a probability in [0, 1] and an unsigned seed
+  /// that fits in 64 bits. Returns false (and explains in \p Error, when
+  /// non-null) on a malformed entry, having armed none of them.
   bool parseSpec(std::string_view Spec, std::string *Error = nullptr);
 
   /// The parse error from the BSCHED_FAILPOINTS environment variable, if

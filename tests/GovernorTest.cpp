@@ -236,6 +236,21 @@ TEST(FailPointTest, ParseSpecArmsAndReportsErrors) {
   EXPECT_FALSE(Error.empty());
   Reg.disableAll();
   EXPECT_FALSE(anyFailPointsEnabled());
+
+  // A spec that cannot be honoured as written arms nothing at all: an
+  // unknown site, a probability outside [0, 1] (NaN and inf included), a
+  // seed that is negative or past 2^64, or a bad entry after a good one.
+  for (const char *Bad :
+       {"regaloc:1:7", "regalloc:nan:7", "regalloc:inf:7", "regalloc:2:7",
+        "regalloc:-1:7", "regalloc:1:-3", "regalloc:1:99999999999999999999",
+        "regalloc:1:9,bogus"}) {
+    Error.clear();
+    EXPECT_FALSE(Reg.parseSpec(Bad, &Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+    EXPECT_FALSE(anyFailPointsEnabled()) << Bad;
+  }
+  EXPECT_TRUE(Reg.parseSpec("engine-cell:0:0xffffffffffffffff"));
+  Reg.disableAll();
 }
 
 TEST(FailPointTest, DiagnosticIsStructuredBS810) {
