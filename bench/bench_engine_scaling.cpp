@@ -5,16 +5,17 @@
 //
 // Measures the parallel experiment engine itself: the full Perfect Club
 // sweep is run serially (1 worker) and at increasing worker counts, each
-// run is checked bit-identical to the serial baseline, and the wall time,
-// speedup, and compile-cache accounting are reported. The numbers land in
-// EXPERIMENTS.md; on an N-core host the sweep should approach Nx until it
-// runs out of kernels.
+// run is checked bit-identical to the serial baseline and to every cell
+// run on its own (runComparison, which shares no draws, cache or pool),
+// and the wall time, speedup, and compile-cache accounting are reported.
+// The numbers land in EXPERIMENTS.md; on an N-core host the sweep should
+// approach Nx until it runs out of kernels.
 //
 // Run: build/bench/bench_engine_scaling [workers...] [--trace-out=FILE]
 //                                       (workers default 1 2 4 8)
 // Each worker count is an integer in [1, 256]; anything else prints the
 // usage and exits 2. Exit 1 means a run lost a cell or did not match the
-// serial run.
+// serial run or the standalone cells.
 //
 // Also measures the observability layer's own cost (the serial sweep on
 // an engine with a metric registry vs. one without), writes the
@@ -29,6 +30,7 @@
 #include "support/CliOptions.h"
 #include "support/Table.h"
 #include "support/StringUtils.h"
+#include "tests/TestEngineHelpers.h"
 
 #include <cstdio>
 #include <cstring>
@@ -88,7 +90,8 @@ int main(int argc, char **argv) {
 
   std::printf("Perfect Club sweep (%zu kernels) on %s, %u runs/block.\n"
               "Each worker count repeats the identical sweep; results are\n"
-              "checked bit-identical to the 1-worker baseline.\n\n",
+              "checked bit-identical to the 1-worker baseline and to each\n"
+              "cell run on its own.\n\n",
               Programs.size(), Memory.name().c_str(), Sim.NumRuns);
 
   Table T("Experiment engine scaling");
@@ -103,12 +106,22 @@ int main(int argc, char **argv) {
   std::vector<ScalingRow> ScalingRows;
 
   const std::vector<ExperimentCell> Matrix = Cells(PipelineConfig());
+  const EngineResult Standalone = fixtures::standaloneResults(Matrix);
   EngineResult Baseline;
   double BaselineMs = 0.0;
   for (unsigned Workers : WorkerCounts) {
     EngineResult R = ExperimentEngine(Workers).run(Matrix);
     if (degraded(R))
       return 1;
+    // The engine shares draws and compiles across its cells; a cell run
+    // on its own shares nothing.
+    if (!identicalEngineResults(R, Standalone)) {
+      std::fprintf(stderr,
+                   "error: %u-worker sweep diverged from the standalone "
+                   "cells\n",
+                   Workers);
+      return 1;
+    }
 
     bool Identical;
     if (Workers == WorkerCounts.front()) {

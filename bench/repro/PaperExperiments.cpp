@@ -17,6 +17,7 @@
 #include "sched/ListScheduler.h"
 #include "sched/TraditionalWeighter.h"
 #include "sim/Simulator.h"
+#include "support/FailPoint.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "tests/TestDagHelpers.h"
@@ -44,6 +45,11 @@ void Report::say(const char *Fmt, ...) {
 }
 
 int repro::benchMain(Experiment Run) {
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
   Report R{stdout, {}, true};
   Run(R);
   return R.ClaimsHold ? 0 : 1;
@@ -124,6 +130,8 @@ ProgramList programs(const std::vector<Benchmark> &Set,
 }
 
 void addCompiled(Report &R, const CompiledFunction &C) {
+  if (!R.keepsBits())
+    return; // Printing the code is most of a report's cost.
   R.addText(printFunction(C.Compiled));
   for (unsigned Spills : C.SpillPerBlock)
     R.add(Spills);

@@ -27,17 +27,25 @@ namespace bsched::repro {
 
 /// One run of a paper experiment. A bench main reports to stdout and
 /// writes the BENCH artifact; repro_digest reports nowhere, hashing Bits.
+/// Only repro_digest reads Bits, so only a report that goes nowhere keeps
+/// them.
 struct Report {
   std::FILE *Out = nullptr; ///< Where the report goes; nullptr: nowhere.
   std::string Bits;         ///< The exact bytes of every result, in order.
   bool ClaimsHold = true;   ///< Cleared by a failed claim (exit code 1).
 
+  bool keepsBits() const { return !Out; }
   void say(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// Append a number's bytes (a double's bit pattern) or a string to Bits.
+  /// Append a number's bytes (a double's bit pattern) or a string to Bits
+  /// when it is kept.
   template <typename T> void add(T V) {
-    Bits.append(reinterpret_cast<const char *>(&V), sizeof V);
+    if (keepsBits())
+      Bits.append(reinterpret_cast<const char *>(&V), sizeof V);
   }
-  void addText(std::string_view Text) { (Bits += Text) += '\0'; }
+  void addText(std::string_view Text) {
+    if (keepsBits())
+      (Bits += Text) += '\0';
+  }
 };
 
 using Experiment = void (*)(Report &);
@@ -62,7 +70,9 @@ void extSuperblock(Report &R);     ///< Section 6: scheduling-region size.
 /// interpreted memory image diverges from its source fails the claim.
 void aliasPruning(Report &R);
 
-/// Runs \p Run reporting to stdout; 1 (a failed claim) or 0 for main.
+/// Runs \p Run reporting to stdout; the exit code for main: 0, 1 for a
+/// failed claim, or 2, before anything runs, when BSCHED_FAILPOINTS is
+/// malformed.
 int benchMain(Experiment Run);
 
 } // namespace bsched::repro

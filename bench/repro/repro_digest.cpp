@@ -2,17 +2,24 @@
 //
 // Runs every experiment once and prints a stableHash of what each
 // measured, then one of all of them. The `repro_digest` ctest pins these
-// lines (repro/digest.txt), so "nothing moved" is one command.
+// lines (repro/digest.txt), so "nothing moved" is one command. A
+// malformed BSCHED_FAILPOINTS exits 2 before any experiment runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/repro/PaperExperiments.h"
+#include "support/FailPoint.h"
 #include "support/StringUtils.h"
 
 #include <cinttypes>
 
 int main() {
   using namespace bsched::repro;
+  if (std::string Error = bsched::FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
+  }
   // Every experiment under its digest name: the paper's in its order, then
   // the others under their bench names.
   const struct {

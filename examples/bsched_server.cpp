@@ -15,7 +15,9 @@
 //                 [--log-file FILE] [--log-level LEVEL]
 //   bsched_server --stdio        (one request per line, for shell tests)
 //
-// SIGINT/SIGTERM drain in-flight requests, answer them, then exit 0.
+// SIGINT/SIGTERM drain in-flight requests, answer them, then exit 0. A
+// bad command line or a malformed BSCHED_FAILPOINTS exits 1 before
+// serving.
 // --log-file captures NDJSON telemetry (per-request events at debug,
 // slow-request span trees at warn, flight-recorder dumps on failures and
 // shutdown); --slow-ms arms the outlier threshold.
@@ -25,6 +27,7 @@
 #include "obs/Log.h"
 #include "server/Server.h"
 #include "support/CliOptions.h"
+#include "support/FailPoint.h"
 #include "support/ThreadPool.h"
 
 #include <csignal>
@@ -142,6 +145,11 @@ int main(int argc, char **argv) {
   if (!configureGlobalLogger(Common.options().LogLevelText,
                              Common.options().LogFile, &LogError)) {
     std::fprintf(stderr, "bsched_server: %s\n", LogError.c_str());
+    return 1;
+  }
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "bsched_server: error: %s\n", Error.c_str());
     return 1;
   }
 

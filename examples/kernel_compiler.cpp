@@ -26,6 +26,7 @@
 #include "obs/Trace.h"
 #include "pipeline/Experiment.h"
 #include "support/CliOptions.h"
+#include "support/FailPoint.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
@@ -69,9 +70,10 @@ kernel relax(w, r) freq 800 {
 
 namespace {
 
-// Exit codes: 1 = bad command line, 2 = frontend (parse/semantic)
-// failure, 4 = pipeline or simulation failure, 5 = a resource budget was
-// exceeded (structured BS80x diagnostic from the governor).
+// Exit codes: 1 = bad command line or BSCHED_FAILPOINTS, 2 = frontend
+// (parse/semantic) failure, 4 = pipeline or simulation failure, 5 = a
+// resource budget was exceeded (structured BS80x diagnostic from the
+// governor).
 constexpr int ExitUsageError = 1;
 constexpr int ExitFrontendError = 2;
 constexpr int ExitPipelineError = 4;
@@ -113,6 +115,13 @@ int main(int argc, char **argv) {
   if (!configureGlobalLogger(Cli.options().LogLevelText,
                              Cli.options().LogFile, &LogError)) {
     Log.console(LogLevel::Error, "kernel_compiler", "error: " + LogError);
+    return ExitUsageError;
+  }
+  // A malformed BSCHED_FAILPOINTS arms nothing; running anyway would pass
+  // a chaos run off as one.
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    Log.console(LogLevel::Error, "kernel_compiler", "error: " + Error);
     return ExitUsageError;
   }
 

@@ -65,7 +65,10 @@ CompileCache::CompileCache(CompileCacheConfig Config, MetricRegistry *Metrics)
 }
 
 CompileCache::Shard &CompileCache::shardFor(const std::string &Key) {
-  return *Shards[stableHash(Key) % Shards.size()];
+  // The standard hash, as the shard's map uses: a pass over a key of
+  // several kilobytes costs a fraction of stableHash's byte-at-a-time
+  // FNV-1a, and the shard needs no hash that is stable across builds.
+  return *Shards[std::hash<std::string>{}(Key) % Shards.size()];
 }
 
 unsigned CompileCache::enforceBudget(Shard &S) {

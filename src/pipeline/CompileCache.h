@@ -51,7 +51,7 @@ namespace bsched {
 /// machine; the experiment engine historically ran unbounded and keeps
 /// doing so via unlimited().
 struct CompileCacheConfig {
-  /// Independent shards (>= 1). Keys map to shards by FNV-1a hash, so
+  /// Independent shards (>= 1). Keys map to shards by std::hash, so
   /// concurrent requests for unrelated kernels take unrelated locks.
   unsigned Shards = 8;
 

@@ -25,11 +25,14 @@ namespace {
 /// The raw measurement loop of section 4.3, after Program has been
 /// verified: 30 simulations per block, bootstrapped to 100 sample means,
 /// frequency-scaled and summed. Every latency stream is seeded from
-/// (Config.Seed, block, run) — never shared — so the result is a pure
-/// function of the inputs regardless of which thread or order runs it.
+/// (Config.Seed, block, run) and every bootstrap stream from
+/// (Config.Seed, block), so the draws Draws hands out, and the result,
+/// are a pure function of the inputs regardless of which thread or order
+/// runs it, or what else shares the table.
 ProgramSimResult simulateVerified(const CompiledFunction &Program,
                                   const MemorySystem &Memory,
-                                  const SimulationConfig &Config) {
+                                  const SimulationConfig &Config,
+                                  SimDraws &Draws) {
   ProgramSimResult Result;
   Result.BootstrapRuntimes.assign(Config.NumResamples, 0.0);
 
@@ -53,30 +56,31 @@ ProgramSimResult simulateVerified(const CompiledFunction &Program,
 
   const Function &F = Program.Compiled;
   DecodedBlock Decoded;
+  SimDraws::BlockDraws Drawn;
   std::vector<double> Samples;
   Samples.reserve(Config.NumRuns);
   for (unsigned BlockIndex = 0; BlockIndex != F.numBlocks(); ++BlockIndex) {
     const BasicBlock &BB = F.block(BlockIndex);
 
     // 30 independent full simulations of the block (section 4.3), all
-    // from one decode.
+    // from one decode and one visit to the draws table.
     Decoded.decode(BB, Config.Ops);
+    const size_t Loads = Decoded.sampledLoads();
+    Draws.draw(Memory, Config.Seed, BlockIndex, Config.NumRuns,
+               Config.NumResamples, Loads, Drawn);
+    const std::span<const unsigned> Latencies = Drawn.Latencies;
     Samples.clear();
     double InterlockSum = 0.0;
     for (unsigned Run = 0; Run != Config.NumRuns; ++Run) {
-      // A private, order-independent latency stream per (block, run).
-      Rng R(Config.Seed ^ (0x9E3779B97F4A7C15ULL * (BlockIndex + 1)) ^
-            (0xD1B54A32D192ED03ULL * (Run + 1)));
-      BlockSimResult Sim = Decoded.run(Config.Processor, Memory, R, Obs);
+      BlockSimResult Sim = Decoded.run(
+          Config.Processor, Latencies.subspan(Run * Loads, Loads), Obs);
       Samples.push_back(static_cast<double>(Sim.Cycles));
       InterlockSum += static_cast<double>(Sim.InterlockCycles);
     }
 
     // 100 bootstrap means, scaled by profiled frequency and summed into
     // the program runtimes.
-    Rng BootRng(Config.Seed ^ (0xA0761D6478BD642FULL * (BlockIndex + 7)));
-    std::vector<double> Means =
-        bootstrapMeans(Samples, Config.NumResamples, BootRng);
+    std::vector<double> Means = bootstrapMeans(Samples, Drawn.BootIndices);
     for (unsigned I = 0; I != Config.NumResamples; ++I)
       Result.BootstrapRuntimes[I] += BB.frequency() * Means[I];
 
@@ -114,6 +118,14 @@ ErrorOr<ProgramSimResult>
 bsched::runSimulation(const CompiledFunction &Program,
                       const MemorySystem &Memory,
                       const SimulationConfig &Config) {
+  SimDraws Draws;
+  return runSimulation(Program, Memory, Config, Draws);
+}
+
+ErrorOr<ProgramSimResult>
+bsched::runSimulation(const CompiledFunction &Program,
+                      const MemorySystem &Memory,
+                      const SimulationConfig &Config, SimDraws &Draws) {
   Status ConfigStatus = validateSimulationConfig(Config);
   if (!ConfigStatus.ok())
     return ErrorOr<ProgramSimResult>(ConfigStatus.diagnostics());
@@ -141,11 +153,12 @@ bsched::runSimulation(const CompiledFunction &Program,
       Diags.push_back(std::move(D));
     return ErrorOr<ProgramSimResult>(std::move(Diags));
   }
-  return simulateVerified(Program, Memory, Config);
+  return simulateVerified(Program, Memory, Config, Draws);
 }
 
 ErrorOr<SchedulerComparison>
-bsched::runComparisonWith(const CompileFn &Compile, const Function &Program,
+bsched::runComparisonWith(const CompileFn &Compile, SimDraws &Draws,
+                          const Function &Program,
                           const MemorySystem &Memory,
                           double OptimisticLatency,
                           const SimulationConfig &SimConfig,
@@ -168,13 +181,13 @@ bsched::runComparisonWith(const CompileFn &Compile, const Function &Program,
   Comparison.CandidateCompiled = std::move(*Cand);
 
   ErrorOr<ProgramSimResult> TradSim =
-      runSimulation(Comparison.TraditionalCompiled, Memory, SimConfig);
+      runSimulation(Comparison.TraditionalCompiled, Memory, SimConfig, Draws);
   if (!TradSim)
     return ErrorOr<SchedulerComparison>(TradSim.takeErrors());
   Comparison.TraditionalSim = std::move(*TradSim);
 
   ErrorOr<ProgramSimResult> CandSim =
-      runSimulation(Comparison.CandidateCompiled, Memory, SimConfig);
+      runSimulation(Comparison.CandidateCompiled, Memory, SimConfig, Draws);
   if (!CandSim)
     return ErrorOr<SchedulerComparison>(CandSim.takeErrors());
   Comparison.CandidateSim = std::move(*CandSim);
@@ -206,10 +219,11 @@ bsched::runComparison(const Function &Program, const MemorySystem &Memory,
                       double OptimisticLatency,
                       const SimulationConfig &SimConfig,
                       SchedulerPolicy Candidate, PipelineConfig Base) {
+  SimDraws Draws;
   return runComparisonWith(
       [](const Function &F, const PipelineConfig &Config) {
         return runPipeline(F, Config);
       },
-      Program, Memory, OptimisticLatency, SimConfig, Candidate,
+      Draws, Program, Memory, OptimisticLatency, SimConfig, Candidate,
       std::move(Base));
 }

@@ -19,6 +19,7 @@
 #include "pipeline/Pipeline.h"
 #include "sim/MemorySystem.h"
 #include "sim/Processor.h"
+#include "sim/SimDraws.h"
 #include "stats/Bootstrap.h"
 
 #include <functional>
@@ -63,9 +64,17 @@ struct ProgramSimResult {
 };
 
 /// Simulates \p Program (a compiled function) on \p Memory: validates
-/// \p Config and verifies \p Program, then simulates. Failures come back
-/// as diagnostics instead of undefined behaviour under NDEBUG. The single
-/// simulation entry point.
+/// \p Config and verifies \p Program, then simulates, reading every
+/// latency and bootstrap draw from \p Draws. Failures come back as
+/// diagnostics instead of undefined behaviour under NDEBUG. The single
+/// simulation entry point; the result is the same whatever \p Draws
+/// already holds.
+ErrorOr<ProgramSimResult> runSimulation(const CompiledFunction &Program,
+                                        const MemorySystem &Memory,
+                                        const SimulationConfig &Config,
+                                        SimDraws &Draws);
+
+/// runSimulation with draws of its own.
 ErrorOr<ProgramSimResult> runSimulation(const CompiledFunction &Program,
                                         const MemorySystem &Memory,
                                         const SimulationConfig &Config);
@@ -86,12 +95,12 @@ struct SchedulerComparison {
 };
 
 /// Compiles \p Program under the traditional policy (load weight
-/// \p OptimisticLatency) and under \p Candidate's policy, simulates both,
-/// and pairs the bootstrap runtimes. \p Base supplies every other pipeline
-/// knob (target registers, aliasing, op latencies). One malformed kernel
-/// yields diagnostics rather than aborting a whole sweep; so does one
-/// whose traditional runtime is not positive and finite (BS501), which
-/// has no percentage improvement.
+/// \p OptimisticLatency) and under \p Candidate's policy, simulates both
+/// with one draws table, and pairs the bootstrap runtimes. \p Base
+/// supplies every other pipeline knob (target registers, aliasing, op
+/// latencies). One malformed kernel yields diagnostics rather than
+/// aborting a whole sweep; so does one whose traditional runtime is not
+/// positive and finite (BS501), which has no percentage improvement.
 ErrorOr<SchedulerComparison>
 runComparison(const Function &Program, const MemorySystem &Memory,
               double OptimisticLatency, const SimulationConfig &SimConfig,
@@ -105,10 +114,12 @@ using CompileFn = std::function<ErrorOr<CompiledFunction>(
     const Function &, const PipelineConfig &)>;
 
 /// runComparison with \p Compile supplying both compilations (the engine's
-/// cache-aware hook; runComparison itself passes runPipeline). Both calls
-/// pass \p Program itself.
+/// cache-aware hook; runComparison itself passes runPipeline) and both
+/// simulations reading from \p Draws (the engine's per-run table). Both
+/// compile calls pass \p Program itself.
 ErrorOr<SchedulerComparison>
-runComparisonWith(const CompileFn &Compile, const Function &Program,
+runComparisonWith(const CompileFn &Compile, SimDraws &Draws,
+                  const Function &Program,
                   const MemorySystem &Memory, double OptimisticLatency,
                   const SimulationConfig &SimConfig,
                   SchedulerPolicy Candidate = SchedulerPolicy::Balanced,

@@ -128,7 +128,7 @@ private:
 };
 
 CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
-                                      ProgramKeys &Keys) {
+                                      ProgramKeys &Keys, SimDraws &Draws) {
   BSCHED_CHECK(Cell.Program != nullptr,
                "experiment cell without a program");
   BSCHED_CHECK(Cell.Memory != nullptr,
@@ -172,7 +172,7 @@ CellOutcome ExperimentEngine::runCell(const ExperimentCell &Cell,
             ++(Hit ? Outcome.CacheHits : Outcome.CacheMisses);
             return Compiled;
           },
-          *Cell.Program, *Cell.Memory, Cell.OptimisticLatency, Sim,
+          Draws, *Cell.Program, *Cell.Memory, Cell.OptimisticLatency, Sim,
           Cell.Candidate, Base);
       if (Comparison)
         Outcome.Comparison = std::move(*Comparison);
@@ -200,9 +200,12 @@ EngineResult ExperimentEngine::run(const std::vector<ExperimentCell> &Cells) {
   Result.Cells.resize(Cells.size());
 
   const auto Start = std::chrono::steady_clock::now();
+  // Tables for this run only: cells borrow their programs and memory
+  // systems until the pool joins, so an address names one of them.
   ProgramKeys Keys;
+  SimDraws Draws;
   parallelForEach(Pool, Cells.size(), [&](size_t Index) {
-    Result.Cells[Index] = runCell(Cells[Index], Keys);
+    Result.Cells[Index] = runCell(Cells[Index], Keys, Draws);
   });
   const auto End = std::chrono::steady_clock::now();
 

@@ -13,12 +13,14 @@
 ///
 /// Determinism contract: a cell's measurements are a pure function of its
 /// inputs — every latency stream is seeded per (block, run) from the
-/// cell's own SimulationConfig::Seed, never shared between cells — so the
-/// engine's results are bit-identical to running the same cells serially,
-/// regardless of worker count or completion order. Outcomes land at the
-/// index of their input cell. Only the informational cache/wall counters
-/// may vary between runs (two workers can race to first-compile a shared
-/// key; both compute the identical result).
+/// cell's own SimulationConfig::Seed and keyed by its memory system, and
+/// every bootstrap stream per block — so the engine's results are
+/// bit-identical to running the same cells serially or each on its own
+/// (runComparison), regardless of worker count or completion order. A run
+/// draws each stream once, into a table its cells share (sim/SimDraws.h).
+/// Outcomes land at the index of their input cell. Only the informational
+/// cache/wall counters may vary between runs (two workers can race to
+/// first-compile a shared key; both compute the identical result).
 ///
 /// Fault isolation: a cell whose config fails validation, whose kernel
 /// fails verification, or whose compile or simulation reports diagnostics
@@ -43,7 +45,8 @@ namespace bsched {
 
 /// One cell of an experiment matrix: a kernel against a memory system
 /// under one candidate policy and pipeline/simulation configuration.
-/// Program and Memory are borrowed and must outlive the engine run.
+/// Program and Memory are borrowed and must outlive the engine run; the
+/// run names each by its address.
 struct ExperimentCell {
   std::string Label;                       ///< Reporting name ("ADM/dcache").
   const Function *Program = nullptr;       ///< Kernel to compile and measure.
@@ -146,7 +149,8 @@ public:
 private:
   class ProgramKeys;
 
-  CellOutcome runCell(const ExperimentCell &Cell, ProgramKeys &Keys);
+  CellOutcome runCell(const ExperimentCell &Cell, ProgramKeys &Keys,
+                      SimDraws &Draws);
 
   ThreadPool Pool;
   ObsContext Obs;

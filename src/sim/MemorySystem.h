@@ -37,7 +37,9 @@ class MemorySystem {
 public:
   virtual ~MemorySystem();
 
-  /// Draws one load latency in cycles (always >= 1).
+  /// Draws one load latency in cycles (always >= 1). Must depend on
+  /// nothing but \p R's state: an engine run draws each stream once and
+  /// shares it among every cell that reads it (sim/SimDraws.h).
   virtual unsigned sampleLatency(Rng &R) const = 0;
 
   /// The optimistic latency a traditional scheduler would assume: the

@@ -104,6 +104,7 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
   Steps.clear();
   DenseKeys.clear();
   WideOperands.clear();
+  NumSampled = 0;
 
   // Number for the operand at \p Ref (step * 4 + field; field 3 is the
   // destination). A sparse set over the flat table: DenseKeys lists the
@@ -143,6 +144,7 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
       // line) bypass the uncertain memory system.
       S.Dest = numberOf(I.dest(), Ref + 3);
       S.Latency = I.hasKnownLatency() ? I.knownLatency() : SampledLatency;
+      NumSampled += S.Latency == SampledLatency;
     } else if (I.hasDest()) {
       S.Dest = numberOf(I.dest(), Ref + 3);
       uint64_t &Latency = OpLatency[static_cast<unsigned>(I.opcode())];
@@ -213,9 +215,10 @@ uint64_t DecodedBlock::advancePastOutstandingLimit(
 }
 
 BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
-                                 const MemorySystem &Memory, Rng &R,
+                                 std::span<const unsigned> Latencies,
                                  SimInstruments *Obs) {
   assert(Processor.IssueWidth >= 1 && "issue width must be positive");
+  assert(Latencies.size() >= NumSampled && "a latency per sampled load");
   BlockSimResult Result;
   if (Steps.empty())
     return Result;
@@ -223,6 +226,7 @@ BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
   ReadyAt.assign(NumRegs, 0);
   InFlight.clear();
   uint64_t NumLoads = 0;
+  const unsigned *NextLatency = Latencies.data();
 
   uint64_t CurrentCycle = 0;
   unsigned SlotsUsed = 0;
@@ -257,9 +261,8 @@ BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
 
     // Effects.
     if (S.IsLoad) {
-      uint64_t Latency = S.Latency == SampledLatency
-                             ? Memory.sampleLatency(R)
-                             : S.Latency;
+      uint64_t Latency =
+          S.Latency == SampledLatency ? *NextLatency++ : S.Latency;
       uint64_t Complete = T + Latency;
       ReadyAt[S.Dest] = Complete;
       ++NumLoads;
@@ -296,6 +299,15 @@ BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
     Obs->Loads += NumLoads;
   }
   return Result;
+}
+
+BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
+                                 const MemorySystem &Memory, Rng &R,
+                                 SimInstruments *Obs) {
+  Drawn.resize(NumSampled);
+  for (unsigned &Latency : Drawn)
+    Latency = Memory.sampleLatency(R);
+  return run(Processor, Drawn, Obs);
 }
 
 BlockSimResult bsched::simulateBlock(const BasicBlock &BB,

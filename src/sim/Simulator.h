@@ -20,7 +20,8 @@
 ///
 /// There is one timing model (DESIGN.md §3n): a block is decoded once
 /// (DecodedBlock) and run once per latency draw, and simulateBlock is a
-/// decode plus one run.
+/// decode plus one run. A run reads its latencies from an array, so a
+/// caller can draw them once and share them (sim/SimDraws.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,6 +115,10 @@ private:
 /// and its fixed latency or a marker to sample one from memory). Decode
 /// once, then run() once per latency draw; runs reuse the ready-time
 /// vector and the in-flight load list, so they allocate nothing once warm.
+///
+/// A run is a function of its draws: the k-th sampled load (a load
+/// without a known latency) in block order takes the k-th latency it is
+/// given, and nothing else in the run is random.
 class DecodedBlock {
 public:
   /// Decodes \p BB, taking non-load latencies from \p Ops. Reuses this
@@ -120,9 +126,20 @@ public:
   /// physical.
   void decode(const BasicBlock &BB, const LatencyModel &Ops);
 
-  /// Simulates one execution of the decoded block on \p Processor with
-  /// latencies drawn from \p Memory via \p R. \p Obs, when non-null,
-  /// tallies the run's counters and per-load histogram samples.
+  /// Loads of the decoded block whose latency the memory system draws,
+  /// so the latencies one run reads.
+  size_t sampledLoads() const { return NumSampled; }
+
+  /// Simulates one execution of the decoded block on \p Processor, the
+  /// k-th sampled load taking \p Latencies[k] cycles (each at least 1;
+  /// at least sampledLoads() of them). \p Obs, when non-null, tallies
+  /// the run's counters and per-load histogram samples.
+  BlockSimResult run(const ProcessorModel &Processor,
+                     std::span<const unsigned> Latencies,
+                     SimInstruments *Obs = nullptr);
+
+  /// The same with the latencies drawn from \p Memory via \p R: one
+  /// sampleLatency call per sampled load, in block order, then the run.
   BlockSimResult run(const ProcessorModel &Processor,
                      const MemorySystem &Memory, Rng &R,
                      SimInstruments *Obs = nullptr);
@@ -152,6 +169,7 @@ private:
 
   std::vector<Step> Steps;
   uint32_t NumRegs = 0;
+  size_t NumSampled = 0;
 
   // Decode scratch: a sparse set numbering registers with small ids, and
   // the operands of every other register, numbered after the loop.
@@ -162,6 +180,7 @@ private:
   // Run scratch.
   std::vector<uint64_t> ReadyAt;
   std::vector<InFlightLoad> InFlight;
+  std::vector<unsigned> Drawn; ///< The latencies of a (Memory, Rng) run.
 };
 
 /// Simulates one execution of \p BB on \p Processor with latencies drawn

@@ -14,14 +14,34 @@ using namespace bsched;
 
 std::vector<double> bsched::bootstrapMeans(const std::vector<double> &Samples,
                                            unsigned NumResamples, Rng &R) {
+  assert(Samples.size() <= UINT32_MAX && "sample too large to index");
+  return bootstrapMeans(
+      Samples, bootstrapIndices(static_cast<uint32_t>(Samples.size()),
+                                NumResamples, R));
+}
+
+std::vector<uint32_t> bsched::bootstrapIndices(uint32_t NumSamples,
+                                               unsigned NumResamples,
+                                               Rng &R) {
+  std::vector<uint32_t> Indices(size_t(NumResamples) * NumSamples);
+  for (uint32_t &Index : Indices)
+    Index = static_cast<uint32_t>(R.nextBounded(NumSamples));
+  return Indices;
+}
+
+std::vector<double> bsched::bootstrapMeans(const std::vector<double> &Samples,
+                                           std::span<const uint32_t> Indices) {
   assert(!Samples.empty() && "bootstrap of an empty sample");
+  assert(Indices.size() % Samples.size() == 0 && "a whole number of draws");
+  const size_t N = Samples.size();
+  const size_t NumResamples = N == 0 ? 0 : Indices.size() / N;
   std::vector<double> Means;
   Means.reserve(NumResamples);
-  for (unsigned Resample = 0; Resample != NumResamples; ++Resample) {
+  for (size_t Resample = 0; Resample != NumResamples; ++Resample) {
     double Sum = 0.0;
-    for (size_t Draw = 0; Draw != Samples.size(); ++Draw)
-      Sum += Samples[R.nextBounded(Samples.size())];
-    Means.push_back(Sum / static_cast<double>(Samples.size()));
+    for (uint32_t Index : Indices.subspan(Resample * N, N))
+      Sum += Samples[Index];
+    Means.push_back(Sum / static_cast<double>(N));
   }
   return Means;
 }

@@ -21,14 +21,30 @@
 #include "support/Rng.h"
 #include "support/Statistics.h"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bsched {
 
 /// Draws \p NumResamples bootstrap means from \p Samples: each mean
-/// averages |Samples| draws with replacement.
+/// averages |Samples| draws with replacement. The same as summing over
+/// bootstrapIndices(|Samples|, NumResamples, R).
 std::vector<double> bootstrapMeans(const std::vector<double> &Samples,
                                    unsigned NumResamples, Rng &R);
+
+/// The resampling alone: \p NumResamples x \p NumSamples indices, each
+/// uniform in [0, NumSamples), in draw order. It depends on the sample's
+/// size only, never its values, so one sequence serves every sample of
+/// that size drawn from the same stream.
+std::vector<uint32_t> bootstrapIndices(uint32_t NumSamples,
+                                       unsigned NumResamples, Rng &R);
+
+/// The bootstrap means of \p Samples over drawn \p Indices (a multiple
+/// of |Samples| long): mean I averages the Samples at Indices[I * |Samples|
+/// ..  (I + 1) * |Samples|), summed in that order.
+std::vector<double> bootstrapMeans(const std::vector<double> &Samples,
+                                   std::span<const uint32_t> Indices);
 
 /// A paired percentage-improvement estimate with its 95% CI.
 struct ImprovementEstimate {

@@ -13,6 +13,7 @@
 #include "obs/Trace.h"
 #include "pipeline/ExperimentEngine.h"
 #include "tests/TestEngineHelpers.h"
+#include "workload/LineReuse.h"
 
 #include <cstdlib>
 
@@ -97,6 +98,54 @@ TEST(EngineTest, SerialMatchesParallel) {
   EngineResult C =
       ExperimentEngine(1).run(perfectClubCells(Programs, Memory, Reseeded));
   EXPECT_FALSE(identicalEngineResults(A, C));
+}
+
+TEST(EngineTest, SharedDrawsMatchStandaloneComparisons) {
+  // A run draws each latency and bootstrap stream once, into a table its
+  // cells share; every cell must still equal runComparison of it alone,
+  // at any worker count. The matrix mixes two seeds, two memory systems
+  // with equal parameters (separate streams), every processor model, a
+  // kernel with known-latency loads (fewer draws per block than the same
+  // block index elsewhere) and a cell that fails.
+  Function Mdg = buildBenchmark(Benchmark::MDG, smallWorkload());
+  Function Known = buildBenchmark(Benchmark::FLO52Q);
+  unsigned Marked = 0;
+  for (BasicBlock &BB : Known)
+    Marked += markKnownLineHits(BB, 32, 2);
+  ASSERT_GT(Marked, 0u);
+  Function Idle = buildBenchmark(Benchmark::ADM, smallWorkload());
+  for (BasicBlock &BB : Idle)
+    BB.setFrequency(0.0);
+  NetworkSystem NetA(3, 5), NetB(3, 5);
+  CacheSystem L80(0.8, 2, 10);
+  const MemorySystem *Memories[] = {&NetA, &NetB, &L80};
+
+  std::vector<ExperimentCell> Cells;
+  for (uint64_t Seed : {uint64_t(0xB5C0FFEE), uint64_t(0x5EED)})
+    for (const MemorySystem *Memory : Memories)
+      for (const ProcessorModel &P :
+           {ProcessorModel::unlimited(), ProcessorModel::maxOutstanding(8),
+            ProcessorModel::maxLength(8)})
+        for (const Function *F : {&Mdg, &Known}) {
+          SimulationConfig Sim = smallSim();
+          Sim.Processor = P;
+          Sim.Seed = Seed;
+          Cells.push_back({F->name() + "/" + Memory->name() + "/" + P.name(),
+                           F, Memory, 3.0, SchedulerPolicy::Balanced,
+                           PipelineConfig::paperDefault(), Sim});
+        }
+  Cells.push_back({"idle", &Idle, &NetA, 3.0, SchedulerPolicy::Balanced,
+                   PipelineConfig::paperDefault(), smallSim()});
+
+  const EngineResult Standalone = standaloneResults(Cells);
+  for (size_t I = 0; I + 1 != Cells.size(); ++I)
+    ASSERT_TRUE(Standalone.Cells[I].ok())
+        << Cells[I].Label << ": " << Standalone.Cells[I].firstError();
+  ASSERT_FALSE(Standalone.Cells.back().ok());
+  for (unsigned Workers : {1u, 2u, 4u})
+    EXPECT_TRUE(identicalEngineResults(ExperimentEngine(Workers).run(Cells),
+                                       Standalone))
+        << Workers << " workers";
 }
 
 TEST(EngineTest, RepeatedParallelRunsAreIdentical) {

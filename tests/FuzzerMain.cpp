@@ -17,7 +17,8 @@
 //   kernel-lang byte-mutate a valid frontend program and feed it to
 //               compileKernelLang under the same rules.
 //
-// Exit code 0 = clean; 1 = a property violation (details on stderr).
+// Exit code 0 = clean; 1 = a property violation (details on stderr); 2 =
+// a bad command line or a malformed BSCHED_FAILPOINTS.
 // Registered in ctest under the label "fuzz-smoke"; intended to run under
 // BSCHED_SANITIZE=address and =undefined builds.
 //
@@ -702,6 +703,11 @@ int main(int argc, char **argv) {
                    argv[0]);
       return 2;
     }
+  }
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 2;
   }
 
   Rng Root(Seed);

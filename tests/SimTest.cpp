@@ -8,7 +8,9 @@
 #include "ir/IrBuilder.h"
 #include "sim/MemorySystem.h"
 #include "sim/Processor.h"
+#include "sim/SimDraws.h"
 #include "sim/Simulator.h"
+#include "stats/Bootstrap.h"
 #include "support/Statistics.h"
 
 #include "ReferenceSimulator.h"
@@ -608,4 +610,115 @@ TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
     EXPECT_GT(H.Max, 256u) << Name;
   }
 #endif
+}
+
+//===----------------------------------------------------------------------===
+// A run is a function of its draws
+//===----------------------------------------------------------------------===
+
+TEST(SimulatorTest, KthSampledLoadTakesKthLatency) {
+  // Two sampled loads around a known-latency one, all feeding one add:
+  // the known load takes no latency from the array, and the sampled ones
+  // take theirs in block order.
+  BasicBlock BB("b");
+  BB.append(Instruction::makeLoad(Opcode::Load, vi(1), vi(0), 0, 0));
+  Instruction Known = Instruction::makeLoad(Opcode::Load, vi(2), vi(0), 8, 0);
+  Known.setKnownLatency(2);
+  BB.append(Known);
+  BB.append(Instruction::makeLoad(Opcode::Load, vi(3), vi(0), 16, 0));
+  BB.append(Instruction::makeBinary(Opcode::Add, vi(4), vi(1), vi(3)));
+  DecodedBlock Decoded;
+  Decoded.decode(BB, LatencyModel());
+  ASSERT_EQ(Decoded.sampledLoads(), 2u);
+  const unsigned Slow[] = {10, 3}, Late[] = {3, 10};
+  // The add waits for the load at cycle 0 + 10, or at cycle 2 + 10.
+  EXPECT_EQ(Decoded.run(ProcessorModel::unlimited(), Slow).Cycles, 11u);
+  EXPECT_EQ(Decoded.run(ProcessorModel::unlimited(), Late).Cycles, 13u);
+}
+
+TEST(SimulatorTest, LatencyArrayRunMatchesDrawingRun) {
+  // DecodedBlock::run given the latencies its (Memory, Rng) form draws
+  // gives the same result and the same instruments, on random blocks
+  // whose known-latency loads take no draw, on every processor model.
+  const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
+                                       ProcessorModel::maxOutstanding(2),
+                                       ProcessorModel::maxLength(2)};
+  const CacheSystem L80(0.8, 2, 10);
+  const NetworkSystem N3(3, 5);
+  const MixedSystem L80N30(0.8, 2, 30, 5);
+  const MemorySystem *Memories[] = {&L80, &N3, &L80N30};
+
+  MetricRegistry DrawingRegistry, GivenRegistry;
+  DecodedBlock Decoded;
+  Rng G(0xD2A5);
+  unsigned KnownLoads = 0, SampledLoads = 0;
+  for (unsigned Block = 0; Block != 450; ++Block) {
+    const ProcessorModel &P = Processors[Block % 3];
+    const MemorySystem &Mem = *Memories[Block / 3 % 3];
+    const BasicBlock BB = randomSimBlock(G);
+    unsigned Sampled = 0;
+    for (const Instruction &I : BB)
+      if (I.isLoad())
+        ++(I.hasKnownLatency() ? KnownLoads : Sampled);
+    SampledLoads += Sampled;
+    Decoded.decode(BB, LatencyModel());
+    ASSERT_EQ(Decoded.sampledLoads(), Sampled) << Block;
+
+    SimInstruments DrawingObs(DrawingRegistry), GivenObs(GivenRegistry);
+    for (unsigned Run = 0; Run != 3; ++Run) {
+      Rng R(Block * 31 + Run), Copy = R;
+      std::vector<unsigned> Latencies;
+      for (unsigned K = 0; K != Sampled; ++K)
+        Latencies.push_back(Mem.sampleLatency(Copy));
+      BlockSimResult Want = Decoded.run(P, Mem, R, &DrawingObs);
+      BlockSimResult Got = Decoded.run(P, Latencies, &GivenObs);
+      ASSERT_EQ(Got.Cycles, Want.Cycles)
+          << "block " << Block << " run " << Run << " on " << P.name();
+      ASSERT_EQ(Got.InterlockCycles, Want.InterlockCycles) << Block;
+      ASSERT_EQ(Got.Instructions, Want.Instructions) << Block;
+      // The drawing run took exactly one draw per sampled load.
+      ASSERT_EQ(R.nextUInt64(), Copy.nextUInt64()) << Block;
+    }
+  }
+  EXPECT_GT(KnownLoads, 0u);
+  EXPECT_GT(SampledLoads, KnownLoads);
+  EXPECT_TRUE(GivenRegistry.snapshot() == DrawingRegistry.snapshot());
+}
+
+TEST(SimDrawsTest, HandsOutTheDrawsOfFreshStreams) {
+  // Whatever order blocks ask in, and however a stream grew, the table
+  // hands out the first draws of each (seed, block, run) stream and the
+  // bootstrap indices of each (seed, block) stream. Two memory systems
+  // with equal parameters draw equal values from separate streams.
+  const NetworkSystem NetA(3, 5), NetB(3, 5);
+  const CacheSystem L80(0.8, 2, 10);
+  constexpr unsigned Runs = 4, Resamples = 7;
+  SimDraws Table;
+  SimDraws::BlockDraws Out;
+  struct Ask {
+    const MemorySystem *Memory;
+    uint64_t Seed;
+    unsigned Block;
+    size_t Loads;
+  };
+  // Growing, shrinking and repeated lengths; a block without sampled
+  // loads; two seeds and three memory systems.
+  const Ask Asks[] = {{&NetA, 1, 0, 5}, {&NetA, 1, 0, 9},  {&NetA, 1, 0, 3},
+                      {&NetB, 1, 0, 9}, {&L80, 1, 0, 4},   {&L80, 2, 0, 4},
+                      {&NetA, 1, 2, 0}, {&NetA, 2, 2, 12}, {&NetA, 1, 0, 9}};
+  for (const Ask &A : Asks) {
+    Table.draw(*A.Memory, A.Seed, A.Block, Runs, Resamples, A.Loads, Out);
+    ASSERT_EQ(Out.Latencies.size(), Runs * A.Loads);
+    for (unsigned Run = 0; Run != Runs; ++Run) {
+      Rng R = SimDraws::latencyStream(A.Seed, A.Block, Run);
+      for (size_t K = 0; K != A.Loads; ++K)
+        ASSERT_EQ(Out.Latencies[Run * A.Loads + K], A.Memory->sampleLatency(R))
+            << A.Memory->name() << " seed " << A.Seed << " block " << A.Block
+            << " run " << Run << " load " << K;
+    }
+    Rng Boot = SimDraws::bootstrapStream(A.Seed, A.Block);
+    const std::vector<uint32_t> Want = bootstrapIndices(Runs, Resamples, Boot);
+    EXPECT_TRUE(std::equal(Out.BootIndices.begin(), Out.BootIndices.end(),
+                           Want.begin(), Want.end()));
+  }
 }

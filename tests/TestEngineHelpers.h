@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Helpers for the engine-level tests: the eight Perfect Club stand-ins as
-/// one experiment-engine cell each.
+/// one experiment-engine cell each, and what each cell gives on its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +44,29 @@ perfectClubCells(const std::vector<Function> &Programs,
     Cells.push_back({benchmarkName(Benchmarks[I]), &Programs[I], &Memory,
                      2.0, SchedulerPolicy::Balanced, Base, Sim});
   return Cells;
+}
+
+/// What each of \p Cells gives on its own: one runComparison per cell,
+/// with no engine, compile cache or shared draws, as an EngineResult for
+/// identicalEngineResults. An engine run must equal it whenever every
+/// cell's pipeline config validates (the engine reports a bad one before
+/// compiling, so its diagnostics differ).
+inline EngineResult
+standaloneResults(const std::vector<ExperimentCell> &Cells) {
+  EngineResult Result;
+  for (const ExperimentCell &Cell : Cells) {
+    CellOutcome Outcome;
+    Outcome.Label = Cell.Label;
+    ErrorOr<SchedulerComparison> Comparison =
+        runComparison(*Cell.Program, *Cell.Memory, Cell.OptimisticLatency,
+                      Cell.Sim, Cell.Candidate, Cell.Base);
+    if (Comparison)
+      Outcome.Comparison = std::move(*Comparison);
+    else
+      Outcome.Errors = Comparison.takeErrors();
+    Result.Cells.push_back(std::move(Outcome));
+  }
+  return Result;
 }
 
 } // namespace bsched::fixtures
