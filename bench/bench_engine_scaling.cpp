@@ -7,7 +7,9 @@
 // sweep is run serially (1 worker) and at increasing worker counts, each
 // run is checked bit-identical to the serial baseline and to every cell
 // run on its own (runComparison, which shares no draws, cache or pool),
-// and the wall time, speedup, and compile-cache accounting are reported.
+// and the wall time, the process CPU time it took (every thread's, so a
+// parallel claim shows what its speedup cost), speedup, and compile-cache
+// accounting are reported.
 // The numbers land in EXPERIMENTS.md; on an N-core host the sweep should
 // approach Nx until it runs out of kernels.
 //
@@ -34,11 +36,20 @@
 
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 
 using namespace bsched;
 using namespace bsched::bench;
 
 namespace {
+
+/// CPU time consumed so far by every thread of this process, in ms.
+double processCpuMs() {
+  timespec T{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) * 1e3 +
+         static_cast<double>(T.tv_nsec) * 1e-6;
+}
 
 /// True, after printing the first failed cell, when \p R lost any cell:
 /// every table below assumes a complete matrix.
@@ -95,11 +106,13 @@ int main(int argc, char **argv) {
               Programs.size(), Memory.name().c_str(), Sim.NumRuns);
 
   Table T("Experiment engine scaling");
-  T.setHeader({"Workers", "Wall ms", "Speedup", "Cache hits", "Identical"});
+  T.setHeader({"Workers", "Wall ms", "CPU ms", "Speedup", "Cache hits",
+               "Identical"});
 
   struct ScalingRow {
     unsigned Workers;
     double WallMs;
+    double CpuMs;
     double Speedup;
     uint64_t CacheHits;
   };
@@ -110,7 +123,9 @@ int main(int argc, char **argv) {
   EngineResult Baseline;
   double BaselineMs = 0.0;
   for (unsigned Workers : WorkerCounts) {
+    const double CpuStart = processCpuMs();
     EngineResult R = ExperimentEngine(Workers).run(Matrix);
+    const double CpuMs = processCpuMs() - CpuStart;
     if (degraded(R))
       return 1;
     // The engine shares draws and compiles across its cells; a cell run
@@ -133,11 +148,11 @@ int main(int argc, char **argv) {
     }
 
     T.addRow({std::to_string(R.Counters.Workers),
-              formatDouble(R.Counters.WallMillis, 0),
+              formatDouble(R.Counters.WallMillis, 0), formatDouble(CpuMs, 0),
               formatDouble(BaselineMs / R.Counters.WallMillis, 2) + "x",
               std::to_string(R.Counters.CacheHits),
               Identical ? "yes" : "NO"});
-    ScalingRows.push_back({R.Counters.Workers, R.Counters.WallMillis,
+    ScalingRows.push_back({R.Counters.Workers, R.Counters.WallMillis, CpuMs,
                            BaselineMs / R.Counters.WallMillis,
                            R.Counters.CacheHits});
     if (!Identical) {
@@ -259,6 +274,7 @@ int main(int argc, char **argv) {
     W.beginObject();
     W.key("workers").value(Row.Workers);
     W.key("wall_ms").valueFixed(Row.WallMs, 3);
+    W.key("cpu_ms").valueFixed(Row.CpuMs, 3);
     W.key("speedup").valueFixed(Row.Speedup, 3);
     W.key("cache_hits").value(Row.CacheHits);
     W.endObject();

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/Experiment.h"
+#include "support/FailPoint.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "workload/PerfectClub.h"
@@ -24,6 +25,15 @@
 using namespace bsched;
 
 namespace {
+
+// Exit codes: 1 = bad BSCHED_FAILPOINTS, 4 = pipeline/simulation failure.
+constexpr int ExitUsageError = 1;
+constexpr int ExitPipelineError = 4;
+
+void printDiagnostics(const std::vector<Diagnostic> &Diags) {
+  for (const Diagnostic &D : Diags)
+    std::fprintf(stderr, "%s\n", D.formatted("<MDG>").c_str());
+}
 
 /// A custom memory system: a local/remote NUMA machine where 70% of
 /// requests hit local memory (3 cycles) and 30% go remote with a noisy
@@ -49,17 +59,33 @@ private:
 } // namespace
 
 int main() {
+  // A malformed BSCHED_FAILPOINTS arms nothing; running anyway would pass
+  // a chaos run off as one.
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitUsageError;
+  }
+
   Function F = buildBenchmark(Benchmark::MDG);
 
   // Compile once per policy; the binaries are machine-independent.
   PipelineConfig TradConfig;
   TradConfig.Policy = SchedulerPolicy::Traditional;
   TradConfig.OptimisticLatency = 3.0;
-  CompiledFunction Trad = runPipeline(F, TradConfig).value();
+  ErrorOr<CompiledFunction> Trad = runPipeline(F, TradConfig);
+  if (!Trad) {
+    printDiagnostics(Trad.errors());
+    return ExitPipelineError;
+  }
 
   PipelineConfig BalConfig;
   BalConfig.Policy = SchedulerPolicy::Balanced;
-  CompiledFunction Bal = runPipeline(F, BalConfig).value();
+  ErrorOr<CompiledFunction> Bal = runPipeline(F, BalConfig);
+  if (!Bal) {
+    printDiagnostics(Bal.errors());
+    return ExitPipelineError;
+  }
 
   std::printf("MDG compiled once per policy (traditional fixed at the "
               "3-cycle local\nlatency), evaluated across machines without "
@@ -81,13 +107,17 @@ int main() {
     for (const ProcessorModel &P : Processors) {
       SimulationConfig Sim;
       Sim.Processor = P;
-      ProgramSimResult TradSim = runSimulation(Trad, *Memory, Sim).value();
-      ProgramSimResult BalSim = runSimulation(Bal, *Memory, Sim).value();
+      ErrorOr<ProgramSimResult> TradSim = runSimulation(*Trad, *Memory, Sim);
+      ErrorOr<ProgramSimResult> BalSim = runSimulation(*Bal, *Memory, Sim);
+      if (!TradSim || !BalSim) {
+        printDiagnostics(!TradSim ? TradSim.errors() : BalSim.errors());
+        return ExitPipelineError;
+      }
       ImprovementEstimate Imp = pairedImprovement(
-          TradSim.BootstrapRuntimes, BalSim.BootstrapRuntimes);
+          TradSim->BootstrapRuntimes, BalSim->BootstrapRuntimes);
       T.addRow({Memory->name(), P.name(),
-                formatDouble(TradSim.MeanRuntime / 1000.0, 0) + "k",
-                formatDouble(BalSim.MeanRuntime / 1000.0, 0) + "k",
+                formatDouble(TradSim->MeanRuntime / 1000.0, 0) + "k",
+                formatDouble(BalSim->MeanRuntime / 1000.0, 0) + "k",
                 formatPercent(Imp.MeanPercent)});
     }
     T.addSeparator();

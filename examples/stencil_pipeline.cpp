@@ -17,6 +17,7 @@
 #include "ir/IrPrinter.h"
 #include "parser/Parser.h"
 #include "pipeline/Experiment.h"
+#include "support/FailPoint.h"
 #include "support/Table.h"
 #include "support/StringUtils.h"
 
@@ -78,7 +79,9 @@ block body freq 1000 {
 
 namespace {
 
-// Exit codes: 2 = parse/verify failure, 4 = pipeline/simulation failure.
+// Exit codes: 1 = bad BSCHED_FAILPOINTS, 2 = parse/verify failure,
+// 4 = pipeline/simulation failure.
+constexpr int ExitUsageError = 1;
 constexpr int ExitParseError = 2;
 constexpr int ExitPipelineError = 4;
 
@@ -91,6 +94,14 @@ void printDiagnostics(const std::vector<Diagnostic> &Diags,
 } // namespace
 
 int main() {
+  // A malformed BSCHED_FAILPOINTS arms nothing; running anyway would pass
+  // a chaos run off as one.
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitUsageError;
+  }
+
   ErrorOr<Function> F = parseSingleFunction(StencilSource);
   if (!F) {
     printDiagnostics(F.errors(), "<stencil>");

@@ -12,10 +12,10 @@
 using namespace bsched;
 
 SymbolicAddr AddressAnalysis::valueOf(Reg R) {
-  auto [It, Inserted] = Values.try_emplace(R.rawBits());
+  auto [Value, Inserted] = Values.tryEmplace(R);
   if (Inserted)
-    It->second = freshOrigin();
-  return It->second;
+    Value = freshOrigin();
+  return Value;
 }
 
 SymbolicAddr AddressAnalysis::addressOf(const Instruction &I) {
@@ -32,7 +32,7 @@ void AddressAnalysis::step(const Instruction &I) {
   // Compute the new value from the *pre-assignment* state (an instruction
   // may read the register it defines), then assign.
   SymbolicAddr New = Fold ? fold(I) : freshOrigin();
-  Values[I.dest().rawBits()] = New;
+  Values[I.dest()] = New;
 }
 
 SymbolicAddr AddressAnalysis::fold(const Instruction &I) {

@@ -40,9 +40,9 @@
 #define BSCHED_ANALYSIS_ADDRESSANALYSIS_H
 
 #include "ir/BasicBlock.h"
+#include "ir/RegTable.h"
 
 #include <cstdint>
-#include <unordered_map>
 
 namespace bsched {
 
@@ -92,7 +92,7 @@ private:
   /// The value \p I defines, computed from the pre-assignment state.
   SymbolicAddr fold(const Instruction &I);
 
-  std::unordered_map<uint32_t, SymbolicAddr> Values;
+  RegMap<SymbolicAddr> Values;
   uint32_t NextOrigin = 1;
   bool Fold;
 };

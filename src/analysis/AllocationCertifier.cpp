@@ -7,9 +7,11 @@
 
 #include "analysis/AllocationCertifier.h"
 
+#include "ir/RegTable.h"
 #include "support/ResourceGovernor.h"
 
 #include <cstring>
+#include <optional>
 #include <unordered_map>
 
 using namespace bsched;
@@ -116,34 +118,39 @@ private:
   /// current generation of virtual register \p Vreg.
   void checkRead(Reg Phys, Reg Vreg, unsigned Index) {
     Value Want{Vreg.rawBits(), genOf(Vreg)};
-    auto It = RegHolds.find(Phys.rawBits());
-    if (It != RegHolds.end() && It->second == Want)
+    std::optional<Value> Held = heldBy(Phys);
+    if (Held && *Held == Want)
       return;
     error(DiagCode::CertifyAllocWrongValue,
           where(Index) + " reads " + Phys.str() + " expecting " +
               valueStr(Want) +
-              (It == RegHolds.end()
-                   ? " but the register holds no tracked value"
-                   : " but the register holds " + valueStr(It->second)));
+              (!Held ? " but the register holds no tracked value"
+                     : " but the register holds " + valueStr(*Held)));
   }
 
-  unsigned genOf(Reg Vreg) {
-    auto It = GenOf.find(Vreg.rawBits());
-    return It == GenOf.end() ? 0 : It->second;
+  unsigned genOf(Reg Vreg) const {
+    const unsigned *Gen = GenOf.find(Vreg);
+    return Gen ? *Gen : 0;
+  }
+
+  /// The value physical register \p Phys holds, if it holds a tracked one.
+  std::optional<Value> heldBy(Reg Phys) const {
+    const std::optional<Value> *Held = RegHolds.find(Phys);
+    return Held ? *Held : std::nullopt;
   }
 
   void handleSpill(const Instruction &I, unsigned Index) {
     if (I.isStore()) {
       ++Stores;
       Reg Val = I.source(0);
-      auto It = RegHolds.find(Val.rawBits());
-      if (It == RegHolds.end()) {
+      std::optional<Value> Held = heldBy(Val);
+      if (!Held) {
         error(DiagCode::CertifyAllocBadSpill,
               where(Index) + " spills " + Val.str() +
                   " which holds no tracked value");
         SlotHolds.erase(I.imm());
       } else {
-        SlotHolds[I.imm()] = It->second;
+        SlotHolds[I.imm()] = *Held;
       }
     } else {
       ++Loads;
@@ -153,9 +160,9 @@ private:
         error(DiagCode::CertifyAllocBadSpill,
               where(Index) + " reloads spill slot " + std::to_string(I.imm()) +
                   " which was never stored");
-        RegHolds.erase(Dest.rawBits());
+        RegHolds[Dest].reset();
       } else {
-        RegHolds[Dest.rawBits()] = It->second;
+        RegHolds[Dest] = It->second;
       }
     }
   }
@@ -204,8 +211,8 @@ private:
       } else {
         // A definition creates the next generation; whatever the register
         // held before is gone (stale copies elsewhere are caught at reads).
-        unsigned Gen = ++GenOf[OrigDest.rawBits()];
-        RegHolds[NewDest.rawBits()] = Value{OrigDest.rawBits(), Gen};
+        unsigned Gen = ++GenOf[OrigDest];
+        RegHolds[NewDest] = Value{OrigDest.rawBits(), Gen};
       }
     }
   }
@@ -218,9 +225,9 @@ private:
   ResourceGovernor *Governor;
 
   std::vector<Diagnostic> Diags;
-  std::unordered_map<uint32_t, unsigned> GenOf;    // vreg -> current gen.
-  std::unordered_map<uint32_t, Value> RegHolds;    // phys reg -> value.
-  std::unordered_map<int64_t, Value> SlotHolds;    // spill offset -> value.
+  RegMap<unsigned> GenOf;                       // vreg -> current gen.
+  RegMap<std::optional<Value>> RegHolds;        // phys reg -> value.
+  std::unordered_map<int64_t, Value> SlotHolds; // spill offset -> value.
   unsigned NextOrig = 0;
   unsigned Stores = 0, Loads = 0;
 };
@@ -228,7 +235,7 @@ private:
 std::vector<Diagnostic> AllocationChecker::run() {
   // The entry state: each live-in's value sits where LiveInAssignment says.
   for (const auto &[VregRaw, Phys] : Alloc.LiveInAssignment)
-    RegHolds[Phys.rawBits()] = Value{VregRaw, 0};
+    RegHolds[Phys] = Value{VregRaw, 0};
   for (unsigned Index = 0, E = After.size(); Index != E; ++Index) {
     if (Governor && !Governor->poll())
       return std::move(Diags); // Partial; caller checks Governor->tripped().

@@ -10,9 +10,8 @@
 #include "analysis/Dataflow.h"
 #include "dag/Reachability.h"
 #include "ir/Interpreter.h"
+#include "ir/RegTable.h"
 #include "support/ResourceGovernor.h"
-
-#include <unordered_map>
 
 using namespace bsched;
 
@@ -80,17 +79,17 @@ public:
 
 private:
   CertVal regVal(Reg R) {
-    auto [It, Inserted] = Vals.try_emplace(R.rawBits());
+    auto [Val, Inserted] = Vals.tryEmplace(R);
     if (Inserted)
-      It->second =
-          CertVal::opaque(-static_cast<int64_t>(R.rawBits()) - 1);
-    return It->second;
+      Val = CertVal::opaque(-static_cast<int64_t>(R.rawBits()) - 1);
+    return Val;
   }
 
   void step(const Instruction &I, unsigned Index) {
     if (!I.hasDest() || opcodeDestIsFp(I.opcode()))
       return;
-    Vals[I.dest().rawBits()] = derive(I, Index);
+    const CertVal Defined = derive(I, Index);
+    Vals[I.dest()] = Defined;
   }
 
   /// The value \p I (at \p Index) defines, from the pre-def state.
@@ -139,7 +138,7 @@ private:
     return Opaque;
   }
 
-  std::unordered_map<uint32_t, CertVal> Vals;
+  RegMap<CertVal> Vals;
   std::vector<CertVal> Addrs;
 };
 
@@ -224,19 +223,30 @@ std::vector<Diagnostic> bsched::certifyMemDepAgainst(const BasicBlock &Input,
 
   // Obligation 2 (BS731/BS732/BS734): every ordered same-class pair with a
   // store either has a DAG path (any edge kinds — a register dependence
-  // orders just as hard) or a NoAlias claim the certifier can verify.
+  // orders just as hard) or a NoAlias claim the certifier can verify. The
+  // pairs are walked over the block's memory instructions only, in block
+  // order.
+  struct MemNode {
+    unsigned Index;
+    AliasClassId Class;
+    bool IsStore;
+  };
+  std::vector<MemNode> MemNodes;
+  for (unsigned I = 0; I != N; ++I)
+    if (Input[I].isMemory())
+      MemNodes.push_back({I, Input[I].aliasClass(), Input[I].isStore()});
+
   TransitiveClosure Closure(Dag, /*StorePreds=*/false);
-  for (unsigned I = 0; I != N; ++I) {
-    if (!Input[I].isMemory())
-      continue;
+  for (auto First = MemNodes.begin(); First != MemNodes.end(); ++First) {
     if (Gov && !Gov->poll())
       return Diags; // Partial; caller must check Gov->tripped().
-    for (unsigned J = I + 1; J != N; ++J) {
-      if (!Input[J].isMemory() ||
-          Input[I].aliasClass() != Input[J].aliasClass())
+    const unsigned I = First->Index;
+    for (auto Second = First + 1; Second != MemNodes.end(); ++Second) {
+      if (First->Class != Second->Class)
         continue;
-      if (!Input[I].isStore() && !Input[J].isStore())
+      if (!First->IsStore && !Second->IsStore)
         continue; // Load/load pairs never need ordering.
+      const unsigned J = Second->Index;
 
       AliasResult Claimed = Facts.alias(I, J);
 

@@ -8,6 +8,7 @@
 #include "dag/DagBuilder.h"
 
 #include "analysis/AddressAnalysis.h"
+#include "ir/RegTable.h"
 #include "support/ResourceGovernor.h"
 
 #include <unordered_map>
@@ -16,10 +17,21 @@ using namespace bsched;
 
 namespace {
 
-/// Per-register def/use tracking for RAW/WAR/WAW edges.
+constexpr uint32_t NoUse = ~uint32_t(0);
+
+/// Per-register def/use tracking for RAW/WAR/WAW edges. The uses since
+/// the reaching def form a chain through the builder's use links, oldest
+/// first, so a redefinition adds its anti edges in program order.
 struct RegState {
-  int LastDef = -1;                   ///< Node index of the reaching def.
-  std::vector<unsigned> UsesSinceDef; ///< Uses since that def.
+  int LastDef = -1;         ///< Node index of the reaching def.
+  uint32_t FirstUse = NoUse; ///< Link of the oldest use since that def.
+  uint32_t LastUse = NoUse;  ///< Link of the newest.
+};
+
+/// One use in a chain of uses since a def.
+struct UseLink {
+  unsigned Node;
+  uint32_t Next;
 };
 
 /// A memory access remembered for ordering decisions, with its address
@@ -49,7 +61,8 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
   Dag.rebuild(BB);
   unsigned N = Dag.size();
 
-  std::unordered_map<uint32_t, RegState> Regs;
+  RegMap<RegState> Regs;
+  std::vector<UseLink> UseLinks;
 
   // Per alias class: live memory accesses that later operations may need to
   // order against. Pruning is sound because anything erased or skipped is
@@ -86,21 +99,28 @@ void bsched::buildDagInto(DepDag &Dag, const BasicBlock &BB,
 
     // -- Register dependences -------------------------------------------
     for (Reg Src : Instr.sources()) {
-      RegState &State = Regs[Src.rawBits()];
+      RegState &State = Regs[Src];
       if (State.LastDef >= 0)
         Dag.addEdge(static_cast<unsigned>(State.LastDef), I, DepKind::Data);
-      State.UsesSinceDef.push_back(I);
+      const uint32_t Link = static_cast<uint32_t>(UseLinks.size());
+      UseLinks.push_back({I, NoUse});
+      if (State.LastUse == NoUse)
+        State.FirstUse = Link;
+      else
+        UseLinks[State.LastUse].Next = Link;
+      State.LastUse = Link;
     }
     if (Instr.hasDest()) {
-      RegState &State = Regs[Instr.dest().rawBits()];
-      for (unsigned Use : State.UsesSinceDef)
-        if (Use != I)
-          Dag.addEdge(Use, I, DepKind::Anti);
+      RegState &State = Regs[Instr.dest()];
+      for (uint32_t Link = State.FirstUse; Link != NoUse;
+           Link = UseLinks[Link].Next)
+        if (UseLinks[Link].Node != I)
+          Dag.addEdge(UseLinks[Link].Node, I, DepKind::Anti);
       if (State.LastDef >= 0 && !Dag.hasEdge(State.LastDef, I))
         Dag.addEdge(static_cast<unsigned>(State.LastDef), I,
                     DepKind::Output);
       State.LastDef = static_cast<int>(I);
-      State.UsesSinceDef.clear();
+      State.FirstUse = State.LastUse = NoUse;
     }
 
     // -- Memory dependences ---------------------------------------------

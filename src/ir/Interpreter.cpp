@@ -116,24 +116,24 @@ int64_t bsched::evalIntAlu(Opcode Op, int64_t A, int64_t B) {
 
 void Interpreter::setIntReg(Reg R, int64_t Value) {
   assert(R.isValid() && R.regClass() == RegClass::Int);
-  IntRegs[R.rawBits()] = Value;
+  Regs[R] = static_cast<uint64_t>(Value);
 }
 
 void Interpreter::setFpReg(Reg R, double Value) {
   assert(R.isValid() && R.regClass() == RegClass::Fp);
-  FpRegs[R.rawBits()] = Value;
+  Regs[R] = rawOfDouble(Value);
 }
 
 int64_t Interpreter::getIntReg(Reg R) const {
   assert(R.isValid() && R.regClass() == RegClass::Int);
-  auto It = IntRegs.find(R.rawBits());
-  return It != IntRegs.end() ? It->second : defaultIntValue(R);
+  const uint64_t *Raw = Regs.find(R);
+  return Raw ? static_cast<int64_t>(*Raw) : defaultIntValue(R);
 }
 
 double Interpreter::getFpReg(Reg R) const {
   assert(R.isValid() && R.regClass() == RegClass::Fp);
-  auto It = FpRegs.find(R.rawBits());
-  return It != FpRegs.end() ? It->second : defaultFpValue(R);
+  const uint64_t *Raw = Regs.find(R);
+  return Raw ? doubleOfRaw(*Raw) : defaultFpValue(R);
 }
 
 uint64_t Interpreter::loadRaw(AliasClassId Alias, int64_t Addr) const {

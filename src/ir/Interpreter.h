@@ -26,10 +26,10 @@
 #define BSCHED_IR_INTERPRETER_H
 
 #include "ir/BasicBlock.h"
+#include "ir/RegTable.h"
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 
 namespace bsched {
 
@@ -94,8 +94,9 @@ private:
   uint64_t loadRaw(AliasClassId Alias, int64_t Addr) const;
   void storeRaw(AliasClassId Alias, int64_t Addr, uint64_t Raw);
 
-  std::unordered_map<uint32_t, int64_t> IntRegs;
-  std::unordered_map<uint32_t, double> FpRegs;
+  /// Written registers: an integer register's value, or the bits of a
+  /// floating-point register's double.
+  RegMap<uint64_t> Regs;
   MemoryImage Memory;
   uint64_t ExecutedCount = 0;
 };

@@ -17,7 +17,6 @@ namespace {
 struct OpcodeInfo {
   std::string_view Name;
   uint8_t NumSrcs;
-  bool HasDest;
   bool DestFp;
   // Bit I set => source I is floating point.
   uint8_t SrcFpMask;
@@ -26,43 +25,43 @@ struct OpcodeInfo {
 };
 
 constexpr OpcodeInfo Infos[NumOpcodes] = {
-    // Name       #Src Dest  DFp   SrcFp Imm    FpImm
-    {"add", 2, true, false, 0b000, false, false},
-    {"sub", 2, true, false, 0b000, false, false},
-    {"mul", 2, true, false, 0b000, false, false},
-    {"div", 2, true, false, 0b000, false, false},
-    {"rem", 2, true, false, 0b000, false, false},
-    {"and", 2, true, false, 0b000, false, false},
-    {"or", 2, true, false, 0b000, false, false},
-    {"xor", 2, true, false, 0b000, false, false},
-    {"shl", 2, true, false, 0b000, false, false},
-    {"shr", 2, true, false, 0b000, false, false},
-    {"slt", 2, true, false, 0b000, false, false},
-    {"addi", 1, true, false, 0b000, true, false},
-    {"muli", 1, true, false, 0b000, true, false},
-    {"shli", 1, true, false, 0b000, true, false},
-    {"li", 0, true, false, 0b000, true, false},
-    {"mov", 1, true, false, 0b000, false, false},
-    {"fadd", 2, true, true, 0b011, false, false},
-    {"fsub", 2, true, true, 0b011, false, false},
-    {"fmul", 2, true, true, 0b011, false, false},
-    {"fdiv", 2, true, true, 0b011, false, false},
-    {"fneg", 1, true, true, 0b001, false, false},
-    {"fmov", 1, true, true, 0b001, false, false},
-    {"fli", 0, true, true, 0b000, false, true},
-    {"fmadd", 3, true, true, 0b111, false, false},
-    {"cvtif", 1, true, true, 0b000, false, false},
-    {"cvtfi", 1, true, false, 0b001, false, false},
-    {"fslt", 2, true, false, 0b011, false, false},
-    {"load", 1, true, false, 0b000, true, false},
-    {"fload", 1, true, true, 0b000, true, false},
-    {"store", 2, false, false, 0b000, true, false},
-    {"fstore", 2, false, false, 0b001, true, false},
-    {"jump", 0, false, false, 0b000, true, false},
-    {"bz", 1, false, false, 0b000, true, false},
-    {"bnz", 1, false, false, 0b000, true, false},
-    {"ret", 0, false, false, 0b000, false, false},
-    {"nop", 0, false, false, 0b000, false, false},
+    // Name     #Src DFp   SrcFp Imm    FpImm
+    {"add", 2, false, 0b000, false, false},
+    {"sub", 2, false, 0b000, false, false},
+    {"mul", 2, false, 0b000, false, false},
+    {"div", 2, false, 0b000, false, false},
+    {"rem", 2, false, 0b000, false, false},
+    {"and", 2, false, 0b000, false, false},
+    {"or", 2, false, 0b000, false, false},
+    {"xor", 2, false, 0b000, false, false},
+    {"shl", 2, false, 0b000, false, false},
+    {"shr", 2, false, 0b000, false, false},
+    {"slt", 2, false, 0b000, false, false},
+    {"addi", 1, false, 0b000, true, false},
+    {"muli", 1, false, 0b000, true, false},
+    {"shli", 1, false, 0b000, true, false},
+    {"li", 0, false, 0b000, true, false},
+    {"mov", 1, false, 0b000, false, false},
+    {"fadd", 2, true, 0b011, false, false},
+    {"fsub", 2, true, 0b011, false, false},
+    {"fmul", 2, true, 0b011, false, false},
+    {"fdiv", 2, true, 0b011, false, false},
+    {"fneg", 1, true, 0b001, false, false},
+    {"fmov", 1, true, 0b001, false, false},
+    {"fli", 0, true, 0b000, false, true},
+    {"fmadd", 3, true, 0b111, false, false},
+    {"cvtif", 1, true, 0b000, false, false},
+    {"cvtfi", 1, false, 0b001, false, false},
+    {"fslt", 2, false, 0b011, false, false},
+    {"load", 1, false, 0b000, true, false},
+    {"fload", 1, true, 0b000, true, false},
+    {"store", 2, false, 0b000, true, false},
+    {"fstore", 2, false, 0b001, true, false},
+    {"jump", 0, false, 0b000, true, false},
+    {"bz", 1, false, 0b000, true, false},
+    {"bnz", 1, false, 0b000, true, false},
+    {"ret", 0, false, 0b000, false, false},
+    {"nop", 0, false, 0b000, false, false},
 };
 
 const OpcodeInfo &infoOf(Opcode Op) {
@@ -81,28 +80,6 @@ std::optional<Opcode> bsched::parseOpcode(std::string_view Name) {
       return static_cast<Opcode>(I);
   return std::nullopt;
 }
-
-bool bsched::isLoadOpcode(Opcode Op) {
-  return Op == Opcode::Load || Op == Opcode::FLoad;
-}
-
-bool bsched::isStoreOpcode(Opcode Op) {
-  return Op == Opcode::Store || Op == Opcode::FStore;
-}
-
-bool bsched::isTerminatorOpcode(Opcode Op) {
-  switch (Op) {
-  case Opcode::Jump:
-  case Opcode::BranchZero:
-  case Opcode::BranchNotZero:
-  case Opcode::Ret:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool bsched::opcodeHasDest(Opcode Op) { return infoOf(Op).HasDest; }
 
 bool bsched::opcodeDestIsFp(Opcode Op) { return infoOf(Op).DestFp; }
 

@@ -64,6 +64,7 @@ enum class Opcode : uint8_t {
   // Memory. Loads/stores address [base + imm] within an alias class.
   Load,   ///< int dst = mem[src1 + imm].
   FLoad,  ///< fp dst = mem[src1 + imm].
+  // No opcode from Store on defines a register (opcodeHasDest).
   Store,  ///< mem[src2 + imm] = int src1.
   FStore, ///< mem[src2 + imm] = fp src1.
 
@@ -88,10 +89,14 @@ std::string_view opcodeName(Opcode Op);
 std::optional<Opcode> parseOpcode(std::string_view Name);
 
 /// Returns true for Load/FLoad — the instructions with uncertain latency.
-bool isLoadOpcode(Opcode Op);
+inline bool isLoadOpcode(Opcode Op) {
+  return Op == Opcode::Load || Op == Opcode::FLoad;
+}
 
 /// Returns true for Store/FStore.
-bool isStoreOpcode(Opcode Op);
+inline bool isStoreOpcode(Opcode Op) {
+  return Op == Opcode::Store || Op == Opcode::FStore;
+}
 
 /// Returns true for any memory-touching opcode.
 inline bool isMemoryOpcode(Opcode Op) {
@@ -99,10 +104,14 @@ inline bool isMemoryOpcode(Opcode Op) {
 }
 
 /// Returns true for block terminators (Jump/BranchZero/BranchNotZero/Ret).
-bool isTerminatorOpcode(Opcode Op);
+inline bool isTerminatorOpcode(Opcode Op) {
+  return Op == Opcode::Jump || Op == Opcode::BranchZero ||
+         Op == Opcode::BranchNotZero || Op == Opcode::Ret;
+}
 
-/// Returns true if the opcode defines a register.
-bool opcodeHasDest(Opcode Op);
+/// Returns true if the opcode defines a register: every opcode listed
+/// before Store does, and none from Store on.
+inline bool opcodeHasDest(Opcode Op) { return Op < Opcode::Store; }
 
 /// Returns true if the destination register is floating point.
 bool opcodeDestIsFp(Opcode Op);

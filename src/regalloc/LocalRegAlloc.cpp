@@ -7,9 +7,11 @@
 
 #include "regalloc/LocalRegAlloc.h"
 
+#include "ir/RegTable.h"
 #include "support/ResourceGovernor.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <optional>
 #include <unordered_set>
@@ -21,13 +23,38 @@ namespace {
 
 constexpr unsigned NoNextUse = std::numeric_limits<unsigned>::max();
 
-/// Where a virtual register's value currently lives.
+/// Where a virtual register's value currently lives, and where the block
+/// reads it.
 struct ValueState {
   Reg Phys;            ///< Valid while resident in a register.
   int64_t SpillSlot = -1; ///< Byte offset in the spill area, -1 if none.
   /// True while the only current copy is the register (memory absent or
   /// stale); eviction must store before freeing the register.
   bool Dirty = false;
+  /// The register's reads are UsePositions[UsesBegin, UsesEnd), ascending.
+  unsigned UsesBegin = 0;
+  unsigned UsesEnd = 0;
+};
+
+/// The physical registers an instruction's sources occupy: at most three,
+/// so a linear scan of an inline array.
+class PinnedRegs {
+public:
+  bool contains(Reg R) const {
+    return std::find(Regs.begin(), Regs.begin() + Size, R) !=
+           Regs.begin() + Size;
+  }
+
+  void insert(Reg R) {
+    if (contains(R))
+      return;
+    assert(Size != Regs.size() && "more pinned registers than sources");
+    Regs[Size++] = R;
+  }
+
+private:
+  std::array<Reg, 3> Regs;
+  unsigned Size = 0;
 };
 
 /// Allocation state for one register class.
@@ -55,12 +82,11 @@ public:
   /// improvement) or always-lowest (GCC's serializing default). Registers
   /// in \p Pinned are skipped. Returns the pool index, or nothing when
   /// the pool is empty or every pool register is pinned.
-  std::optional<unsigned>
-  pickPoolIndex(const std::unordered_set<uint32_t> &Pinned) {
+  std::optional<unsigned> pickPoolIndex(const PinnedRegs &Pinned) {
     unsigned N = Target.SpillPoolSize;
     for (unsigned Step = 0; Step != N; ++Step) {
       unsigned Index = Target.FifoSpillPool ? (NextPool + Step) % N : Step;
-      if (!Pinned.count(Target.spillPoolReg(RC, Index).rawBits())) {
+      if (!Pinned.contains(Target.spillPoolReg(RC, Index))) {
         if (Target.FifoSpillPool)
           NextPool = (Index + 1) % N;
         return Index;
@@ -77,6 +103,9 @@ public:
   }
 
   /// Virtual registers resident in *general* registers, for eviction scans.
+  /// Eviction breaks ties in this set's iteration order, so it stays a
+  /// hash set with the same insertions and erasures: a different order
+  /// would change the compiled code.
   std::unordered_set<uint32_t> ResidentGeneral;
 
 private:
@@ -106,20 +135,42 @@ private:
     return Files[R.regClass() == RegClass::Fp ? 1 : 0];
   }
 
+  /// Gives every register of the block its state, so later lookups never
+  /// insert, and lays out each register's read positions.
   void buildUsePositions() {
+    for (const Instruction &I : BB) {
+      for (Reg Src : I.sources())
+        ++Values[Src].UsesEnd; // Counts the reads for now.
+      if (I.hasDest())
+        Values.tryEmplace(I.dest());
+    }
+    unsigned Begin = 0;
+    for (uint32_t N = 0; N != Values.size(); ++N) {
+      ValueState &State = Values.value(N);
+      const unsigned Count = State.UsesEnd;
+      State.UsesBegin = State.UsesEnd = Begin;
+      Begin += Count;
+    }
+    UsePositions.resize(Begin);
     for (unsigned I = 0, E = BB.size(); I != E; ++I)
       for (Reg Src : BB[I].sources())
-        UsePositions[Src.rawBits()].push_back(I);
+        UsePositions[stateOf(Src).UsesEnd++] = I;
   }
 
-  /// First use of \p VregRaw strictly after instruction \p Index.
-  unsigned nextUseAfter(uint32_t VregRaw, unsigned Index) const {
-    auto It = UsePositions.find(VregRaw);
-    if (It == UsePositions.end())
-      return NoNextUse;
-    const std::vector<unsigned> &Positions = It->second;
-    auto Pos = std::upper_bound(Positions.begin(), Positions.end(), Index);
-    return Pos == Positions.end() ? NoNextUse : *Pos;
+  /// The state of \p Vreg, a register of the block.
+  ValueState &stateOf(Reg Vreg) {
+    ValueState *State = Values.find(Vreg);
+    assert(State && "register outside the block");
+    return *State;
+  }
+
+  /// First use of the register with state \p State strictly after
+  /// instruction \p Index.
+  unsigned nextUseAfter(const ValueState &State, unsigned Index) const {
+    auto End = UsePositions.begin() + State.UsesEnd;
+    auto Pos =
+        std::upper_bound(UsePositions.begin() + State.UsesBegin, End, Index);
+    return Pos == End ? NoNextUse : *Pos;
   }
 
   int64_t ensureSpillSlot(ValueState &State) {
@@ -144,16 +195,15 @@ private:
   /// value with the farthest next use (Belady). Registers in \p Pinned are
   /// untouchable; returns the invalid Reg when every resident value is
   /// pinned.
-  Reg evictOne(RegClass RC, unsigned Index,
-               const std::unordered_set<uint32_t> &Pinned) {
+  Reg evictOne(RegClass RC, unsigned Index, const PinnedRegs &Pinned) {
     ClassFile &File = Files[RC == RegClass::Fp ? 1 : 0];
     uint32_t Victim = 0;
     unsigned FarthestUse = 0;
     for (uint32_t Candidate : File.ResidentGeneral) {
-      ValueState &State = Values[Candidate];
-      if (Pinned.count(State.Phys.rawBits()))
+      ValueState &State = stateOf(Reg::fromRawBits(Candidate));
+      if (Pinned.contains(State.Phys))
         continue;
-      unsigned Use = nextUseAfter(Candidate, Index);
+      unsigned Use = nextUseAfter(State, Index);
       // Values without further uses are free kills; otherwise prefer the
       // farthest next use.
       if (Victim == 0 || Use > FarthestUse) {
@@ -166,7 +216,7 @@ private:
     if (Victim == 0)
       return Reg();
 
-    ValueState &State = Values[Victim];
+    ValueState &State = stateOf(Reg::fromRawBits(Victim));
     Reg Freed = State.Phys;
     if (FarthestUse != NoNextUse && State.Dirty)
       emitSpillStore(Freed, State);
@@ -178,7 +228,7 @@ private:
   /// Returns a free general register of class \p RC, evicting if needed
   /// (the invalid Reg when every general register is pinned).
   Reg allocateGeneral(RegClass RC, unsigned Index,
-                      const std::unordered_set<uint32_t> &Pinned) {
+                      const PinnedRegs &Pinned) {
     ClassFile &File = Files[RC == RegClass::Fp ? 1 : 0];
     Reg R = File.takeFreeGeneral();
     if (R.isValid())
@@ -188,9 +238,8 @@ private:
 
   /// Makes \p Vreg resident (reloading it if it was spilled) and returns
   /// its physical register.
-  Reg ensureResident(Reg Vreg, unsigned Index,
-                     std::unordered_set<uint32_t> &Pinned) {
-    ValueState &State = Values[Vreg.rawBits()];
+  Reg ensureResident(Reg Vreg, unsigned Index, PinnedRegs &Pinned) {
+    ValueState &State = stateOf(Vreg);
     if (!State.Phys.isValid()) {
       // Every value is bound from its def (or block entry) until it dies,
       // so a non-resident source was evicted and has a spill slot.
@@ -204,7 +253,7 @@ private:
         Phys = Target.spillPoolReg(Vreg.regClass(), *PoolIndex);
         // Pool values are always clean copies; just unbind.
         if (uint32_t Displaced = File.poolBinding(*PoolIndex))
-          Values[Displaced].Phys = Reg();
+          stateOf(Reg::fromRawBits(Displaced)).Phys = Reg();
         File.setPoolBinding(*PoolIndex, Vreg.rawBits());
       } else {
         // At most two other operands are pinned, and a class has at least
@@ -221,7 +270,7 @@ private:
       State.Phys = Phys;
       State.Dirty = false;
     }
-    Pinned.insert(State.Phys.rawBits());
+    Pinned.insert(State.Phys);
     return State.Phys;
   }
 
@@ -235,7 +284,7 @@ private:
       BSCHED_CHECK(R.isValid(), "block has more live-ins than general "
                                 "registers in a class");
       File.ResidentGeneral.insert(Vreg.rawBits());
-      ValueState &State = Values[Vreg.rawBits()];
+      ValueState &State = stateOf(Vreg);
       State.Phys = R;
       State.Dirty = true;
       Result.LiveInAssignment.emplace(Vreg.rawBits(), R);
@@ -244,9 +293,8 @@ private:
 
   /// Unbinds \p Vreg if it has no use after \p Index, freeing its register.
   void releaseIfDead(Reg Vreg, unsigned Index) {
-    ValueState &State = Values[Vreg.rawBits()];
-    if (!State.Phys.isValid() || nextUseAfter(Vreg.rawBits(), Index) !=
-                                     NoNextUse)
+    ValueState &State = stateOf(Vreg);
+    if (!State.Phys.isValid() || nextUseAfter(State, Index) != NoNextUse)
       return;
     ClassFile &File = fileOf(Vreg);
     if (File.ResidentGeneral.erase(Vreg.rawBits()))
@@ -261,8 +309,8 @@ private:
   ResourceGovernor *Governor;
   ClassFile Files[2]; // [0] = Int, [1] = Fp.
   AliasClassId SpillClass;
-  std::unordered_map<uint32_t, ValueState> Values;
-  std::unordered_map<uint32_t, std::vector<unsigned>> UsePositions;
+  RegMap<ValueState> Values; ///< Every register the block reads or writes.
+  std::vector<unsigned> UsePositions;
   std::vector<Instruction> Out;
   int64_t NextSlotOffset = 0;
   RegAllocResult Result;
@@ -282,7 +330,7 @@ RegAllocResult Allocator::run() {
       return std::move(Result);
 
     Instruction I = BB[Index];
-    std::unordered_set<uint32_t> Pinned;
+    PinnedRegs Pinned;
 
     // Bring every source into a register and rewrite the operands.
     for (unsigned S = 0, NumSrcs = static_cast<unsigned>(I.sources().size());
@@ -300,7 +348,7 @@ RegAllocResult Allocator::run() {
     if (I.hasDest()) {
       Reg DestVreg = I.dest();
       assert(DestVreg.isVirtual() && "allocator input must be virtual");
-      ValueState &State = Values[DestVreg.rawBits()];
+      ValueState &State = stateOf(DestVreg);
       // A value sitting in a pool register cannot be redefined in place:
       // pool slots are recycled without spilling, so dirty data there
       // would be lost. Migrate the binding to a general register.
@@ -339,13 +387,13 @@ RegAllocResult Allocator::run() {
 
 std::vector<Reg> bsched::blockLiveIns(const BasicBlock &BB) {
   std::vector<Reg> LiveIns;
-  std::unordered_set<uint32_t> Seen; // Defined, or already a live-in.
+  RegIndex Seen; // Defined, or already a live-in.
   for (const Instruction &I : BB) {
     for (Reg Src : I.sources())
-      if (Seen.insert(Src.rawBits()).second)
+      if (Seen.insert(Src).second)
         LiveIns.push_back(Src);
     if (I.hasDest())
-      Seen.insert(I.dest().rawBits());
+      Seen.insert(I.dest());
   }
   return LiveIns;
 }

@@ -7,10 +7,10 @@
 
 #include "regalloc/RegisterRenaming.h"
 
+#include "ir/RegTable.h"
 #include "regalloc/LocalRegAlloc.h"
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 using namespace bsched;
@@ -109,17 +109,17 @@ RenamingResult bsched::renameRegisters(BasicBlock &BB,
   unsigned N = BB.size();
 
   // Build per-register timelines over the original names.
-  std::unordered_map<uint32_t, RegTimeline> Timelines;
+  RegMap<RegTimeline> Timelines;
   for (unsigned I = 0; I != N; ++I) {
     const Instruction &Instr = BB[I];
     for (Reg Src : Instr.sources()) {
       assert(Src.isPhysical() && "renaming requires physical registers");
-      RegTimeline &T = Timelines[Src.rawBits()];
+      RegTimeline &T = Timelines[Src];
       if (T.UsePositions.empty() || T.UsePositions.back() != I)
         T.UsePositions.push_back(I);
     }
     if (Instr.hasDest())
-      Timelines[Instr.dest().rawBits()].DefPositions.push_back(I);
+      Timelines[Instr.dest()].DefPositions.push_back(I);
   }
 
   ClassRenamer Renamers[2] = {ClassRenamer(RegClass::Int, Target),
@@ -130,11 +130,12 @@ RenamingResult bsched::renameRegisters(BasicBlock &BB,
 
   // Live-in registers keep their identity until their last use: callers
   // seeded values under the original names, so those names are reserved
-  // out of the pool up front.
-  std::unordered_map<uint32_t, Reg> CurrentName;
+  // out of the pool up front. A name whose value has died maps to the
+  // invalid register.
+  RegMap<Reg> CurrentName;
   Reg FramePointer = Target.framePointer();
   for (Reg Src : blockLiveIns(BB)) {
-    CurrentName.emplace(Src.rawBits(), Src);
+    CurrentName[Src] = Src;
     if (Src != FramePointer)
       RenamerOf(Src).reserve(Src);
   }
@@ -145,26 +146,26 @@ RenamingResult bsched::renameRegisters(BasicBlock &BB,
     Instruction &Instr = BB[I];
 
     // Rewrite sources, remembering which original names die here.
-    std::vector<uint32_t> Dying;
+    std::vector<Reg> Dying;
     for (unsigned S = 0,
                   E = static_cast<unsigned>(Instr.sources().size());
          S != E; ++S) {
       Reg Orig = Instr.source(S);
-      auto It = CurrentName.find(Orig.rawBits());
-      assert(It != CurrentName.end() && "use of untracked register");
-      Instr.setSource(S, It->second);
-      if (Orig != FramePointer && Timelines[Orig.rawBits()].isLastUse(I)) {
+      const Reg *Name = CurrentName.find(Orig);
+      assert(Name && Name->isValid() && "use of untracked register");
+      Instr.setSource(S, *Name);
+      if (Orig != FramePointer && Timelines.find(Orig)->isLastUse(I)) {
         bool Already = false;
-        for (uint32_t D : Dying)
-          Already |= D == Orig.rawBits();
+        for (Reg D : Dying)
+          Already |= D == Orig;
         if (!Already)
-          Dying.push_back(Orig.rawBits());
+          Dying.push_back(Orig);
       }
     }
-    for (uint32_t Raw : Dying) {
-      Reg Name = CurrentName[Raw];
+    for (Reg Orig : Dying) {
+      Reg &Name = *CurrentName.find(Orig);
       RenamerOf(Name).release(Name);
-      CurrentName.erase(Raw);
+      Name = Reg();
     }
 
     if (!Instr.hasDest())
@@ -186,11 +187,11 @@ RenamingResult bsched::renameRegisters(BasicBlock &BB,
     }
     Instr.setDest(NewName);
 
-    if (Timelines[Orig.rawBits()].isDeadDef(I)) {
+    if (Timelines.find(Orig)->isDeadDef(I)) {
       // Dead value: its register is immediately reusable.
       RenamerOf(NewName).release(NewName);
     } else {
-      CurrentName[Orig.rawBits()] = NewName;
+      CurrentName[Orig] = NewName;
     }
   }
   return Result;

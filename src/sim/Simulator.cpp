@@ -7,6 +7,8 @@
 
 #include "sim/Simulator.h"
 
+#include "ir/RegTable.h"
+
 #include <algorithm>
 #include <cmath>
 
@@ -78,53 +80,14 @@ SimInstruments::~SimInstruments() {
 // Decode
 //===----------------------------------------------------------------------===
 
-namespace {
-
-/// Registers with an id below this are numbered through a flat table,
-/// indexed by (physical, fp, id): every physical register of a validated
-/// target (BS500 caps register files at 1024 per class) and the virtual
-/// registers of ordinary blocks.
-constexpr unsigned DirectIds = 1024;
-constexpr unsigned NumDirectKeys = 4 * DirectIds;
-
-/// The flat-table key of \p R, or NumDirectKeys if it has none.
-unsigned directKey(Reg R) {
-  if (!R.isValid() || R.id() >= DirectIds)
-    return NumDirectKeys;
-  unsigned Space = (R.isPhysical() ? 2u : 0u) +
-                   (R.regClass() == RegClass::Fp ? 1u : 0u);
-  return Space * DirectIds + R.id();
-}
-
-} // namespace
-
 void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
-  if (SparseIndex.empty())
-    SparseIndex.assign(NumDirectKeys, 0);
   Steps.clear();
-  DenseKeys.clear();
-  WideOperands.clear();
   NumSampled = 0;
 
-  // Number for the operand at \p Ref (step * 4 + field; field 3 is the
-  // destination). A sparse set over the flat table: DenseKeys lists the
-  // keys numbered so far, and SparseIndex[Key] is valid only if it points
-  // back at Key, so the table is never cleared. Other registers get 0 for
-  // now and are numbered after the loop.
-  auto numberOf = [&](Reg R, uint32_t Ref) -> uint32_t {
-    unsigned Key = directKey(R);
-    if (Key == NumDirectKeys) {
-      WideOperands.push_back({R.rawBits(), Ref});
-      return 0;
-    }
-    uint32_t Index = SparseIndex[Key];
-    if (Index >= DenseKeys.size() || DenseKeys[Index] != Key) {
-      Index = static_cast<uint32_t>(DenseKeys.size());
-      SparseIndex[Key] = Index;
-      DenseKeys.push_back(Key);
-    }
-    return Index + 1;
-  };
+  // Register number of an operand: its RegIndex number plus one, since 0
+  // pads unused source slots.
+  RegIndex Regs;
+  auto numberOf = [&](Reg R) { return Regs.insert(R).first + 1; };
 
   // max(llround(opLatency), 1) per opcode, rounded on first use; 0 marks
   // an opcode not yet seen.
@@ -132,21 +95,18 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
 
   Steps.reserve(BB.size());
   for (const Instruction &I : BB) {
-    const uint32_t Ref = static_cast<uint32_t>(Steps.size()) * 4;
     Step S{{0, 0, 0}, 0, I.isLoad(), 0};
     unsigned Field = 0;
-    for (Reg Src : I.sources()) {
-      S.Srcs[Field] = numberOf(Src, Ref + Field);
-      ++Field;
-    }
+    for (Reg Src : I.sources())
+      S.Srcs[Field++] = numberOf(Src);
     if (S.IsLoad) {
       // Known-latency loads (section 6: e.g. a second access to a cache
       // line) bypass the uncertain memory system.
-      S.Dest = numberOf(I.dest(), Ref + 3);
+      S.Dest = numberOf(I.dest());
       S.Latency = I.hasKnownLatency() ? I.knownLatency() : SampledLatency;
       NumSampled += S.Latency == SampledLatency;
     } else if (I.hasDest()) {
-      S.Dest = numberOf(I.dest(), Ref + 3);
+      S.Dest = numberOf(I.dest());
       uint64_t &Latency = OpLatency[static_cast<unsigned>(I.opcode())];
       if (Latency == 0)
         Latency = std::max<uint64_t>(
@@ -156,19 +116,7 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
     }
     Steps.push_back(S);
   }
-
-  // Registers outside the flat table (virtual ids of 1024 and up, or the
-  // invalid register in an unverified block) are numbered after the
-  // table's, one number per distinct encoding.
-  NumRegs = static_cast<uint32_t>(DenseKeys.size()) + 1;
-  std::sort(WideOperands.begin(), WideOperands.end());
-  for (size_t K = 0; K != WideOperands.size(); ++K) {
-    auto [Bits, Ref] = WideOperands[K];
-    if (K == 0 || Bits != WideOperands[K - 1].first)
-      ++NumRegs;
-    Step &S = Steps[Ref / 4];
-    (Ref % 4 == 3 ? S.Dest : S.Srcs[Ref % 4]) = NumRegs - 1;
-  }
+  NumRegs = Regs.size() + 1;
 }
 
 //===----------------------------------------------------------------------===

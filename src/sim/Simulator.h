@@ -123,7 +123,7 @@ class DecodedBlock {
 public:
   /// Decodes \p BB, taking non-load latencies from \p Ops. Reuses this
   /// object's storage; any register operand is accepted, virtual or
-  /// physical.
+  /// physical, and numbered through a RegIndex (ir/RegTable.h).
   void decode(const BasicBlock &BB, const LatencyModel &Ops);
 
   /// Loads of the decoded block whose latency the memory system draws,
@@ -170,12 +170,6 @@ private:
   std::vector<Step> Steps;
   uint32_t NumRegs = 0;
   size_t NumSampled = 0;
-
-  // Decode scratch: a sparse set numbering registers with small ids, and
-  // the operands of every other register, numbered after the loop.
-  std::vector<uint32_t> SparseIndex;
-  std::vector<uint32_t> DenseKeys;
-  std::vector<std::pair<uint32_t, uint32_t>> WideOperands;
 
   // Run scratch.
   std::vector<uint64_t> ReadyAt;

@@ -13,10 +13,15 @@
 #include "ir/IrVerifier.h"
 #include "ir/Opcode.h"
 #include "ir/Reg.h"
+#include "ir/RegTable.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
+#include <unordered_map>
 
 using namespace bsched;
 
@@ -61,6 +66,130 @@ TEST(RegTest, EqualityDistinguishesSpaces) {
 }
 
 //===----------------------------------------------------------------------===
+// RegIndex / RegMap
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Ids on both sides of the flat table's edge (ids below 1024), in all four
+/// (physical, fp) spaces, plus the invalid register.
+std::vector<Reg> regTableKeys() {
+  std::vector<Reg> Keys{Reg()};
+  for (unsigned Id :
+       {0u, 1u, 1023u, 1024u, 1025u, Reg::MaxId - 1, Reg::MaxId})
+    for (RegClass RC : {RegClass::Int, RegClass::Fp}) {
+      Keys.push_back(Reg::makeVirtual(RC, Id));
+      Keys.push_back(Reg::makePhysical(RC, Id));
+    }
+  return Keys;
+}
+
+/// A RegMap, the std::unordered_map it must agree with, and its registers
+/// in first-insertion order (value(N) is the N-th one's).
+struct CheckedRegMap {
+  std::optional<RegMap<int64_t>> Map{std::in_place};
+  std::unordered_map<uint32_t, int64_t> Want;
+  std::vector<Reg> Order;
+
+  /// Drops the map for a new one, which takes the storage just handed
+  /// back, its flat table uncleared.
+  void startOver() {
+    Map.reset();
+    Map.emplace();
+    Want.clear();
+    Order.clear();
+  }
+
+  void expectAgree(const std::vector<Reg> &Keys) const {
+    ASSERT_EQ(Map->size(), Want.size());
+    for (uint32_t N = 0; N != Map->size(); ++N)
+      EXPECT_EQ(Map->value(N), Want.at(Order[N].rawBits()))
+          << Order[N].str() << " numbered " << N;
+    for (Reg K : Keys) {
+      auto It = Want.find(K.rawBits());
+      const int64_t *Got = Map->find(K);
+      ASSERT_EQ(Got != nullptr, It != Want.end()) << K.str();
+      if (Got) {
+        EXPECT_EQ(*Got, It->second) << K.str();
+      }
+    }
+  }
+};
+
+} // namespace
+
+TEST(RegTableTest, AgreesWithUnorderedMapOnRandomSequences) {
+  const std::vector<Reg> Keys = regTableKeys();
+  Rng R(31);
+  for (unsigned Round = 0; Round != 100; ++Round) {
+    // Two maps live at once. From the second round on, each takes storage
+    // an earlier round handed back, flat table uncleared.
+    CheckedRegMap Maps[2];
+    for (unsigned Step = 0; Step != 400; ++Step) {
+      CheckedRegMap &M = Maps[R.nextBounded(2)];
+      const Reg K = Keys[R.nextBounded(Keys.size())];
+      const int64_t V = static_cast<int64_t>(R.nextUInt64());
+      switch (R.nextBounded(4)) {
+      case 0: { // Find.
+        auto It = M.Want.find(K.rawBits());
+        const int64_t *Got = M.Map->find(K);
+        ASSERT_EQ(Got != nullptr, It != M.Want.end()) << K.str();
+        if (Got) {
+          EXPECT_EQ(*Got, It->second) << K.str();
+        }
+        break;
+      }
+      case 1: // Insert or overwrite.
+        if (!M.Want.count(K.rawBits()))
+          M.Order.push_back(K);
+        (*M.Map)[K] = V;
+        M.Want[K.rawBits()] = V;
+        break;
+      case 2: { // Insert, keeping a present value; a new one reads 0.
+        auto [Value, Inserted] = M.Map->tryEmplace(K);
+        auto [It, WantInserted] = M.Want.try_emplace(K.rawBits(), 0);
+        EXPECT_EQ(Inserted, WantInserted) << K.str();
+        EXPECT_EQ(Value, It->second) << K.str();
+        if (Inserted)
+          M.Order.push_back(K);
+        break;
+      }
+      default: // Now and then, start over.
+        if (R.nextBounded(40) == 0)
+          M.startOver();
+        break;
+      }
+    }
+    for (const CheckedRegMap &M : Maps)
+      M.expectAgree(Keys);
+  }
+}
+
+TEST(RegTableTest, IndexNumbersInFirstInsertionOrder) {
+  const Reg Wide = Reg::makeVirtual(RegClass::Fp, 5000);
+  const Reg Direct = Reg::makePhysical(RegClass::Int, 7);
+  {
+    RegIndex Index;
+    EXPECT_EQ(Index.find(Wide), RegIndex::NotFound);
+    EXPECT_EQ(Index.insert(Wide), std::make_pair(0u, true));
+    EXPECT_EQ(Index.insert(Direct), std::make_pair(1u, true));
+    EXPECT_EQ(Index.insert(Reg()), std::make_pair(2u, true));
+    EXPECT_EQ(Index.insert(Wide), std::make_pair(0u, false));
+    EXPECT_EQ(Index.find(Direct), 1u);
+    EXPECT_EQ(Index.find(Reg()), 2u);
+    EXPECT_EQ(Index.find(Reg::makeVirtual(RegClass::Int, 7)),
+              RegIndex::NotFound);
+    EXPECT_EQ(Index.size(), 3u);
+  }
+  // The next index on this thread reuses that storage and starts empty.
+  RegIndex Next;
+  EXPECT_EQ(Next.size(), 0u);
+  EXPECT_EQ(Next.find(Direct), RegIndex::NotFound);
+  EXPECT_EQ(Next.find(Wide), RegIndex::NotFound);
+  EXPECT_EQ(Next.insert(Direct), std::make_pair(0u, true));
+}
+
+//===----------------------------------------------------------------------===
 // Opcode properties
 //===----------------------------------------------------------------------===
 
@@ -94,6 +223,20 @@ TEST(OpcodeTest, TerminatorClassification) {
   EXPECT_TRUE(isTerminatorOpcode(Opcode::BranchZero));
   EXPECT_FALSE(isTerminatorOpcode(Opcode::Nop));
   EXPECT_FALSE(isTerminatorOpcode(Opcode::Load));
+}
+
+TEST(OpcodeTest, DestClassification) {
+  const Opcode NoDest[] = {Opcode::Store,         Opcode::FStore,
+                           Opcode::Jump,          Opcode::BranchZero,
+                           Opcode::BranchNotZero, Opcode::Ret,
+                           Opcode::Nop};
+  for (unsigned I = 0; I != NumOpcodes; ++I) {
+    const Opcode Op = static_cast<Opcode>(I);
+    EXPECT_EQ(opcodeHasDest(Op),
+              std::find(std::begin(NoDest), std::end(NoDest), Op) ==
+                  std::end(NoDest))
+        << opcodeName(Op);
+  }
 }
 
 TEST(OpcodeTest, SourceClassTables) {
