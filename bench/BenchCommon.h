@@ -18,6 +18,7 @@
 
 #include "pipeline/ExperimentEngine.h"
 #include "sim/MemorySystem.h"
+#include "support/FailPoint.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "workload/PerfectClub.h"
@@ -104,7 +105,17 @@ inline bool writeBenchArtifact(const std::string &Name, const JsonWriter &W) {
   return true;
 }
 
-/// Counter lookup in a snapshot; 0 when absent (BSCHED_NO_OBS builds).
+/// False, after printing why, when BSCHED_FAILPOINTS is malformed: such a
+/// spec arms nothing, so a run under it would pass for a chaos run. Every
+/// bench main checks this before running and exits with its usage code.
+inline bool failPointSpecOk() {
+  std::string Error = FailPointRegistry::instance().envError();
+  if (!Error.empty())
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return Error.empty();
+}
+
+/// Counter lookup in a snapshot; 0 when the counter was never registered.
 inline uint64_t counterOrZero(const MetricSnapshot &Snapshot,
                               const std::string &Name) {
   auto It = Snapshot.Counters.find(Name);

@@ -15,9 +15,10 @@
 //
 // Run: build/bench/bench_engine_scaling [workers...] [--trace-out=FILE]
 //                                       (workers default 1 2 4 8)
-// Each worker count is an integer in [1, 256]; anything else prints the
-// usage and exits 2. Exit 1 means a run lost a cell or did not match the
-// serial run or the standalone cells.
+// Each worker count is an integer in [1, 256]; anything else, like a
+// malformed BSCHED_FAILPOINTS, prints the error and exits 2. Exit 1 means
+// a run lost a cell or did not match the serial run or the standalone
+// cells.
 //
 // Also measures the observability layer's own cost (the serial sweep on
 // an engine with a metric registry vs. one without), writes the
@@ -82,6 +83,8 @@ int main(int argc, char **argv) {
     }
     WorkerCounts.push_back(static_cast<unsigned>(N));
   }
+  if (!failPointSpecOk())
+    return 2;
   if (WorkerCounts.empty())
     WorkerCounts = {1, 2, 4, 8};
 
@@ -201,12 +204,11 @@ int main(int argc, char **argv) {
   }
 
   // Observability overhead: the same serial sweep on an engine without a
-  // metric registry (the layer compiled in but idle — every instrument
-  // handle null) and on one with a registry, which every compile and
-  // simulation records into. Results must be identical because metrics
-  // only observe; the delta is the price of collection itself.
-  // EXPERIMENTS.md records this number plus the idle-vs-BSCHED_NO_OBS
-  // comparison.
+  // metric registry (the layer idle — every instrument handle null) and
+  // on one with a registry, which every compile and simulation records
+  // into. Results must be identical because metrics only observe; the
+  // delta is the price of collection itself, and EXPERIMENTS.md records
+  // it.
   std::printf("\n");
   Table O("Observability overhead (serial sweep)");
   O.setHeader({"Metrics", "Wall ms", "Overhead", "Identical"});

@@ -22,7 +22,8 @@
 // one tiny sweep iteration, and compiles a 4 x n=1024 function serially
 // and on a 4-worker pool, failing unless the two outputs are identical;
 // no artifact (the ctest perf-smoke gate).
-// Full runs write BENCH_huge_dag.json next to EXPERIMENTS.md.
+// Full runs write BENCH_huge_dag.json next to EXPERIMENTS.md. A malformed
+// BSCHED_FAILPOINTS exits 2 before anything runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -406,6 +407,8 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I)
     if (std::strcmp(argv[I], "--smoke") == 0)
       Smoke = true;
+  if (!failPointSpecOk())
+    return 2;
 
   if (Smoke) {
     // The perf-smoke gate: one n=4096 compile under an active governor

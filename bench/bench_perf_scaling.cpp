@@ -12,7 +12,8 @@
 // with the before/after ns-per-instruction table, the pipeline's
 // weighter_* scratch-reuse counters, and block-parallel compile wall
 // times. `--smoke` runs a one-iteration sweep with no artifact (the ctest
-// perf-smoke gate).
+// perf-smoke gate). An unknown argument or a malformed BSCHED_FAILPOINTS
+// exits 1 before anything runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -411,7 +412,8 @@ int main(int argc, char **argv) {
   }
   int Argc = static_cast<int>(Args.size());
   benchmark::Initialize(&Argc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
+  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()) ||
+      !failPointSpecOk())
     return 1;
 
   if (!Smoke)

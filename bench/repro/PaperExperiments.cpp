@@ -17,7 +17,6 @@
 #include "sched/ListScheduler.h"
 #include "sched/TraditionalWeighter.h"
 #include "sim/Simulator.h"
-#include "support/FailPoint.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 #include "tests/TestDagHelpers.h"
@@ -45,11 +44,8 @@ void Report::say(const char *Fmt, ...) {
 }
 
 int repro::benchMain(Experiment Run) {
-  if (std::string Error = FailPointRegistry::instance().envError();
-      !Error.empty()) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  if (!bench::failPointSpecOk())
     return 2;
-  }
   Report R{stdout, {}, true};
   Run(R);
   return R.ClaimsHold ? 0 : 1;

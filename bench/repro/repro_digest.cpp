@@ -7,19 +7,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchCommon.h"
 #include "bench/repro/PaperExperiments.h"
-#include "support/FailPoint.h"
 #include "support/StringUtils.h"
 
 #include <cinttypes>
 
 int main() {
   using namespace bsched::repro;
-  if (std::string Error = bsched::FailPointRegistry::instance().envError();
-      !Error.empty()) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  if (!bsched::bench::failPointSpecOk())
     return 2;
-  }
   // Every experiment under its digest name: the paper's in its order, then
   // the others under their bench names.
   const struct {

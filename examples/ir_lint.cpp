@@ -16,9 +16,10 @@
 //           [--deadline-ms N] [--max-instrs N]
 //   ir_lint --demo        (runs on a built-in example with findings)
 //
-// Exit codes: 0 = clean, 1 = lint findings, 2 = syntax error,
-// 3 = IR verification failure, 4 = pipeline certification failure,
-// 5 = resource budget exceeded (structured BS80x diagnostic).
+// Exit codes: 0 = clean, 1 = lint findings, 2 = bad command line,
+// malformed BSCHED_FAILPOINTS or syntax error, 3 = IR verification
+// failure, 4 = pipeline certification failure, 5 = resource budget
+// exceeded (structured BS80x diagnostic).
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +28,7 @@
 #include "parser/Parser.h"
 #include "pipeline/Pipeline.h"
 #include "support/CliOptions.h"
+#include "support/FailPoint.h"
 
 #include <cstdio>
 #include <cstring>
@@ -118,6 +120,13 @@ int main(int argc, char **argv) {
   if (!configureGlobalLogger(Cli.options().LogLevelText,
                              Cli.options().LogFile, &LogError)) {
     Log.console(LogLevel::Error, "ir_lint", "error: " + LogError);
+    return 2;
+  }
+  // A malformed BSCHED_FAILPOINTS arms nothing; running anyway would pass
+  // a chaos run off as one.
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    Log.console(LogLevel::Error, "ir_lint", "error: " + Error);
     return 2;
   }
   if (argc <= 1)

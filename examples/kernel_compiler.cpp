@@ -168,7 +168,7 @@ int main(int argc, char **argv) {
         Cli.options().Budget.MaxInstructionsPerBlock;
 
   // One registry and one trace for the whole run; both are merged/written
-  // at the end. With BSCHED_NO_OBS builds these collect nothing.
+  // at the end.
   MetricRegistry Metrics;
   TraceRecorder Trace;
 

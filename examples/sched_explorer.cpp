@@ -30,6 +30,7 @@
 #include "sched/ListScheduler.h"
 #include "sched/TraditionalWeighter.h"
 #include "support/CliOptions.h"
+#include "support/FailPoint.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -259,6 +260,13 @@ int main(int argc, char **argv) {
       return 2;
     }
     Only = *Parsed;
+  }
+  // A malformed BSCHED_FAILPOINTS arms nothing; running anyway would pass
+  // a chaos run off as one.
+  if (std::string Error = FailPointRegistry::instance().envError();
+      !Error.empty()) {
+    Log.console(LogLevel::Error, "sched_explorer", "error: " + Error);
+    return 2;
   }
   if (argc <= 1)
     Source = DemoSource; // No arguments: run the built-in example.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The chaos gate (DESIGN.md §3i): builds under ASan and drives the
-# governance + fault-injection suites three ways —
+# governance + fault-injection suites two ways —
 #
 #   1. ctest -L "chaos|governor": the structured-outcome, degradation-
 #      ladder, and serial==parallel determinism suites, plus the
@@ -10,9 +10,6 @@
 #      way an operator would chaos-test a deployment, and repro_digest
 #      runs every experiment under the same faults and must exit 0 (a
 #      failed cell prints n/a; it never aborts the digest).
-#   3. A BSCHED_NO_FAILPOINTS=ON build of the same suites: the injection
-#      layer compiles out to nothing and every test either passes or
-#      skips itself — production builds carry zero chaos overhead.
 #
 # Usage: scripts/chaos.sh
 set -euo pipefail
@@ -31,12 +28,5 @@ FAULTS="dag-build:0.02:7,regalloc:0.02:11,certify:0.02:13"
 BSCHED_FAILPOINTS="$FAULTS" \
   ./build-asan/tests/fuzz_harness --seed 0xC4A05 --iters 2000 --mode chaos
 BSCHED_FAILPOINTS="$FAULTS" ./build-asan/bench/repro_digest
-
-echo "== chaos: BSCHED_NO_FAILPOINTS=ON build =="
-cmake -B build-nofp -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DBSCHED_NO_FAILPOINTS=ON
-cmake --build build-nofp -j "$(nproc)"
-ctest --test-dir build-nofp -L "chaos|governor" --output-on-failure \
-  -j "$(nproc)"
 
 echo "chaos: all clean"

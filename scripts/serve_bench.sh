@@ -137,7 +137,7 @@ run = json.load(open(sys.argv[1]))
 exact = run["server_wall_ms"]
 server = run.get("server", {}).get("stats", {}).get("latency_us", {}).get("compile")
 if not server or not server.get("count"):
-    print("quantile cross-check: no server-side histogram (BSCHED_NO_OBS build?) - skipped")
+    print("quantile cross-check: no server-side histogram - skipped")
     sys.exit(0)
 slack_us, worst = 50.0, 0.0
 for q in ("p50", "p90", "p99"):

@@ -83,7 +83,6 @@ FlightRecorder::Ring &FlightRecorder::threadRing() {
 }
 
 void FlightRecorder::record(FlightEvent Event) {
-#ifndef BSCHED_NO_OBS
   Ring &R = threadRing();
   if (Event.TsUs == 0)
     Event.TsUs = nowUs();
@@ -93,37 +92,10 @@ void FlightRecorder::record(FlightEvent Event) {
   R.Slots[R.Next] = std::move(Event);
   R.Next = (R.Next + 1) % R.Slots.size();
   R.Count = std::min(R.Count + 1, R.Slots.size());
-#else
-  (void)Event;
-#endif
-}
-
-void FlightRecorder::recordSpan(std::string_view Name, uint64_t DurUs,
-                                std::string_view ArgsJson) {
-#ifndef BSCHED_NO_OBS
-  FlightEvent Event;
-  Event.Kind = "span";
-  Event.Level = LogLevel::Debug;
-  Event.Component = "trace";
-  Event.Message = std::string(Name);
-  JsonWriter W;
-  W.beginObject();
-  W.key("dur_us").value(DurUs);
-  if (!ArgsJson.empty())
-    W.key("args").rawValue(ArgsJson);
-  W.endObject();
-  Event.FieldsJson = W.str();
-  record(std::move(Event));
-#else
-  (void)Name;
-  (void)DurUs;
-  (void)ArgsJson;
-#endif
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
   std::vector<FlightEvent> Result;
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> RingsLock(RingsMutex);
   for (const std::unique_ptr<Ring> &R : Rings) {
     std::lock_guard<std::mutex> Lock(R->Mutex);
@@ -136,7 +108,6 @@ std::vector<FlightEvent> FlightRecorder::events() const {
                    [](const FlightEvent &A, const FlightEvent &B) {
                      return A.TsUs < B.TsUs;
                    });
-#endif
   return Result;
 }
 
@@ -153,7 +124,7 @@ std::string FlightRecorder::dumpJson(std::string_view Trigger) const {
     W.key("ts_us").value(Event.TsUs);
     W.key("tid").value(static_cast<uint64_t>(Event.Tid));
     W.key("level").value(logLevelName(Event.Level));
-    W.key("kind").value(Event.Kind);
+    W.key("kind").value("log"); // Every ring event is a log event.
     W.key("component").value(Event.Component);
     W.key("msg").value(Event.Message);
     if (!Event.FieldsJson.empty())
@@ -167,7 +138,6 @@ std::string FlightRecorder::dumpJson(std::string_view Trigger) const {
 }
 
 void FlightRecorder::clear() {
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> RingsLock(RingsMutex);
   for (const std::unique_ptr<Ring> &R : Rings) {
     std::lock_guard<std::mutex> Lock(R->Mutex);
@@ -176,5 +146,4 @@ void FlightRecorder::clear() {
     R->Next = 0;
     R->Count = 0;
   }
-#endif
 }

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The post-mortem half of the observability layer (DESIGN.md §3l): a
-/// fixed-capacity ring buffer of recent log and span events, kept per
+/// fixed-capacity ring buffer of recent log events, kept per
 /// thread so recording never contends across workers. The rings hold the
 /// last ~N events each; when something goes wrong — a governor hard-fail
 /// (BS802), an armed fail point (BS810), a pool-fault backstop (BS811),
@@ -19,9 +19,6 @@
 /// and is cold by definition. Capacity is fixed at construction and old
 /// events are overwritten, so memory is bounded no matter how long the
 /// service runs.
-///
-/// Under `BSCHED_NO_OBS` recording compiles to nothing and dumps come
-/// back with an empty event list (still valid JSON).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,17 +37,17 @@
 
 namespace bsched {
 
-/// The process-wide dense thread index shared by the telemetry layer
-/// (log events, flight-recorder rings). Stable for the thread's lifetime.
+/// The process-wide dense thread index shared by the telemetry layer: the
+/// `tid` of log events, flight-recorder rings and trace spans, and the
+/// shard a thread records into. Stable for the thread's lifetime.
 uint32_t obsThreadIndex();
 
-/// One captured event. `Kind` is "log" or "span"; `FieldsJson` is a
-/// pre-rendered JSON object (log fields or span args), or empty.
+/// One captured log event. `FieldsJson` is a pre-rendered JSON object of
+/// the log fields, or empty.
 struct FlightEvent {
   uint64_t TsUs = 0; ///< Microseconds since the recorder's epoch.
   uint32_t Tid = 0;  ///< Process-wide thread index.
   LogLevel Level = LogLevel::Info;
-  const char *Kind = "log";
   std::string Component;
   std::string Message;
   std::string FieldsJson;
@@ -79,10 +76,6 @@ public:
   /// Appends \p Event to the calling thread's ring, overwriting the
   /// oldest entry when full. TsUs/Tid are filled in when zero.
   void record(FlightEvent Event);
-
-  /// Convenience for span-shaped events (name + duration + args).
-  void recordSpan(std::string_view Name, uint64_t DurUs,
-                  std::string_view ArgsJson = {});
 
   /// Every buffered event across all rings, sorted by timestamp.
   std::vector<FlightEvent> events() const;

@@ -44,7 +44,7 @@ std::optional<LogLevel> bsched::parseLogLevel(std::string_view Text) {
 
 namespace {
 
-[[maybe_unused]] uint64_t wallClockUs() {
+uint64_t wallClockUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -53,8 +53,7 @@ namespace {
 
 /// Renders the fields of one event as a JSON object. Shared between the
 /// sink line and the flight-recorder copy.
-[[maybe_unused]] std::string
-renderFields(std::initializer_list<LogField> Fields) {
+std::string renderFields(std::initializer_list<LogField> Fields) {
   if (Fields.size() == 0)
     return std::string();
   JsonWriter W;
@@ -88,11 +87,7 @@ renderFields(std::initializer_list<LogField> Fields) {
 
 } // namespace
 
-Logger::Logger() : Ring(nullptr) {
-#ifndef BSCHED_NO_OBS
-  Ring.store(&FlightRecorder::global(), std::memory_order_relaxed);
-#endif
-}
+Logger::Logger() : Ring(&FlightRecorder::global()) {}
 
 Logger::~Logger() { closeSink(); }
 
@@ -102,7 +97,6 @@ Logger &Logger::global() {
 }
 
 bool Logger::openFile(const std::string &Path, std::string *Error) {
-#ifndef BSCHED_NO_OBS
   std::FILE *File = std::fopen(Path.c_str(), "a");
   if (!File) {
     if (Error)
@@ -117,35 +111,24 @@ bool Logger::openFile(const std::string &Path, std::string *Error) {
   OwnsSink = true;
   HasSink.store(true, std::memory_order_relaxed);
   return true;
-#else
-  (void)Path;
-  (void)Error;
-  return true;
-#endif
 }
 
 void Logger::setSink(std::FILE *NewSink) {
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> Lock(SinkMutex);
   if (Sink && OwnsSink)
     std::fclose(Sink);
   Sink = NewSink;
   OwnsSink = false;
   HasSink.store(Sink != nullptr, std::memory_order_relaxed);
-#else
-  (void)NewSink;
-#endif
 }
 
 void Logger::closeSink() {
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> Lock(SinkMutex);
   if (Sink && OwnsSink)
     std::fclose(Sink);
   Sink = nullptr;
   OwnsSink = false;
   HasSink.store(false, std::memory_order_relaxed);
-#endif
 }
 
 void Logger::setConsoleStream(std::FILE *Stream) {
@@ -154,17 +137,12 @@ void Logger::setConsoleStream(std::FILE *Stream) {
 }
 
 void Logger::setFlightRecorder(FlightRecorder *Recorder) {
-#ifndef BSCHED_NO_OBS
   Ring.store(Recorder, std::memory_order_relaxed);
-#else
-  (void)Recorder;
-#endif
 }
 
 void Logger::log(LogLevel Level, std::string_view Component,
                  std::string_view Message,
                  std::initializer_list<LogField> Fields) {
-#ifndef BSCHED_NO_OBS
   if (Level == LogLevel::Off)
     return;
   const bool SinkWants = enabled(Level);
@@ -177,7 +155,6 @@ void Logger::log(LogLevel Level, std::string_view Component,
   if (RingWants) {
     FlightEvent Event;
     Event.Level = Level;
-    Event.Kind = "log";
     Event.Component = std::string(Component);
     Event.Message = std::string(Message);
     Event.FieldsJson = FieldsJson;
@@ -205,12 +182,6 @@ void Logger::log(LogLevel Level, std::string_view Component,
   std::fwrite(Line.data(), 1, Line.size(), Sink);
   std::fputc('\n', Sink);
   std::fflush(Sink);
-#else
-  (void)Level;
-  (void)Component;
-  (void)Message;
-  (void)Fields;
-#endif
 }
 
 void Logger::console(LogLevel Level, std::string_view Component,

@@ -30,9 +30,6 @@
 ///    copied into the attached `FlightRecorder` ring — even when the
 ///    sink filters them — so a post-mortem dump has recent context the
 ///    operator chose not to persist.
-///  - **Compiled out.** Under `BSCHED_NO_OBS` structured emission and
-///    ring capture compile to nothing; `console()` degrades to a plain
-///    stderr write so CLI output (and golden tests) are unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,20 +134,14 @@ public:
   /// True when an event at \p Level would reach the sink — the cheap
   /// early-out for call sites that build expensive fields.
   bool enabled(LogLevel Level) const {
-#ifndef BSCHED_NO_OBS
     return HasSink.load(std::memory_order_relaxed) &&
            static_cast<uint8_t>(Level) >=
                Level_.load(std::memory_order_relaxed) &&
            Level != LogLevel::Off;
-#else
-    (void)Level;
-    return false;
-#endif
   }
 
   /// Opens (appends to) \p Path as the sink, replacing any previous one.
-  /// Returns false and fills \p Error on failure. No-op success under
-  /// BSCHED_NO_OBS.
+  /// Returns false and fills \p Error on failure.
   bool openFile(const std::string &Path, std::string *Error = nullptr);
 
   /// Uses \p Sink directly (not owned; nullptr detaches). Tests point

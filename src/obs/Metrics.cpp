@@ -7,6 +7,7 @@
 
 #include "obs/Metrics.h"
 
+#include "obs/FlightRecorder.h"
 #include "support/Check.h"
 #include "support/Json.h"
 
@@ -29,22 +30,19 @@ struct alignas(64) PaddedSlot {
   std::atomic<uint64_t> Value{0};
 };
 
-// [[maybe_unused]] throughout: the recording paths that call these
-// helpers compile away under BSCHED_NO_OBS.
-[[maybe_unused]] uint64_t doubleBits(double V) {
+uint64_t doubleBits(double V) {
   uint64_t Bits;
   std::memcpy(&Bits, &V, sizeof(Bits));
   return Bits;
 }
 
-[[maybe_unused]] double bitsDouble(uint64_t Bits) {
+double bitsDouble(uint64_t Bits) {
   double V;
   std::memcpy(&V, &Bits, sizeof(V));
   return V;
 }
 
-[[maybe_unused]] void atomicMax(std::atomic<uint64_t> &Slot,
-                                uint64_t Value) {
+void atomicMax(std::atomic<uint64_t> &Slot, uint64_t Value) {
   uint64_t Current = Slot.load(std::memory_order_relaxed);
   while (Value > Current &&
          !Slot.compare_exchange_weak(Current, Value,
@@ -52,8 +50,7 @@ struct alignas(64) PaddedSlot {
   }
 }
 
-[[maybe_unused]] void atomicMin(std::atomic<uint64_t> &Slot,
-                                uint64_t Value) {
+void atomicMin(std::atomic<uint64_t> &Slot, uint64_t Value) {
   uint64_t Current = Slot.load(std::memory_order_relaxed);
   while (Value < Current &&
          !Slot.compare_exchange_weak(Current, Value,
@@ -112,14 +109,10 @@ struct MetricRegistry::HistogramStorage {
 //===----------------------------------------------------------------------===
 
 unsigned MetricRegistry::threadShard() const {
-  static std::atomic<unsigned> NextThreadIndex{0};
-  static thread_local unsigned ThreadIndex =
-      NextThreadIndex.fetch_add(1, std::memory_order_relaxed);
-  return ThreadIndex % NumShards;
+  return obsThreadIndex() % NumShards;
 }
 
 MetricRegistry::MetricRegistry(unsigned Shards) {
-#ifndef BSCHED_NO_OBS
   if (Shards == 0) {
     unsigned Hw = std::thread::hardware_concurrency();
     Shards = std::clamp(Hw, 2u, 64u);
@@ -134,24 +127,18 @@ MetricRegistry::MetricRegistry(unsigned Shards) {
     GaugeTable[I].store(nullptr, std::memory_order_relaxed);
   for (unsigned I = 0; I != MaxHistograms; ++I)
     HistogramTable[I].store(nullptr, std::memory_order_relaxed);
-#else
-  (void)Shards;
-#endif
 }
 
 MetricRegistry::~MetricRegistry() {
-#ifndef BSCHED_NO_OBS
   for (unsigned I = 0; I != MaxCounters; ++I)
     delete CounterTable[I].load(std::memory_order_relaxed);
   for (unsigned I = 0; I != MaxGauges; ++I)
     delete GaugeTable[I].load(std::memory_order_relaxed);
   for (unsigned I = 0; I != MaxHistograms; ++I)
     delete HistogramTable[I].load(std::memory_order_relaxed);
-#endif
 }
 
 Counter MetricRegistry::counter(std::string_view Name) {
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> Lock(RegistrationMutex);
   auto It = CounterIds.find(std::string(Name));
   if (It != CounterIds.end())
@@ -163,14 +150,9 @@ Counter MetricRegistry::counter(std::string_view Name) {
   CounterNames.emplace_back(Name);
   CounterIds.emplace(CounterNames.back(), Index);
   return Counter(this, Index);
-#else
-  (void)Name;
-  return Counter();
-#endif
 }
 
 Gauge MetricRegistry::gauge(std::string_view Name) {
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> Lock(RegistrationMutex);
   auto It = GaugeIds.find(std::string(Name));
   if (It != GaugeIds.end())
@@ -181,15 +163,10 @@ Gauge MetricRegistry::gauge(std::string_view Name) {
   GaugeNames.emplace_back(Name);
   GaugeIds.emplace(GaugeNames.back(), Index);
   return Gauge(this, Index);
-#else
-  (void)Name;
-  return Gauge();
-#endif
 }
 
 Histogram MetricRegistry::histogram(std::string_view Name,
                                     const std::vector<uint64_t> &UpperEdges) {
-#ifndef BSCHED_NO_OBS
   BSCHED_CHECK(!UpperEdges.empty(), "histogram requires at least one edge");
   BSCHED_CHECK(std::is_sorted(UpperEdges.begin(), UpperEdges.end()) &&
                    std::adjacent_find(UpperEdges.begin(), UpperEdges.end()) ==
@@ -211,14 +188,7 @@ Histogram MetricRegistry::histogram(std::string_view Name,
   HistogramNames.emplace_back(Name);
   HistogramIds.emplace(HistogramNames.back(), Index);
   return Histogram(this, Index);
-#else
-  (void)Name;
-  (void)UpperEdges;
-  return Histogram();
-#endif
 }
-
-#ifndef BSCHED_NO_OBS
 
 void MetricRegistry::counterAdd(unsigned Index, uint64_t Delta) {
   CounterStorage *Storage = CounterTable[Index].load(std::memory_order_acquire);
@@ -272,19 +242,8 @@ void MetricRegistry::histogramMerge(unsigned Index,
   atomicMax(Shard.Max, Data.Max);
 }
 
-#else
-
-void MetricRegistry::counterAdd(unsigned, uint64_t) {}
-void MetricRegistry::gaugeSet(unsigned, double) {}
-void MetricRegistry::gaugeSetMax(unsigned, double) {}
-void MetricRegistry::histogramRecord(unsigned, uint64_t) {}
-void MetricRegistry::histogramMerge(unsigned, const HistogramData &) {}
-
-#endif // BSCHED_NO_OBS
-
 MetricSnapshot MetricRegistry::snapshot() const {
   MetricSnapshot Result;
-#ifndef BSCHED_NO_OBS
   std::lock_guard<std::mutex> Lock(RegistrationMutex);
   for (unsigned I = 0; I != CounterNames.size(); ++I) {
     const CounterStorage *Storage =
@@ -321,12 +280,10 @@ MetricSnapshot MetricRegistry::snapshot() const {
     Data.Min = Data.Count == 0 ? 0 : Min;
     Result.Histograms.emplace(HistogramNames[I], std::move(Data));
   }
-#endif
   return Result;
 }
 
 void MetricRegistry::mergeSnapshot(const MetricSnapshot &Snapshot) {
-#ifndef BSCHED_NO_OBS
   for (const auto &[Name, Value] : Snapshot.Counters) {
     Counter C = counter(Name);
     if (Value != 0)
@@ -340,9 +297,6 @@ void MetricRegistry::mergeSnapshot(const MetricSnapshot &Snapshot) {
     Histogram H = histogram(Name, Data.UpperEdges);
     histogramMerge(H.Index, Data);
   }
-#else
-  (void)Snapshot;
-#endif
 }
 
 //===----------------------------------------------------------------------===

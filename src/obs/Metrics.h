@@ -32,10 +32,6 @@
 /// registration: a value lands in the first bucket whose edge is >= the
 /// value, or the final overflow bucket; merges add bucket-wise.
 ///
-/// Compiling with `-DBSCHED_NO_OBS=1` (CMake option `BSCHED_NO_OBS`)
-/// stubs the entire layer: handles still exist, recording compiles to
-/// nothing, and snapshots come back empty.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef BSCHED_OBS_METRICS_H
@@ -57,8 +53,7 @@ namespace bsched {
 class MetricRegistry;
 struct HistogramData;
 
-/// A monotonically increasing counter. Default-constructed (or under
-/// BSCHED_NO_OBS) it is inert.
+/// A monotonically increasing counter. Default-constructed it is inert.
 class Counter {
 public:
   Counter() = default;
@@ -216,9 +211,8 @@ private:
   void histogramRecord(unsigned Index, uint64_t Value);
   void histogramMerge(unsigned Index, const HistogramData &Data);
 
-  /// The calling thread's shard index (process-wide thread id modulo the
-  /// shard count; two threads sharing a shard is still exact, just
-  /// contended).
+  /// The calling thread's shard index (obsThreadIndex() modulo the shard
+  /// count; two threads sharing a shard is still exact, just contended).
   unsigned threadShard() const;
 
   unsigned NumShards = 1;
@@ -242,39 +236,23 @@ private:
 };
 
 inline void Counter::add(uint64_t Delta) {
-#ifndef BSCHED_NO_OBS
   if (Reg)
     Reg->counterAdd(Index, Delta);
-#else
-  (void)Delta;
-#endif
 }
 
 inline void Gauge::set(double Value) {
-#ifndef BSCHED_NO_OBS
   if (Reg)
     Reg->gaugeSet(Index, Value);
-#else
-  (void)Value;
-#endif
 }
 
 inline void Histogram::record(uint64_t Value) {
-#ifndef BSCHED_NO_OBS
   if (Reg)
     Reg->histogramRecord(Index, Value);
-#else
-  (void)Value;
-#endif
 }
 
 inline void Histogram::merge(const HistogramData &Tally) {
-#ifndef BSCHED_NO_OBS
   if (Reg)
     Reg->histogramMerge(Index, Tally);
-#else
-  (void)Tally;
-#endif
 }
 
 } // namespace bsched

@@ -7,28 +7,15 @@
 
 #include "obs/Trace.h"
 
+#include "obs/FlightRecorder.h"
 #include "support/Json.h"
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <map>
 #include <utility>
 
 using namespace bsched;
-
-namespace {
-
-/// Process-wide thread index: stable per thread, dense from zero. Doubles
-/// as the Chrome "tid" and as the recorder's shard selector.
-[[maybe_unused]] uint32_t threadIndex() {
-  static std::atomic<uint32_t> Next{0};
-  static thread_local uint32_t Index =
-      Next.fetch_add(1, std::memory_order_relaxed);
-  return Index;
-}
-
-} // namespace
 
 TraceRecorder::TraceRecorder() : Epoch(std::chrono::steady_clock::now()) {}
 
@@ -42,13 +29,9 @@ uint64_t TraceRecorder::nowUs() const {
 }
 
 void TraceRecorder::record(TraceEvent Event) {
-#ifndef BSCHED_NO_OBS
-  Shard &S = Shards[threadIndex() % NumShards];
+  Shard &S = Shards[obsThreadIndex() % NumShards];
   std::lock_guard<std::mutex> Lock(S.Mutex);
   S.Events.push_back(std::move(Event));
-#else
-  (void)Event;
-#endif
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
@@ -141,33 +124,22 @@ std::vector<PhaseTotal> TraceRecorder::topPhases(size_t N) const {
 
 ScopedSpan::ScopedSpan(TraceRecorder *Recorder, std::string Name,
                        const char *Cat, std::string ArgsJson)
-#ifndef BSCHED_NO_OBS
     : Recorder(Recorder), Name(std::move(Name)), Cat(Cat),
       Args(std::move(ArgsJson)) {
   if (this->Recorder)
     StartUs = this->Recorder->nowUs();
 }
-#else
-{
-  (void)Recorder;
-  (void)Name;
-  (void)Cat;
-  (void)ArgsJson;
-}
-#endif
 
 ScopedSpan::~ScopedSpan() {
-#ifndef BSCHED_NO_OBS
   if (!Recorder)
     return;
   uint64_t EndUs = Recorder->nowUs();
   TraceEvent Event;
   Event.Name = std::move(Name);
   Event.Cat = Cat;
-  Event.Tid = threadIndex();
+  Event.Tid = obsThreadIndex();
   Event.TsUs = StartUs;
   Event.DurUs = EndUs >= StartUs ? EndUs - StartUs : 0;
   Event.Args = std::move(Args);
   Recorder->record(std::move(Event));
-#endif
 }

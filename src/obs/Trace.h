@@ -19,8 +19,7 @@
 ///
 /// Recording takes one `steady_clock` read at each end of the span plus a
 /// short critical section on one of the recorder's sharded buffers;
-/// export (`toJson`, `writeFile`, `topPhases`) is cold. Under
-/// `BSCHED_NO_OBS` the layer compiles to no-ops (no clock reads).
+/// export (`toJson`, `writeFile`, `topPhases`) is cold.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +39,7 @@ namespace bsched {
 struct TraceEvent {
   std::string Name;      ///< Span name, e.g. "sched" or "kernel:smooth".
   const char *Cat = "";  ///< Category (static string), e.g. "phase".
-  uint32_t Tid = 0;      ///< Process-wide thread index.
+  uint32_t Tid = 0;      ///< obsThreadIndex() of the recording thread.
   uint64_t TsUs = 0;     ///< Start, microseconds since recorder epoch.
   uint64_t DurUs = 0;    ///< Duration in microseconds.
   std::string Args;      ///< Optional JSON object for "args", or empty.
@@ -98,7 +97,7 @@ private:
 };
 
 /// RAII span: records [construction, destruction) on the calling thread
-/// under \p Name. A null recorder (or BSCHED_NO_OBS) makes it free.
+/// under \p Name. A null recorder makes it free.
 class ScopedSpan {
 public:
   ScopedSpan(TraceRecorder *Recorder, std::string Name,

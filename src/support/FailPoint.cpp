@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <mutex>
@@ -69,17 +68,10 @@ struct FailPointRegistry::Impl {
 };
 
 FailPointRegistry::FailPointRegistry() : I(new Impl) {
-#ifndef BSCHED_NO_FAILPOINTS
-  if (const char *Env = std::getenv("BSCHED_FAILPOINTS")) {
-    std::string Error;
-    if (!parseSpec(Env, &Error)) {
-      I->EnvError = Error;
-      // A typo'd spec silently arming nothing would make chaos runs
-      // vacuous; say so once, loudly.
-      std::fprintf(stderr, "bsched: warning: %s\n", Error.c_str());
-    }
-  }
-#endif
+  // A malformed spec arms nothing; envError() hands the reason to the
+  // program, which reports it.
+  if (const char *Env = std::getenv("BSCHED_FAILPOINTS"))
+    parseSpec(Env, &I->EnvError);
 }
 
 FailPointRegistry &FailPointRegistry::instance() {
@@ -99,11 +91,6 @@ namespace {
 
 void FailPointRegistry::enable(std::string_view Site, double Probability,
                                uint64_t Seed) {
-#ifdef BSCHED_NO_FAILPOINTS
-  (void)Site;
-  (void)Probability;
-  (void)Seed;
-#else
   std::lock_guard<std::mutex> Lock(I->Mutex);
   SiteState &S = I->Sites[std::string(Site)];
   S = SiteState();
@@ -111,7 +98,6 @@ void FailPointRegistry::enable(std::string_view Site, double Probability,
   S.Seed = Seed;
   S.Stream = mix64(Seed);
   AnyEnabled.store(true, std::memory_order_relaxed);
-#endif
 }
 
 void FailPointRegistry::disable(std::string_view Site) {
@@ -258,12 +244,6 @@ Diagnostic bsched::failPointDiagnostic(std::string_view Site) {
 std::optional<Diagnostic> bsched::checkFailPoint(std::string_view Site,
                                                  uint64_t Key) {
   if (failPointHit(Site, Key))
-    return failPointDiagnostic(Site);
-  return std::nullopt;
-}
-
-std::optional<Diagnostic> bsched::checkFailPoint(std::string_view Site) {
-  if (failPointHit(Site))
     return failPointDiagnostic(Site);
   return std::nullopt;
 }

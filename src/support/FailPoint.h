@@ -24,9 +24,7 @@
 /// variable, read once on first registry use. Site names are lowercase,
 /// dash-separated stage names (the `failpoints::` constants below).
 ///
-/// The disarmed fast path is one relaxed atomic load; building with
-/// -DBSCHED_NO_FAILPOINTS=ON compiles every evaluation down to `false`
-/// (the API keeps compiling, like BSCHED_NO_OBS).
+/// The disarmed fast path is one relaxed atomic load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,17 +81,6 @@ class FailPointRegistry {
 public:
   static FailPointRegistry &instance();
 
-  /// False when the layer is compiled out (BSCHED_NO_FAILPOINTS): enable()
-  /// becomes a no-op and every evaluation returns false. Tests that pin
-  /// injected-fault counts skip themselves when this is false.
-  static constexpr bool compiledIn() {
-#ifdef BSCHED_NO_FAILPOINTS
-    return false;
-#else
-    return true;
-#endif
-  }
-
   /// Arms \p Site: evaluations fail with probability \p Probability
   /// (clamped to [0, 1]; >= 1 fails every time) drawn deterministically
   /// from \p Seed. Re-enabling a site replaces its arming and resets its
@@ -128,8 +115,9 @@ public:
   bool parseSpec(std::string_view Spec, std::string *Error = nullptr);
 
   /// The parse error from the BSCHED_FAILPOINTS environment variable, if
-  /// any ("" = none). Lets CLIs surface a typo instead of silently
-  /// running without injection.
+  /// any ("" = none). The registry never prints it: a program whose run
+  /// can reach a fail-point site checks this before running, so a typo
+  /// is an error instead of a run without injection.
   std::string envError() const;
 
 private:
@@ -141,10 +129,10 @@ private:
 /// One relaxed load when nothing is armed anywhere.
 bool anyFailPointsEnabled();
 
-/// Stream-evaluates \p Site. Always false when disarmed or compiled out.
+/// Stream-evaluates \p Site. Always false when disarmed.
 bool failPointHit(std::string_view Site);
 
-/// Key-evaluates \p Site. Always false when disarmed or compiled out.
+/// Key-evaluates \p Site. Always false when disarmed.
 bool failPointHit(std::string_view Site, uint64_t Key);
 
 /// The structured diagnostic an injected fault surfaces as (BS810).
@@ -154,9 +142,6 @@ Diagnostic failPointDiagnostic(std::string_view Site);
 /// keyed site fires, std::nullopt otherwise.
 std::optional<Diagnostic> checkFailPoint(std::string_view Site,
                                          uint64_t Key);
-
-/// Stream variant of checkFailPoint.
-std::optional<Diagnostic> checkFailPoint(std::string_view Site);
 
 /// Stream-evaluates \p Site and throws FailPointException on a hit — the
 /// entry used inside thread-pool tasks, where the pool's fault capture is

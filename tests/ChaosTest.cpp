@@ -118,7 +118,7 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
     Config.Policy = R.nextBernoulli(0.5) ? SchedulerPolicy::Balanced
                                          : SchedulerPolicy::Traditional;
     Config.Budget = randomBudget(R);
-    if (FailPointRegistry::compiledIn() && R.nextBernoulli(0.6))
+    if (R.nextBernoulli(0.6))
       armRandomKeyedSites(R);
 
     std::string Context = benchmarkName(allBenchmarks()[Index]) +
@@ -146,8 +146,6 @@ TEST(ChaosTest, BudgetedFaultyCompilesAreStructuredAndReproducible) {
 // produces bit-identical results: keyed fail points and deterministic
 // budgets are pure functions of the kernel, not of execution order.
 TEST(ChaosTest, SerialAndParallelSweepsAgreeUnderChaos) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
 
@@ -185,8 +183,6 @@ TEST(ChaosTest, SerialAndParallelSweepsAgreeUnderChaos) {
 // machinery the BSCHED_FAILPOINTS variable uses; a compile under it
 // fails with the injected-fault diagnostic and recovers once disarmed.
 TEST(ChaosTest, SpecArmedFaultInjectsAndRecovers) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
   ASSERT_TRUE(Reg.parseSpec("regalloc:1:42"));
@@ -206,8 +202,6 @@ TEST(ChaosTest, SpecArmedFaultInjectsAndRecovers) {
 // structured diagnostic in the parse result, never a crash or a silent
 // partial function list.
 TEST(ChaosTest, GovernedParseUnderFaultIsStructured) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
   ScopedFailPoint Arm(failpoints::Parse, 1.0, 9);
 

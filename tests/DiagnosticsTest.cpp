@@ -195,8 +195,10 @@ TEST(DiagnosticsTest, VerifierBranchOutOfRange) {
 TEST(DiagnosticsTest, VerifierOperandClassMismatch) {
   Function F("f");
   BasicBlock &BB = F.addBlock("b");
-  // fadd expects two fp sources; source 0 is an int register.
-  BB.append(Instruction::makeBinary(Opcode::FAdd, vf(0), vi(1), vf(2)));
+  // fadd expects two fp sources; source 0 becomes an int register (the
+  // constructor would assert on it, setSource does not).
+  BB.append(Instruction::makeBinary(Opcode::FAdd, vf(0), vf(1), vf(2)));
+  BB[0].setSource(0, vi(1));
   BB.append(Instruction::makeRet());
   std::vector<Diagnostic> Diags = verifyFunction(F);
   const Diagnostic *D = firstError(Diags);
@@ -209,8 +211,9 @@ TEST(DiagnosticsTest, VerifierOperandClassMismatch) {
 TEST(DiagnosticsTest, VerifierDestClassMismatch) {
   Function F("f");
   BasicBlock &BB = F.addBlock("b");
-  // add produces an int result; the destination is an fp register.
-  BB.append(Instruction::makeBinary(Opcode::Add, vf(0), vi(1), vi(2)));
+  // add produces an int result; the destination becomes an fp register.
+  BB.append(Instruction::makeBinary(Opcode::Add, vi(0), vi(1), vi(2)));
+  BB[0].setDest(vf(0));
   BB.append(Instruction::makeRet());
   std::vector<Diagnostic> Diags = verifyFunction(F);
   const Diagnostic *D = firstError(Diags);
@@ -221,6 +224,13 @@ TEST(DiagnosticsTest, VerifierDestClassMismatch) {
 }
 
 TEST(DiagnosticsTest, VerifierMissingAliasClass) {
+  // Instruction's constructor asserts that every memory operation has an
+  // alias class, so only a build without asserts reaches the verifier.
+#ifndef NDEBUG
+  EXPECT_DEATH(
+      (void)Instruction::makeLoad(Opcode::FLoad, vf(0), vi(0), 8, -1),
+      "alias class");
+#else
   Function F("f");
   BasicBlock &BB = F.addBlock("b");
   BB.append(Instruction::makeLoadImm(vi(0), 0));
@@ -232,6 +242,7 @@ TEST(DiagnosticsTest, VerifierMissingAliasClass) {
   EXPECT_EQ(D->Code, DiagCode::VerifyMissingAliasClass);
   EXPECT_EQ(D->Message, "block 'b', instruction 1: memory operation "
                         "without an alias class");
+#endif
 }
 
 TEST(DiagnosticsTest, VerifierEmptyBlockIsWarningNotError) {

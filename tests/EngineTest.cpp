@@ -395,9 +395,7 @@ TEST(EngineTest, SummaryJsonCarriesPerCellCounters) {
 //===----------------------------------------------------------------------===
 // Observability: cells record into the engine's registry (DESIGN.md §3g).
 // Simulation totals are a pure function of the cells; compile counters
-// count the compiles that ran. These tests also pass under BSCHED_NO_OBS,
-// where every snapshot is empty on both sides of each comparison; the
-// assertions that require actual samples are guarded.
+// count the compiles that ran.
 //===----------------------------------------------------------------------===
 
 TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
@@ -422,7 +420,6 @@ TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
   MetricSnapshot Pooled = PooledReg.snapshot();
   EXPECT_EQ(simMetrics(Serial), simMetrics(Pooled));
 
-#ifndef BSCHED_NO_OBS
   // No budgets, so each miss is one compile attempt.
   EXPECT_EQ(Serial.Counters.at("bsched.pipeline.kernels"),
             A.Counters.CacheMisses);
@@ -437,7 +434,6 @@ TEST(EngineTest, MetricSnapshotSerialMatchesParallel) {
   ASSERT_TRUE(Serial.Counters.count("bsched.sim.interlock_cycles"));
   EXPECT_GT(Serial.Histograms.at("bsched.sim.load_latency_cycles").Count,
             0u);
-#endif
 }
 
 TEST(EngineTest, WarmRunAddsNoCompileCounters) {
@@ -475,12 +471,10 @@ TEST(EngineTest, WarmRunAddsNoCompileCounters) {
   Twice.mergeSnapshot(simMetrics(AfterCold));
   Twice.mergeSnapshot(simMetrics(AfterCold));
   EXPECT_EQ(simMetrics(AfterWarm), Twice.snapshot());
-#ifndef BSCHED_NO_OBS
   EXPECT_EQ(AfterWarm.Counters.at("bsched.pipeline.kernels"),
             Cold.Counters.CacheMisses);
   EXPECT_GT(AfterCold.Counters.at("bsched.dag.nodes"), 0u);
   EXPECT_GT(AfterCold.Counters.at("bsched.sim.cycles"), 0u);
-#endif
 }
 
 TEST(EngineTest, EngineObsContextReceivesRunTotals) {
@@ -492,7 +486,6 @@ TEST(EngineTest, EngineObsContextReceivesRunTotals) {
   Engine.run({{"track", &F, &Memory, 2, SchedulerPolicy::Balanced,
                PipelineConfig::paperDefault(), smallSim()}});
 
-#ifndef BSCHED_NO_OBS
   MetricSnapshot Snap = EngineReg.snapshot();
   EXPECT_EQ(Snap.Counters.at("bsched.engine.cells"), 1u);
   EXPECT_EQ(Snap.Counters.at("bsched.engine.failed_cells"), 0u);
@@ -513,7 +506,6 @@ TEST(EngineTest, EngineObsContextReceivesRunTotals) {
   EXPECT_TRUE(Has("regalloc"));
   EXPECT_TRUE(Has("certify"));
   EXPECT_TRUE(Has("sim"));
-#endif
 }
 
 //===----------------------------------------------------------------------===

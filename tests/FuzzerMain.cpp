@@ -342,7 +342,7 @@ void runChaos(uint64_t Iter, Rng &R) {
 
   FailPointRegistry &Registry = FailPointRegistry::instance();
   Registry.disableAll();
-  if (FailPointRegistry::compiledIn() && R.nextBernoulli(0.75)) {
+  if (R.nextBernoulli(0.75)) {
     const char *Sites[] = {failpoints::DagBuild,   failpoints::ClosureAlloc,
                            failpoints::Weighting,  failpoints::Scheduling,
                            failpoints::RegAlloc,   failpoints::Certify};

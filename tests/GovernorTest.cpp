@@ -182,8 +182,6 @@ TEST(GovernorTest, BudgetDiagCodeRange) {
 //===----------------------------------------------------------------------===
 
 TEST(FailPointTest, KeyedEvaluationIsAPureFunction) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
   ScopedFailPoint Arm("dag-build", 0.5, 42);
@@ -203,8 +201,6 @@ TEST(FailPointTest, KeyedEvaluationIsAPureFunction) {
 }
 
 TEST(FailPointTest, ProbabilityEndpoints) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
   {
@@ -223,8 +219,6 @@ TEST(FailPointTest, ProbabilityEndpoints) {
 }
 
 TEST(FailPointTest, ParseSpecArmsAndReportsErrors) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry &Reg = FailPointRegistry::instance();
   Reg.disableAll();
   EXPECT_TRUE(Reg.parseSpec("regalloc:1:9,sim:0.25:13"));
@@ -291,8 +285,6 @@ TEST(ThreadPoolFaultTest, InlinePoolCapturesThrowsToo) {
 }
 
 TEST(ThreadPoolFaultTest, PoolTaskFailPointIsCaptured) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
   ScopedFailPoint Arm(failpoints::PoolTask, 1.0, 3);
   ThreadPool Pool(2);
@@ -409,12 +401,10 @@ TEST(PipelineGovernorTest, DagEdgeOverrunCostsOneAttempt) {
     ASSERT_FALSE(Run.Result.has_value()) << policyName(Policy);
     EXPECT_EQ(firstCode(Run.Result.errors()), DiagCode::GovernorDagTooDense)
         << policyName(Policy);
-#ifndef BSCHED_NO_OBS
     EXPECT_EQ(Run.counter("bsched.pipeline.kernels"), 1u)
         << policyName(Policy);
     EXPECT_EQ(Run.counter("bsched.governor.degraded_unionfind"), 0u);
     EXPECT_EQ(Run.counter("bsched.governor.degraded_certify_off"), 0u);
-#endif
   }
 }
 
@@ -434,12 +424,10 @@ TEST(PipelineGovernorTest, SpillOverrunTriesOnlyTheUnionFindRung) {
       compileUnder(Benchmark::ARC2D, SchedulerPolicy::Balanced, Budget);
   ASSERT_TRUE(Arc2d.Result.has_value()) << Arc2d.Result.errorText();
   EXPECT_EQ(Arc2d.Result->Degradation, DegradationLevel::UnionFindChances);
-#ifndef BSCHED_NO_OBS
   EXPECT_EQ(Mdg.counter("bsched.pipeline.kernels"), 2u);
   EXPECT_EQ(Mdg.counter("bsched.governor.degraded_unionfind"), 1u);
   EXPECT_EQ(Mdg.counter("bsched.governor.degraded_certify_off"), 0u);
   EXPECT_EQ(Arc2d.counter("bsched.pipeline.kernels"), 2u);
-#endif
 }
 
 TEST(PipelineGovernorTest, ClosureBitLimitHasNoEffect) {
@@ -462,7 +450,6 @@ TEST(PipelineGovernorTest, ClosureBitLimitHasNoEffect) {
   EXPECT_EQ(experimentCacheKey(F, Limited), experimentCacheKey(F, Free));
 }
 
-#ifndef BSCHED_NO_OBS
 TEST(PipelineGovernorTest, TickLadderLandsOnCertifyOff) {
   Function F = buildBenchmark(Benchmark::TRACK, smallWorkload());
 
@@ -518,7 +505,6 @@ TEST(PipelineGovernorTest, BudgetFailureCountsInMetrics) {
   EXPECT_EQ(Snap.Counters.at("bsched.governor.budget_failures"), 1u);
   EXPECT_EQ(Snap.Counters.at("bsched.governor.governed_kernels"), 1u);
 }
-#endif // BSCHED_NO_OBS
 
 //===----------------------------------------------------------------------===
 // Governed parsing
@@ -570,8 +556,6 @@ TEST(EngineGovernorTest, CacheKeyIncludesBudget) {
 }
 
 TEST(EngineGovernorTest, EngineCellFaultIsIsolatedAndDeterministic) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
   ScopedFailPoint Arm(failpoints::EngineCell, 0.5, 11);
 
@@ -595,8 +579,6 @@ TEST(EngineGovernorTest, EngineCellFaultIsIsolatedAndDeterministic) {
 }
 
 TEST(EngineGovernorTest, PoolLevelFaultNeverLosesACellSilently) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
   ScopedFailPoint Arm(failpoints::PoolTask, 1.0, 5);
 
@@ -619,8 +601,6 @@ TEST(EngineGovernorTest, PoolLevelFaultNeverLosesACellSilently) {
 //===----------------------------------------------------------------------===
 
 TEST(SweepGovernorTest, MixedBudgetAndFaultSweepIsDeterministic) {
-  if (!FailPointRegistry::compiledIn())
-    GTEST_SKIP() << "fail points compiled out (BSCHED_NO_FAILPOINTS)";
   FailPointRegistry::instance().disableAll();
 
   std::vector<Function> Programs = perfectClubPrograms(smallWorkload());

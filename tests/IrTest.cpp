@@ -584,7 +584,10 @@ TEST(InterpreterTest, StepExecutesWhatRunExecutes) {
   BB.append(Instruction::makeLoad(Opcode::Load, vi(0), vi(0), 16, M));
   BB.append(Instruction::makeStore(Opcode::Store, vi(0), vi(0), -8, M));
   BB.append(Instruction::makeRet());
-  BB.append(Instruction::makeLoadImm(vi(3), 1)); // After the terminator.
+  // After the terminator: append() refuses it, so place it directly.
+  std::vector<Instruction> Instrs(BB.begin(), BB.end());
+  Instrs.push_back(Instruction::makeLoadImm(vi(3), 1));
+  BB.setInstructions(std::move(Instrs));
 
   Interpreter Run, Step;
   Run.run(BB);

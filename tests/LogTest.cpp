@@ -94,13 +94,9 @@ TEST(LogTest, EnabledRequiresSinkAndLevel) {
   TmpSink Sink;
   Log.setSink(Sink.get());
   Log.setLevel(LogLevel::Warn);
-#ifndef BSCHED_NO_OBS
   EXPECT_FALSE(Log.enabled(LogLevel::Info));
   EXPECT_TRUE(Log.enabled(LogLevel::Warn));
   EXPECT_TRUE(Log.enabled(LogLevel::Error));
-#else
-  EXPECT_FALSE(Log.enabled(LogLevel::Error)); // Compiled out entirely.
-#endif
   EXPECT_FALSE(Log.enabled(LogLevel::Off));
   Log.closeSink();
   EXPECT_FALSE(Log.enabled(LogLevel::Error));
@@ -128,9 +124,6 @@ TEST(LogTest, SinkLinesAreParseableNdjson) {
   Log.closeSink();
 
   std::vector<std::string> Lines = Sink.readLines();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Lines.empty());
-#else
   ASSERT_EQ(Lines.size(), 2u);
 
   ErrorOr<JsonValue> First = parseJson(Lines[0]);
@@ -155,7 +148,6 @@ TEST(LogTest, SinkLinesAreParseableNdjson) {
   EXPECT_EQ(Second->find("msg")->asString(), "quote \"inside\"\nnewline");
   // Sequence numbers order events within the process.
   EXPECT_GT(Second->find("seq")->asNumber(), First->find("seq")->asNumber());
-#endif
 }
 
 TEST(LogTest, SinkThresholdFiltersEvents) {
@@ -171,12 +163,8 @@ TEST(LogTest, SinkThresholdFiltersEvents) {
   Log.closeSink();
 
   std::vector<std::string> Lines = Sink.readLines();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Lines.empty());
-#else
   ASSERT_EQ(Lines.size(), 1u);
   EXPECT_NE(Lines[0].find("\"msg\":\"kept\""), std::string::npos);
-#endif
 }
 
 TEST(LogTest, ConsoleMirrorsTextAndStructuredEvent) {
@@ -192,23 +180,19 @@ TEST(LogTest, ConsoleMirrorsTextAndStructuredEvent) {
               {{"code", "BS802"}});
   Log.closeSink();
 
-  // The console passthrough is byte-exact in every build — golden CLI
-  // output does not depend on BSCHED_NO_OBS.
+  // The console passthrough is byte-exact, so golden CLI output does not
+  // depend on the structured sink.
   std::vector<std::string> ConsoleLines = Console.readLines();
   ASSERT_EQ(ConsoleLines.size(), 1u);
   EXPECT_EQ(ConsoleLines[0], "error: it broke");
 
   std::vector<std::string> SinkLines = Sink.readLines();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(SinkLines.empty());
-#else
   ASSERT_EQ(SinkLines.size(), 1u);
   ErrorOr<JsonValue> Event = parseJson(SinkLines[0]);
   ASSERT_TRUE(Event.has_value());
   EXPECT_EQ(Event->find("msg")->asString(), "error: it broke");
   EXPECT_EQ(Event->find("component")->asString(), "tool");
   EXPECT_EQ(Event->find("fields")->find("code")->asString(), "BS802");
-#endif
 }
 
 TEST(LogTest, ConcurrentWritersNeverInterleaveBytes) {
@@ -232,13 +216,9 @@ TEST(LogTest, ConcurrentWritersNeverInterleaveBytes) {
   Log.closeSink();
 
   std::vector<std::string> Lines = Sink.readLines();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Lines.empty());
-#else
   ASSERT_EQ(Lines.size(), Threads * PerThread);
   for (const std::string &Line : Lines)
     EXPECT_TRUE(parseJson(Line).has_value()) << Line;
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -254,14 +234,10 @@ TEST(FlightRecorderTest, RingKeepsTheNewestEventsOnly) {
     Recorder.record(std::move(E));
   }
   std::vector<FlightEvent> Events = Recorder.events();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Events.empty());
-#else
   ASSERT_EQ(Events.size(), 4u);
   // The oldest six were overwritten; 6..9 survive in order.
   for (int I = 0; I != 4; ++I)
     EXPECT_EQ(Events[I].Message, "event-" + std::to_string(6 + I));
-#endif
 }
 
 TEST(FlightRecorderTest, TimestampAndTidAreFilledWhenZero) {
@@ -271,10 +247,8 @@ TEST(FlightRecorderTest, TimestampAndTidAreFilledWhenZero) {
   E.Message = "stamped";
   Recorder.record(std::move(E));
   std::vector<FlightEvent> Events = Recorder.events();
-#ifndef BSCHED_NO_OBS
   ASSERT_EQ(Events.size(), 1u);
   EXPECT_EQ(Events[0].Tid, obsThreadIndex());
-#endif
 }
 
 TEST(FlightRecorderTest, ThreadsGetIndependentRings) {
@@ -295,13 +269,9 @@ TEST(FlightRecorderTest, ThreadsGetIndependentRings) {
   for (std::thread &W : Workers)
     W.join();
   std::vector<FlightEvent> Events = Recorder.events();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Events.empty());
-#else
   EXPECT_EQ(Events.size(), Threads * 4u);
   for (size_t I = 1; I < Events.size(); ++I)
     EXPECT_LE(Events[I - 1].TsUs, Events[I].TsUs); // Merged dump is sorted.
-#endif
 }
 
 TEST(FlightRecorderTest, DumpJsonIsValidAndNamesTheTrigger) {
@@ -312,7 +282,6 @@ TEST(FlightRecorderTest, DumpJsonIsValidAndNamesTheTrigger) {
   E.Message = "injected fault";
   E.FieldsJson = "{\"request_id\":\"r1\",\"code\":\"BS810\"}";
   Recorder.record(std::move(E));
-  Recorder.recordSpan("compile", 1234, "{\"kernel\":\"k\"}");
 
   std::string Dump = Recorder.dumpJson("BS810");
   ErrorOr<JsonValue> Doc = parseJson(Dump);
@@ -321,16 +290,11 @@ TEST(FlightRecorderTest, DumpJsonIsValidAndNamesTheTrigger) {
   ASSERT_NE(Body, nullptr);
   EXPECT_EQ(Body->find("trigger")->asString(), "BS810");
   ASSERT_TRUE(Body->find("events")->isArray());
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Body->find("events")->elements().empty());
-#else
   const auto &Events = Body->find("events")->elements();
-  ASSERT_EQ(Events.size(), 2u);
+  ASSERT_EQ(Events.size(), 1u);
   EXPECT_EQ(Events[0].find("level")->asString(), "error");
   EXPECT_EQ(Events[0].find("kind")->asString(), "log");
   EXPECT_EQ(Events[0].find("fields")->find("request_id")->asString(), "r1");
-  EXPECT_EQ(Events[1].find("kind")->asString(), "span");
-#endif
 }
 
 TEST(FlightRecorderTest, ClearEmptiesEveryRing) {
@@ -357,11 +321,7 @@ TEST(FlightRecorderTest, LoggerFeedsRingEvenWhenSinkFilters) {
 
   EXPECT_TRUE(Sink.readLines().empty()); // Below the sink threshold.
   std::vector<FlightEvent> Events = Recorder.events();
-#ifdef BSCHED_NO_OBS
-  EXPECT_TRUE(Events.empty());
-#else
   ASSERT_EQ(Events.size(), 1u); // Debug ringed, Trace did not.
   EXPECT_EQ(Events[0].Message, "request");
   EXPECT_NE(Events[0].FieldsJson.find("r9"), std::string::npos);
-#endif
 }

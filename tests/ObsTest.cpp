@@ -8,13 +8,12 @@
 /// \file
 /// Pins the observability contracts of DESIGN.md §3g: merges across N
 /// workers are exact, histogram bucket edges are upper-inclusive, trace
-/// JSON is schema-valid and strictly nested per thread, and a
-/// BSCHED_NO_OBS build compiles against the same API and returns empty
-/// snapshots. Recording-dependent assertions are guarded so the suite
-/// passes under both builds.
+/// JSON is schema-valid and strictly nested per thread, and every layer
+/// stamps a thread with one index.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/FlightRecorder.h"
 #include "obs/Metrics.h"
 #include "obs/Obs.h"
 #include "obs/Trace.h"
@@ -22,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -162,8 +162,6 @@ TEST(ObsTest, HandlesAreInertWhenDefaultConstructed) {
   G.set(3.5);
   H.record(12);
 }
-
-#ifndef BSCHED_NO_OBS
 
 TEST(ObsTest, CounterAddsAndSnapshots) {
   MetricRegistry Reg;
@@ -349,6 +347,30 @@ TEST(ObsTest, SpansNestStrictlyPerThread) {
   }
 }
 
+TEST(ObsTest, SpansAndFlightEventsShareTheThreadIndex) {
+  TraceRecorder Trace;
+  FlightRecorder Flight(4);
+  // Each round records a span and a flight event on a fresh thread; a
+  // thread in between takes a telemetry index without tracing, so tracing
+  // with a counter of its own could agree on at most one round.
+  for (int Round = 0; Round != 2; ++Round) {
+    std::thread([&] {
+      { ScopedSpan Span(&Trace, "probe"); }
+      Flight.record(FlightEvent());
+    }).join();
+    std::thread([] { (void)obsThreadIndex(); }).join();
+  }
+  std::vector<uint32_t> SpanTids, FlightTids;
+  for (const TraceEvent &E : Trace.events())
+    SpanTids.push_back(E.Tid);
+  for (const FlightEvent &E : Flight.events())
+    FlightTids.push_back(E.Tid);
+  std::sort(SpanTids.begin(), SpanTids.end());
+  std::sort(FlightTids.begin(), FlightTids.end());
+  ASSERT_EQ(SpanTids.size(), 2u);
+  EXPECT_EQ(SpanTids, FlightTids);
+}
+
 TEST(ObsTest, TopPhasesRanksByTotalTime) {
   TraceRecorder Trace;
   Trace.record({"slow", "phase", 0, 0, 500, ""});
@@ -416,31 +438,6 @@ TEST(ObsTest, HistogramOverflowBucketBoundary) {
   // The overflow bucket interpolates only up to the observed Max.
   EXPECT_LE(Data.estimateQuantile(1.0), 101.0);
 }
-
-#else // BSCHED_NO_OBS
-
-TEST(ObsTest, NoObsBuildRecordsNothing) {
-  // The whole API compiles and links; recording is a no-op and every
-  // export comes back empty.
-  MetricRegistry Reg;
-  Reg.counter("bsched.test.c").add(5);
-  Reg.gauge("bsched.test.g").set(1.0);
-  Reg.histogram("bsched.test.h", {1, 2}).record(1);
-  MetricSnapshot Snap = Reg.snapshot();
-  EXPECT_TRUE(Snap.empty());
-
-  MetricSnapshot Other;
-  Other.Counters["bsched.test.external"] = 3;
-  Reg.mergeSnapshot(Other);
-  EXPECT_TRUE(Reg.snapshot().empty());
-
-  TraceRecorder Trace;
-  { ScopedSpan Span(&Trace, "phase"); }
-  EXPECT_TRUE(Trace.events().empty());
-  EXPECT_TRUE(isValidJson(Trace.toJson()));
-}
-
-#endif // BSCHED_NO_OBS
 
 TEST(ObsTest, ObsContextDefaultsToNull) {
   ObsContext Obs;

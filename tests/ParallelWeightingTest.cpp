@@ -169,11 +169,9 @@ TEST(ParallelWeightingTest, PooledRunRecordsSerialMetrics) {
   MetricSnapshot Serial = Snapshot(nullptr);
   MetricSnapshot Pooled = Snapshot(&Pool);
   EXPECT_EQ(Serial.toJson(), Pooled.toJson());
-#ifndef BSCHED_NO_OBS
   // Every block is weighted twice: before and after allocation.
   EXPECT_EQ(Pooled.Counters["bsched.sched.weighter_blocks"],
             2u * F.numBlocks());
-#endif
 }
 
 TEST(ParallelWeightingTest, HugeFunctionMatchesSerial) {

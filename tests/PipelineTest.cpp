@@ -719,12 +719,8 @@ TEST(GoldenOutputTest, PerfectClubSimulatesToPinnedBits) {
   std::snprintf(Got, sizeof(Got), "0x%016" PRIx64, stableHash(Bits));
   EXPECT_EQ(stableHash(Bits), 0xa1769d6e8b1dd725ull)
       << "simulated results changed (now " << Got << ")";
-#ifndef BSCHED_NO_OBS
-  // A BSCHED_NO_OBS build records nothing, so only the results are pinned
-  // there.
   const std::string Metrics = Registry.snapshot().toJson();
   std::snprintf(Got, sizeof(Got), "0x%016" PRIx64, stableHash(Metrics));
   EXPECT_EQ(stableHash(Metrics), 0xa12576b6cf8809c2ull)
       << "simulator metrics changed (now " << Got << ")";
-#endif
 }

@@ -190,7 +190,6 @@ TEST(CompileCacheTest, OccupancyGaugesReportTheWholeCache) {
   PipelineConfig Config = PipelineConfig::paperDefault();
 
   auto ExpectGaugesMatchStats = [&](const char *When) {
-#ifndef BSCHED_NO_OBS
     CompileCacheStats Stats = Cache.stats();
     MetricSnapshot Snapshot = Metrics.snapshot();
     EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_entries"),
@@ -199,9 +198,6 @@ TEST(CompileCacheTest, OccupancyGaugesReportTheWholeCache) {
     EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_bytes"),
               static_cast<double>(Stats.Bytes))
         << When;
-#else
-    (void)When;
-#endif
   };
 
   // Twelve kernels over eight one-entry shards: inserts land in several
@@ -235,13 +231,11 @@ TEST(CompileCacheTest, OccupancyGaugesFollowTheLatestPublisher) {
 
   CompileCacheStats Stats = Cache.stats();
   EXPECT_EQ(Stats.Entries, 0u);
-#ifndef BSCHED_NO_OBS
   MetricSnapshot Snapshot = Metrics.snapshot();
   EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_entries"),
             static_cast<double>(Stats.Entries));
   EXPECT_EQ(Snapshot.Gauges.at("bsched.engine.cache_bytes"),
             static_cast<double>(Stats.Bytes));
-#endif
 }
 
 TEST(CompileCacheTest, ConcurrentHammeringStaysConsistent) {
@@ -455,9 +449,7 @@ TEST(ServerCoreTest, WantMetricsReturnsSnapshot) {
   Request.WantMetrics = true;
   std::string Raw = Server.handleRequest(Request.toJson());
   EXPECT_NE(Raw.find("\"stats\""), std::string::npos) << Raw;
-#ifndef BSCHED_NO_OBS
   EXPECT_NE(Raw.find("bsched.pipeline"), std::string::npos) << Raw;
-#endif
 }
 
 TEST(ServerCoreTest, WantMetricsCountsOnlyTheCompileThatRan) {
@@ -483,9 +475,7 @@ TEST(ServerCoreTest, WantMetricsCountsOnlyTheCompileThatRan) {
   EXPECT_NE(Hit.find("\"cache_hit\":true"), std::string::npos) << Hit;
   // A hit runs no compile, so its snapshot counts none.
   EXPECT_FALSE(CountsKernels(Hit)) << Hit;
-#ifndef BSCHED_NO_OBS
   EXPECT_TRUE(CountsKernels(Miss)) << Miss;
-#endif
 }
 
 TEST(ServerCoreTest, SerialEqualsConcurrent) {
@@ -876,7 +866,6 @@ TEST(ServerTelemetryTest, MetricsOpReturnsJsonAndPrometheus) {
       CompileResponse::fromJson(Server.handleRequest(Prom.toJson()));
   ASSERT_TRUE(PromResp.has_value());
   EXPECT_TRUE(PromResp->Ok);
-#ifndef BSCHED_NO_OBS
   ASSERT_NE(Snapshot->find("counters")->find("bsched.server.requests"),
             nullptr);
   EXPECT_NE(PromResp->MetricsText.find("# TYPE bsched_server_requests "
@@ -886,7 +875,6 @@ TEST(ServerTelemetryTest, MetricsOpReturnsJsonAndPrometheus) {
   EXPECT_NE(PromResp->MetricsText.find(
                 "bsched_server_latency_us_compile_bucket{le=\"+Inf\"}"),
             std::string::npos);
-#endif
 }
 
 TEST(ServerTelemetryTest, StatsReportPerOpLatencyQuantiles) {
@@ -906,12 +894,6 @@ TEST(ServerTelemetryTest, StatsReportPerOpLatencyQuantiles) {
   const JsonValue *Latency = Doc->find("stats")->find("latency_us");
   ASSERT_NE(Latency, nullptr);
   ASSERT_TRUE(Latency->isObject());
-#ifdef BSCHED_NO_OBS
-  // Without the telemetry layer there are no histograms to report; the
-  // section stays present (schema-stable) but empty.
-  for (const char *Op : {"compile", "stats", "metrics", "ping", "invalid"})
-    EXPECT_EQ(Latency->find(Op), nullptr) << Op;
-#else
   for (const char *Op : {"compile", "stats", "metrics", "ping", "invalid"})
     ASSERT_NE(Latency->find(Op), nullptr) << Op;
   const JsonValue *Ping = Latency->find("ping");
@@ -922,10 +904,8 @@ TEST(ServerTelemetryTest, StatsReportPerOpLatencyQuantiles) {
   EXPECT_LE(P50, P99);
   EXPECT_LE(P99, Ping->find("max")->asNumber());
   EXPECT_GE(P50, Ping->find("min")->asNumber());
-#endif
 }
 
-#ifndef BSCHED_NO_OBS
 TEST(ServerTelemetryTest, ServerQuantilesAgreeWithClientSide) {
   // The acceptance contract: bucket-estimated server quantiles must land
   // within one log-spaced bucket (a factor of two) of the client-visible
@@ -1000,9 +980,7 @@ TEST(ServerTelemetryTest, ServerQuantilesAgreeWithClientSide) {
     EXPECT_LE(Exact, Hi);
   }
 }
-#endif // BSCHED_NO_OBS
 
-#if !defined(BSCHED_NO_FAILPOINTS) && !defined(BSCHED_NO_OBS)
 TEST(ServerTelemetryTest, InjectedFaultDumpsFlightRecorder) {
   // The chaos acceptance path: an armed BS810 fail point must leave a
   // parseable flight-recorder dump in the log naming the failing site and
@@ -1052,9 +1030,7 @@ TEST(ServerTelemetryTest, InjectedFaultDumpsFlightRecorder) {
   }
   EXPECT_TRUE(FoundFailure);
 }
-#endif // !BSCHED_NO_FAILPOINTS && !BSCHED_NO_OBS
 
-#ifndef BSCHED_NO_OBS
 TEST(ServerTelemetryTest, SlowRequestsLogTheSpanTree) {
   ScopedGlobalSink Sink(LogLevel::Warn);
   ServerConfig Config;
@@ -1082,6 +1058,5 @@ TEST(ServerTelemetryTest, SlowRequestsLogTheSpanTree) {
   }
   EXPECT_TRUE(FoundSlow);
 }
-#endif // BSCHED_NO_OBS
 
 } // namespace

@@ -542,14 +542,12 @@ TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
     EXPECT_EQ(Got.toJson(), Want.toJson());
     EXPECT_TRUE(Got == Want);
   }
-#ifndef BSCHED_NO_OBS
   // Some load issued with more than 16 loads in flight, so the in-flight
   // list's prune ran.
   EXPECT_GT(Want.Histograms.at("bsched.sim.outstanding_loads").Max, 16u);
   EXPECT_EQ(Want.Counters.at("bsched.sim.block_runs"),
             uint64_t(NumCombos) * BlocksPerCombo * RunsPerBlock -
                 uint64_t(EmptyBlocks) * RunsPerBlock);
-#endif
 }
 
 TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
@@ -602,14 +600,12 @@ TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
   MetricSnapshot Want = RefRegistry.snapshot(), Got = Registry.snapshot();
   EXPECT_EQ(Got.toJson(), Want.toJson());
   EXPECT_TRUE(Got == Want);
-#ifndef BSCHED_NO_OBS
   for (const char *Name :
        {"bsched.sim.load_latency_cycles", "bsched.sim.outstanding_loads"}) {
     const HistogramData &H = Want.Histograms.at(Name);
     EXPECT_LT(H.Min, 256u) << Name;
     EXPECT_GT(H.Max, 256u) << Name;
   }
-#endif
 }
 
 //===----------------------------------------------------------------------===
