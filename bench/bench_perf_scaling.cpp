@@ -10,9 +10,10 @@
 // weighters (optimized scratch kernel and the retained allocating
 // reference) and the list scheduler, then emit BENCH_perf_scaling.json
 // with the before/after ns-per-instruction table, the pipeline's
-// weighter_* scratch-reuse counters, and block-parallel compile wall
-// times. `--smoke` runs a one-iteration sweep with no artifact (the ctest
-// perf-smoke gate). An unknown argument or a malformed BSCHED_FAILPOINTS
+// weighter_* scratch-reuse counters, block-parallel compile wall times,
+// and the block simulator's ns per simulated instruction-run on each
+// processor model, observed and unobserved. `--smoke` runs a
+// one-iteration sweep with no artifact (the ctest perf-smoke gate). An unknown argument or a malformed BSCHED_FAILPOINTS
 // exits 1 before anything runs.
 //
 //===----------------------------------------------------------------------===//
@@ -26,8 +27,11 @@
 #include "sched/ListScheduler.h"
 #include "sched/TraditionalWeighter.h"
 #include "sched/WeighterScratch.h"
+#include "sim/SimDraws.h"
+#include "sim/Simulator.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
+#include "workload/HugeBlocks.h"
 
 #include <benchmark/benchmark.h>
 
@@ -35,6 +39,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -322,10 +327,136 @@ ParallelTiming timeParallelCompile(unsigned Repeats) {
   return T;
 }
 
+//===----------------------------------------------------------------------===
+// The block simulator: a block's 30 runs, as the experiment harness
+// simulates it (decode, the draws table, DecodedBlock::runAll).
+//===----------------------------------------------------------------------===
+
+/// Blocks to simulate: every block of the Perfect Club programs compiled
+/// under the paper's defaults, or one compiled huge block.
+struct SimWorkload {
+  const char *Name;
+  std::vector<BasicBlock> Blocks;
+  uint64_t Instructions = 0; ///< Over Blocks.
+};
+
+SimWorkload compiledBlocks(const char *Name,
+                           const std::vector<Function> &Programs) {
+  SimWorkload W{Name, {}, 0};
+  for (const Function &F : Programs) {
+    ErrorOr<CompiledFunction> C =
+        runPipeline(F, PipelineConfig::paperDefault());
+    if (!C) {
+      std::fprintf(stderr, "warning: %s did not compile\n", F.name().c_str());
+      continue;
+    }
+    for (unsigned B = 0; B != C->Compiled.numBlocks(); ++B) {
+      W.Blocks.push_back(C->Compiled.block(B));
+      W.Instructions += W.Blocks.back().size();
+    }
+  }
+  return W;
+}
+
+const SimWorkload &simWorkload(unsigned Index) {
+  static const SimWorkload Workloads[] = {
+      compiledBlocks("perfect-club",
+                     [] {
+                       std::vector<Function> Programs;
+                       for (auto &[B, F] : paperPrograms())
+                         Programs.push_back(std::move(F));
+                       return Programs;
+                     }()),
+      compiledBlocks("huge-2048", {buildHugeBlock(2048)})};
+  return Workloads[Index];
+}
+
+const ProcessorModel SimProcessors[] = {ProcessorModel::unlimited(),
+                                        ProcessorModel::maxOutstanding(8),
+                                        ProcessorModel::maxLength(8)};
+
+/// Simulates every block of \p W 30 times on \p P over L80(2,10), drawing
+/// from \p Draws, as simulateVerified does; \p Reg, when non-null,
+/// observes the runs. Returns the summed cycles.
+uint64_t simulateWorkload(const SimWorkload &W, const ProcessorModel &P,
+                          SimDraws &Draws, MetricRegistry *Reg) {
+  static const CacheSystem Memory(0.8, 2, 10);
+  constexpr unsigned Runs = 30;
+  std::optional<SimInstruments> Obs;
+  if (Reg)
+    Obs.emplace(*Reg);
+  DecodedBlock Decoded;
+  SimDraws::BlockDraws Drawn;
+  BlockSimResult Results[Runs];
+  uint64_t Cycles = 0;
+  for (unsigned B = 0; B != W.Blocks.size(); ++B) {
+    Decoded.decode(W.Blocks[B], LatencyModel());
+    Draws.draw(Memory, 1, B, Runs, 1, Decoded.sampledLoads(), Drawn);
+    Decoded.runAll(P, Drawn.Latencies, Results, Obs ? &*Obs : nullptr);
+    Cycles += Results[Runs - 1].Cycles;
+  }
+  return Cycles;
+}
+
+/// Arguments: workload (0 Perfect Club, 1 huge), processor (0 UNLIMITED,
+/// 1 MAX-8, 2 LEN-8), observed (0, 1). Items are instruction-runs.
+void BM_Simulate(benchmark::State &State) {
+  const SimWorkload &W = simWorkload(static_cast<unsigned>(State.range(0)));
+  const ProcessorModel &P = SimProcessors[State.range(1)];
+  MetricRegistry Registry;
+  SimDraws Draws;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(simulateWorkload(
+        W, P, Draws, State.range(2) ? &Registry : nullptr));
+  State.SetItemsProcessed(int64_t(State.iterations()) *
+                          int64_t(W.Instructions) * 30);
+  State.SetLabel(std::string(W.Name) + " " + P.name() +
+                 (State.range(2) ? " observed" : " unobserved"));
+}
+
+struct SimRow {
+  const char *Workload;
+  std::string Processor;
+  bool Observed;
+  uint64_t InstructionRuns;
+  double NsPerInstructionRun;
+};
+
+/// Times every (workload, processor, observed) combination: the best of
+/// \p Batches means over \p Iters simulations each, with a warm draws
+/// table.
+std::vector<SimRow> runSimulatorSweep(unsigned Batches, unsigned Iters) {
+  std::vector<SimRow> Rows;
+  for (unsigned Index = 0; Index != 2; ++Index) {
+    const SimWorkload &W = simWorkload(Index);
+    for (const ProcessorModel &P : SimProcessors)
+      for (bool Observed : {false, true}) {
+        MetricRegistry Registry;
+        SimDraws Draws;
+        MetricRegistry *Reg = Observed ? &Registry : nullptr;
+        simulateWorkload(W, P, Draws, Reg); // Fill the draws table.
+        const uint64_t InstructionRuns = W.Instructions * 30;
+        const double Ns = timeNsBest(Batches, Iters, [&] {
+          benchmark::DoNotOptimize(simulateWorkload(W, P, Draws, Reg));
+        });
+        Rows.push_back({W.Name, P.name(), Observed, InstructionRuns,
+                        Ns / static_cast<double>(InstructionRuns)});
+        std::printf("[sim] %-12s %-9s %-10s %9llu instruction-runs, "
+                    "%6.2f ns/instruction-run\n",
+                    W.Name, Rows.back().Processor.c_str(),
+                    Observed ? "observed" : "unobserved",
+                    static_cast<unsigned long long>(InstructionRuns),
+                    Rows.back().NsPerInstructionRun);
+      }
+  }
+  return Rows;
+}
+
 void writeArtifact(const std::vector<SweepRow> &Sweep,
                    const std::vector<SeedComparison> &Seed,
                    const MetricSnapshot &Counters,
-                   const ParallelTiming &Parallel) {
+                   const ParallelTiming &Parallel,
+                   const std::vector<SimRow> &Sim) {
   JsonWriter W;
   W.beginObject();
   W.key("benchmark").value("perf_scaling");
@@ -367,6 +498,20 @@ void writeArtifact(const std::vector<SweepRow> &Sweep,
   W.key("parallel_ms").valueFixed(Parallel.ParallelMillis, 2);
   W.endObject();
 
+  W.key("simulator").beginArray();
+  for (const SimRow &Row : Sim) {
+    W.beginObject();
+    W.key("workload").value(Row.Workload);
+    W.key("memory").value("L80(2,10)");
+    W.key("runs_per_block").value(30u);
+    W.key("processor").value(Row.Processor);
+    W.key("observed").value(Row.Observed);
+    W.key("instruction_runs").value(Row.InstructionRuns);
+    W.key("ns_per_instruction_run").valueFixed(Row.NsPerInstructionRun, 2);
+    W.endObject();
+  }
+  W.endArray();
+
   W.endObject();
   writeBenchArtifact("perf_scaling", W);
 }
@@ -398,6 +543,7 @@ BENCHMARK(BM_ListScheduler)
     ->RangeMultiplier(2)
     ->Range(32, 512)
     ->Complexity();
+BENCHMARK(BM_Simulate)->ArgsProduct({{0, 1}, {0, 1, 2}, {0, 1}});
 
 int main(int argc, char **argv) {
   // `--smoke`: one tiny iteration of every stage, no gbench sweep, no
@@ -428,9 +574,11 @@ int main(int argc, char **argv) {
       Smoke ? std::vector<SeedComparison>{} : compareAgainstSeed();
   MetricSnapshot Counters = meteredPipelineRun();
   ParallelTiming Parallel = timeParallelCompile(Smoke ? 1 : 5);
+  std::vector<SimRow> Sim =
+      Smoke ? runSimulatorSweep(1, 1) : runSimulatorSweep(5, 20);
 
   if (!Smoke)
-    writeArtifact(Sweep, Seed, Counters, Parallel);
+    writeArtifact(Sweep, Seed, Counters, Parallel, Sim);
   benchmark::Shutdown();
   return 0;
 }

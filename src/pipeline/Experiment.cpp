@@ -57,23 +57,24 @@ ProgramSimResult simulateVerified(const CompiledFunction &Program,
   const Function &F = Program.Compiled;
   DecodedBlock Decoded;
   SimDraws::BlockDraws Drawn;
+  std::vector<BlockSimResult> Runs(Config.NumRuns);
   std::vector<double> Samples;
   Samples.reserve(Config.NumRuns);
   for (unsigned BlockIndex = 0; BlockIndex != F.numBlocks(); ++BlockIndex) {
     const BasicBlock &BB = F.block(BlockIndex);
 
     // 30 independent full simulations of the block (section 4.3), all
-    // from one decode and one visit to the draws table.
+    // from one decode and one visit to the draws table. runAll takes the
+    // path the processor, the instruments and the draws allow: side by
+    // side for unobserved single-issue UNLIMITED runs, else one loop per
+    // run (DESIGN.md §3n).
     Decoded.decode(BB, Config.Ops);
-    const size_t Loads = Decoded.sampledLoads();
     Draws.draw(Memory, Config.Seed, BlockIndex, Config.NumRuns,
-               Config.NumResamples, Loads, Drawn);
-    const std::span<const unsigned> Latencies = Drawn.Latencies;
+               Config.NumResamples, Decoded.sampledLoads(), Drawn);
+    Decoded.runAll(Config.Processor, Drawn.Latencies, Runs, Obs);
     Samples.clear();
     double InterlockSum = 0.0;
-    for (unsigned Run = 0; Run != Config.NumRuns; ++Run) {
-      BlockSimResult Sim = Decoded.run(
-          Config.Processor, Latencies.subspan(Run * Loads, Loads), Obs);
+    for (const BlockSimResult &Sim : Runs) {
       Samples.push_back(static_cast<double>(Sim.Cycles));
       InterlockSum += static_cast<double>(Sim.InterlockCycles);
     }

@@ -9,6 +9,7 @@
 
 #include "support/StringUtils.h"
 
+#include <climits>
 #include <cmath>
 
 using namespace bsched;
@@ -34,9 +35,14 @@ std::string CacheSystem::name() const {
 }
 
 unsigned NetworkSystem::sampleLatency(Rng &R) const {
-  double Sample = Mean + Stddev * R.nextGaussian();
-  long Rounded = std::lround(Sample);
-  return Rounded < 1 ? 1u : static_cast<unsigned>(Rounded);
+  const double Sample = Mean + Stddev * R.nextGaussian();
+  // Clamped before rounding, so a sample past UINT_MAX saturates instead
+  // of wrapping in the conversion (or overflowing lround's long).
+  if (Sample < 1.0)
+    return 1;
+  if (Sample >= static_cast<double>(UINT_MAX))
+    return UINT_MAX;
+  return static_cast<unsigned>(std::lround(Sample));
 }
 
 std::string NetworkSystem::name() const {

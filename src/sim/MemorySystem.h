@@ -25,8 +25,10 @@
 #ifndef BSCHED_SIM_MEMORYSYSTEM_H
 #define BSCHED_SIM_MEMORYSYSTEM_H
 
+#include "support/Check.h"
 #include "support/Rng.h"
 
+#include <cmath>
 #include <memory>
 #include <string>
 
@@ -75,6 +77,8 @@ public:
   CacheSystem(double HitRate, unsigned HitLatency, unsigned MissLatency)
       : HitRate(HitRate), HitLatency(HitLatency), MissLatency(MissLatency) {
     BSCHED_CHECK(HitRate >= 0.0 && HitRate <= 1.0, "hit rate out of range");
+    BSCHED_CHECK(HitLatency >= 1, "hit latency below one cycle");
+    BSCHED_CHECK(MissLatency >= 1, "miss latency below one cycle");
   }
   unsigned sampleLatency(Rng &R) const override;
   double optimisticLatency() const override { return HitLatency; }
@@ -87,10 +91,15 @@ private:
   unsigned MissLatency;
 };
 
-/// Discretized zero-based normal: max(1, round(N(mu, sigma))).
+/// Discretized zero-based normal: max(1, round(N(mu, sigma))), saturated
+/// at UINT_MAX.
 class NetworkSystem final : public MemorySystem {
 public:
-  NetworkSystem(double Mean, double Stddev) : Mean(Mean), Stddev(Stddev) {}
+  NetworkSystem(double Mean, double Stddev) : Mean(Mean), Stddev(Stddev) {
+    BSCHED_CHECK(std::isfinite(Mean), "network mean not finite");
+    BSCHED_CHECK(std::isfinite(Stddev) && Stddev >= 0.0,
+                 "network stddev negative or not finite");
+  }
   unsigned sampleLatency(Rng &R) const override;
   double optimisticLatency() const override { return Mean; }
   double effectiveLatency() const override { return Mean; }
@@ -107,7 +116,10 @@ public:
   MixedSystem(double HitRate, unsigned HitLatency, double MissMean,
               double MissStddev)
       : HitRate(HitRate), HitLatency(HitLatency),
-        Miss(MissMean, MissStddev) {}
+        Miss(MissMean, MissStddev) {
+    BSCHED_CHECK(HitRate >= 0.0 && HitRate <= 1.0, "hit rate out of range");
+    BSCHED_CHECK(HitLatency >= 1, "hit latency below one cycle");
+  }
   unsigned sampleLatency(Rng &R) const override;
   double optimisticLatency() const override { return HitLatency; }
   double effectiveLatency() const override;

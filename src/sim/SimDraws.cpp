@@ -25,27 +25,30 @@ Rng SimDraws::bootstrapStream(uint64_t Seed, unsigned Block) {
 void SimDraws::draw(const MemorySystem &Memory, uint64_t Seed,
                     unsigned Block, unsigned Runs, unsigned Resamples,
                     size_t Loads, BlockDraws &Out) {
-  Out.Latencies.resize(size_t(Runs) * Loads);
   std::lock_guard<std::mutex> Lock(Mutex);
+  Out.Latencies = {};
   if (Loads != 0) {
-    std::vector<Stream> &Streams = Latencies[{
-        reinterpret_cast<uintptr_t>(&Memory), Seed, Block, Runs}];
-    if (Streams.empty()) {
-      Streams.reserve(Runs);
+    Streams &S = Latencies[{reinterpret_cast<uintptr_t>(&Memory), Seed,
+                            Block, Runs}];
+    if (S.Runs.empty()) {
+      S.Runs.reserve(Runs);
       for (unsigned Run = 0; Run != Runs; ++Run)
-        Streams.push_back({latencyStream(Seed, Block, Run), {}});
+        S.Runs.push_back(latencyStream(Seed, Block, Run));
     }
-    unsigned *Next = Out.Latencies.data();
-    for (Stream &S : Streams) {
-      // Grown to the length asked for, not by doubling: a stream holds no
-      // more draws than the longest block of its index reads.
-      if (S.Drawn.size() < Loads) {
-        S.Drawn.reserve(Loads);
-        while (S.Drawn.size() != Loads)
-          S.Drawn.push_back(Memory.sampleLatency(S.R));
-      }
-      Next = std::copy_n(S.Drawn.begin(), Loads, Next);
+    // Grown to the length asked for, not by doubling: a stream holds no
+    // more draws than the longest block of its index reads. Views of the
+    // shorter storage stay valid, so it is kept.
+    if (S.Loads < Loads) {
+      std::unique_ptr<unsigned[]> Grown(new unsigned[Loads * Runs]);
+      if (S.Loads != 0)
+        std::copy_n(S.Storage.back().get(), S.Loads * Runs, Grown.get());
+      for (size_t K = S.Loads; K != Loads; ++K)
+        for (unsigned Run = 0; Run != Runs; ++Run)
+          Grown[K * Runs + Run] = Memory.sampleLatency(S.Runs[Run]);
+      S.Storage.push_back(std::move(Grown));
+      S.Loads = Loads;
     }
+    Out.Latencies = {S.Storage.back().get(), Loads * Runs};
   }
   std::vector<uint32_t> &Indices = BootIndices[{Seed, Block, Runs, Resamples}];
   if (Indices.empty()) {

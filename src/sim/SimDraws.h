@@ -18,8 +18,13 @@
 /// Latency streams are keyed by (memory system, seed, block, run count),
 /// the memory system by its address: a table must not outlive the memory
 /// systems it draws for, and two objects with equal parameters keep
-/// separate streams. Bootstrap indices are keyed by (seed, block, run
-/// count, resample count). Thread-safe: one mutex, taken once per block.
+/// separate streams. A key's runs are stored load-major, the k-th draw of
+/// run r at k * runs + r, and handed out as a view. Storage never moves
+/// once handed out: streams that must grow draw into new storage, and the
+/// old storage stays until the table is destroyed. Bootstrap indices are
+/// keyed by (seed, block, run count, resample count). Thread-safe: one
+/// mutex, taken once per block for the lookup and any extension; the
+/// views are read outside it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +36,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <tuple>
@@ -40,20 +46,19 @@ namespace bsched {
 
 class SimDraws {
 public:
-  /// What simulating one block reads.
+  /// What simulating one block reads. Both views stay valid, and their
+  /// values unchanged, while the table lives.
   struct BlockDraws {
-    /// Runs x Loads latencies: run R's loads take [R * Loads, (R + 1) *
-    /// Loads), the first Loads draws of its stream. A copy, since another
-    /// thread may extend the stream while this one simulates.
-    std::vector<unsigned> Latencies;
-    /// Resamples x Runs bootstrap indices, in draw order. Drawn once and
-    /// never changed, so they stay valid while the table lives.
+    /// Loads x Runs latencies, load-major: run R's K-th latency, the K-th
+    /// draw of its stream, is Latencies[K * Runs + R].
+    std::span<const unsigned> Latencies;
+    /// Resamples x Runs bootstrap indices, in draw order.
     std::span<const uint32_t> BootIndices;
   };
 
-  /// Fills \p Out for block \p Block of a program simulated \p Runs times
-  /// on \p Memory with \p Seed, whose runs each read \p Loads latencies,
-  /// and bootstrapped to \p Resamples means; reuses \p Out's storage.
+  /// Points \p Out at the draws of block \p Block of a program simulated
+  /// \p Runs times on \p Memory with \p Seed, whose runs each read
+  /// \p Loads latencies, and bootstrapped to \p Resamples means.
   void draw(const MemorySystem &Memory, uint64_t Seed, unsigned Block,
             unsigned Runs, unsigned Resamples, size_t Loads,
             BlockDraws &Out);
@@ -65,15 +70,16 @@ public:
   static Rng bootstrapStream(uint64_t Seed, unsigned Block);
 
 private:
-  /// One run's stream: its generator, and the latencies drawn so far.
-  struct Stream {
-    Rng R;
-    std::vector<unsigned> Drawn;
+  /// A key's runs: each run's generator, where its draws stopped, and
+  /// every storage the key has drawn into; the last holds Loads rows.
+  struct Streams {
+    std::vector<Rng> Runs;
+    size_t Loads = 0;
+    std::vector<std::unique_ptr<unsigned[]>> Storage;
   };
 
   std::mutex Mutex;
-  std::map<std::tuple<uintptr_t, uint64_t, unsigned, unsigned>,
-           std::vector<Stream>>
+  std::map<std::tuple<uintptr_t, uint64_t, unsigned, unsigned>, Streams>
       Latencies;
   std::map<std::tuple<uint64_t, unsigned, unsigned, unsigned>,
            std::vector<uint32_t>>

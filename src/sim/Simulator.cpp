@@ -10,7 +10,9 @@
 #include "ir/RegTable.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <functional>
 
 using namespace bsched;
 
@@ -83,6 +85,7 @@ SimInstruments::~SimInstruments() {
 void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
   Steps.clear();
   NumSampled = 0;
+  FixedLatencySum = 0;
 
   // Register number of an operand: its RegIndex number plus one, since 0
   // pads unused source slots.
@@ -114,6 +117,8 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
             1);
       S.Latency = Latency;
     }
+    if (S.Dest != 0 && S.Latency != SampledLatency)
+      FixedLatencySum += std::min(S.Latency, uint64_t(1) << 32);
     Steps.push_back(S);
   }
   NumRegs = Regs.size() + 1;
@@ -123,63 +128,59 @@ void DecodedBlock::decode(const BasicBlock &BB, const LatencyModel &Ops) {
 // Run
 //===----------------------------------------------------------------------===
 
-/// Advances \p T past every LEN-limit blocked interval [Issue + Limit,
-/// Complete) of the in-flight loads. Fixpoint loop: jumping past one block
-/// can land inside another.
-uint64_t
-DecodedBlock::advancePastLengthBlocks(uint64_t T,
-                                      const std::vector<InFlightLoad> &Loads,
-                                      unsigned Limit) {
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const InFlightLoad &L : Loads) {
-      if (L.Issue + Limit <= T && T < L.Complete) {
-        T = L.Complete;
-        Changed = true;
-      }
-    }
-  }
-  return T;
+namespace {
+
+/// Adds a load completing at \p Complete to \p Queue[Head..], which is
+/// kept ascending: a min-queue whose front is the next load to complete.
+/// Loads mostly complete in issue order, so the insertion point is
+/// usually at or near the back, and this beat a binary heap on MAX-8
+/// (EXPERIMENTS.md).
+void pushCompletion(std::vector<uint64_t> &Queue, size_t Head,
+                    uint64_t Complete) {
+  size_t I = Queue.size();
+  Queue.push_back(Complete);
+  for (; I != Head && Queue[I - 1] > Complete; --I)
+    Queue[I] = Queue[I - 1];
+  Queue[I] = Complete;
 }
 
-/// Advances \p T until fewer than \p Limit loads are in flight (MAX-n
-/// issuing a new load).
-uint64_t DecodedBlock::advancePastOutstandingLimit(
-    uint64_t T, const std::vector<InFlightLoad> &Loads, unsigned Limit) {
-  for (;;) {
-    unsigned InFlight = 0;
-    uint64_t EarliestCompletion = ~uint64_t(0);
-    for (const InFlightLoad &L : Loads) {
-      if (L.Complete > T) {
-        ++InFlight;
-        EarliestCompletion = std::min(EarliestCompletion, L.Complete);
-      }
-    }
-    if (InFlight < Limit)
-      return T;
-    T = EarliestCompletion;
-  }
+/// Retires every completion at or before \p T from the front of
+/// \p Queue[Head..] and returns the loads left, those still in flight at
+/// T. Issue times never decrease, so a load complete at one issue is
+/// complete at every later one.
+size_t retireBy(const std::vector<uint64_t> &Queue, size_t &Head,
+                uint64_t T) {
+  while (Head != Queue.size() && Queue[Head] <= T)
+    ++Head;
+  return Queue.size() - Head;
 }
 
-BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
-                                 std::span<const unsigned> Latencies,
-                                 SimInstruments *Obs) {
-  assert(Processor.IssueWidth >= 1 && "issue width must be positive");
-  assert(Latencies.size() >= NumSampled && "a latency per sampled load");
+} // namespace
+
+template <ProcessorKind Kind, bool Observed>
+BlockSimResult DecodedBlock::runOne(const ProcessorModel &Processor,
+                                    std::span<const unsigned> Latencies,
+                                    size_t First, size_t Stride,
+                                    SimInstruments *Obs) {
   BlockSimResult Result;
   if (Steps.empty())
     return Result;
+  size_t Next = First; // Where the next sampled load's latency sits.
 
   ReadyAt.assign(NumRegs, 0);
-  InFlight.clear();
+  Completions.clear();
+  size_t Retired = 0; // Completions[Retired..] are in flight.
+  // LEN-n: Young[OldestYoung..] have been in flight fewer than Limit
+  // cycles; every load before them is overdue, and Overdue is the latest
+  // completion among those.
+  Young.clear();
+  size_t OldestYoung = 0;
+  uint64_t Overdue = 0;
   uint64_t NumLoads = 0;
-  const unsigned *NextLatency = Latencies.data();
 
   uint64_t CurrentCycle = 0;
   unsigned SlotsUsed = 0;
   uint64_t CyclesWithIssue = 0;
-  bool IssuedThisCycle = false;
 
   for (const Step &S : Steps) {
     // Earliest issue: current cycle (or next, if this cycle's slots are
@@ -189,57 +190,70 @@ BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
     T = std::max({T, ReadyAt[S.Srcs[0]], ReadyAt[S.Srcs[1]],
                   ReadyAt[S.Srcs[2]]});
 
-    // Processor-model limits.
-    if (Processor.Kind == ProcessorKind::MaxLength)
-      T = advancePastLengthBlocks(T, InFlight, Processor.Limit);
-    if (Processor.Kind == ProcessorKind::MaxOutstanding && S.IsLoad)
-      T = advancePastOutstandingLimit(T, InFlight, Processor.Limit);
+    // Processor-model limits. LEN-n: nothing issues while a load that has
+    // been in flight Limit cycles is outstanding, so T rises to the
+    // latest overdue completion until no further load becomes overdue.
+    if constexpr (Kind == ProcessorKind::MaxLength) {
+      for (;;) {
+        while (OldestYoung != Young.size() &&
+               Young[OldestYoung].Issue + Processor.Limit <= T)
+          Overdue = std::max(Overdue, Young[OldestYoung++].Complete);
+        if (Overdue <= T)
+          break;
+        T = Overdue;
+      }
+    }
+    // MAX-n: a load issues once fewer than Limit loads are in flight.
+    size_t Outstanding = 0;
+    if constexpr (Kind == ProcessorKind::MaxOutstanding) {
+      if (S.IsLoad) {
+        Outstanding = retireBy(Completions, Retired, T);
+        while (Outstanding >= Processor.Limit) {
+          T = Completions[Retired];
+          Outstanding = retireBy(Completions, Retired, T);
+        }
+      }
+    } else if constexpr (Observed) {
+      if (S.IsLoad)
+        Outstanding = retireBy(Completions, Retired, T);
+    }
 
     // Issue.
     if (T > CurrentCycle) {
       CurrentCycle = T;
       SlotsUsed = 0;
-      IssuedThisCycle = false;
     }
+    CyclesWithIssue += SlotsUsed == 0;
     ++SlotsUsed;
-    if (!IssuedThisCycle) {
-      ++CyclesWithIssue;
-      IssuedThisCycle = true;
-    }
 
     // Effects.
     if (S.IsLoad) {
-      uint64_t Latency =
-          S.Latency == SampledLatency ? *NextLatency++ : S.Latency;
-      uint64_t Complete = T + Latency;
+      uint64_t Latency = S.Latency;
+      if (Latency == SampledLatency) {
+        Latency = Latencies[Next];
+        Next += Stride;
+      }
+      const uint64_t Complete = T + Latency;
       ReadyAt[S.Dest] = Complete;
-      ++NumLoads;
-      if (Obs) {
+      if constexpr (Kind == ProcessorKind::MaxLength)
+        Young.push_back({T, Complete});
+      if constexpr (Kind == ProcessorKind::MaxOutstanding || Observed)
+        pushCompletion(Completions, Retired, Complete);
+      if constexpr (Observed) {
+        ++NumLoads;
         Obs->LoadLatency.record(Latency);
-        // In-flight count at issue, before this load joins the list
-        // (completed entries linger until the lazy prune — filter them).
-        uint64_t Outstanding = 0;
-        for (const InFlightLoad &L : InFlight)
-          Outstanding += L.Complete > T;
+        // Loads in flight at issue, before this one joins them.
         Obs->OutstandingLoads.record(Outstanding);
       }
-      InFlight.push_back({T, Complete});
     } else if (S.Dest != 0) {
       ReadyAt[S.Dest] = T + S.Latency;
     }
-
-    // Keep the in-flight list small: completed loads can no longer block
-    // anything at or after the current cycle.
-    if (InFlight.size() > 16)
-      std::erase_if(InFlight, [&](const InFlightLoad &L) {
-        return L.Complete <= CurrentCycle;
-      });
   }
 
   Result.Instructions = Steps.size();
   Result.Cycles = CurrentCycle + 1;
   Result.InterlockCycles = Result.Cycles - CyclesWithIssue;
-  if (Obs) {
+  if constexpr (Observed) {
     ++Obs->BlockRuns;
     Obs->Cycles += Result.Cycles;
     Obs->InterlockCycles += Result.InterlockCycles;
@@ -247,6 +261,126 @@ BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
     Obs->Loads += NumLoads;
   }
   return Result;
+}
+
+BlockSimResult DecodedBlock::runStrided(const ProcessorModel &Processor,
+                                        std::span<const unsigned> Latencies,
+                                        size_t First, size_t Stride,
+                                        SimInstruments *Obs) {
+  assert(Processor.IssueWidth >= 1 && "issue width must be positive");
+  switch (Processor.Kind) {
+  case ProcessorKind::Unlimited:
+    return Obs ? runOne<ProcessorKind::Unlimited, true>(Processor, Latencies,
+                                                        First, Stride, Obs)
+               : runOne<ProcessorKind::Unlimited, false>(
+                     Processor, Latencies, First, Stride, Obs);
+  case ProcessorKind::MaxOutstanding:
+    assert(Processor.Limit >= 1 && "MAX-n needs a positive limit");
+    return Obs ? runOne<ProcessorKind::MaxOutstanding, true>(
+                     Processor, Latencies, First, Stride, Obs)
+               : runOne<ProcessorKind::MaxOutstanding, false>(
+                     Processor, Latencies, First, Stride, Obs);
+  case ProcessorKind::MaxLength:
+    return Obs ? runOne<ProcessorKind::MaxLength, true>(Processor, Latencies,
+                                                        First, Stride, Obs)
+               : runOne<ProcessorKind::MaxLength, false>(
+                     Processor, Latencies, First, Stride, Obs);
+  }
+  BSCHED_UNREACHABLE("unknown processor kind");
+}
+
+BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,
+                                 std::span<const unsigned> Latencies,
+                                 SimInstruments *Obs) {
+  assert(Latencies.size() >= NumSampled && "a latency per sampled load");
+  return runStrided(Processor, Latencies, 0, 1, Obs);
+}
+
+bool DecodedBlock::fitsInLanes(std::span<const unsigned> Latencies,
+                               size_t Runs) const {
+  // Each step issues one cycle after the step before it or when a source
+  // is ready, so no issue or ready cycle passes the step count plus the
+  // latencies of the steps before it.
+  uint64_t Bound = Steps.size() + FixedLatencySum;
+  for (size_t K = 0; K != NumSampled; ++K) {
+    const unsigned *Row = Latencies.data() + K * Runs;
+    Bound += *std::max_element(Row, Row + Runs);
+  }
+  return Bound < (uint64_t(1) << 31);
+}
+
+void DecodedBlock::runSideBySide(std::span<const unsigned> Latencies,
+                                 std::span<BlockSimResult> Out) {
+  // On one issue slot and no load limit, a step issues at max(the issue
+  // cycle of the step before it + 1, its sources' ready cycles). Each
+  // register keeps a row of LaneGroup ready cycles, one lane per run,
+  // and every step is the same few lane-wise operations on fixed-width
+  // rows, which the compiler vectorises.
+  const size_t Runs = Out.size();
+  LaneReady.resize(size_t(NumRegs) * LaneGroup);
+  for (size_t Group = 0; Group < Runs; Group += LaneGroup) {
+    // A group reads LaneGroup latencies of each sampled load's row: the
+    // last group of LaneGroup runs or more starts early enough to end at
+    // the row's end, and with fewer runs the lanes past them read 0.
+    const size_t First = Runs < LaneGroup ? 0 : std::min(Group, Runs - LaneGroup);
+    const size_t Width = std::min<size_t>(Runs, LaneGroup);
+    std::fill(LaneReady.begin(), LaneReady.end(), 0);
+    int32_t Issue[LaneGroup];
+    std::fill_n(Issue, LaneGroup, -1); // The first step issues at cycle 0.
+    size_t Row = First;
+    for (const Step &S : Steps) {
+      const int32_t *A = &LaneReady[S.Srcs[0] * LaneGroup];
+      const int32_t *B = &LaneReady[S.Srcs[1] * LaneGroup];
+      const int32_t *C = &LaneReady[S.Srcs[2] * LaneGroup];
+      for (unsigned L = 0; L != LaneGroup; ++L)
+        Issue[L] = std::max(std::max(Issue[L] + 1, A[L]), std::max(B[L], C[L]));
+      if (S.Dest == 0)
+        continue;
+      int32_t Latency[LaneGroup];
+      if (S.Latency != SampledLatency) {
+        std::fill_n(Latency, LaneGroup, static_cast<int32_t>(S.Latency));
+      } else if (Width == LaneGroup) {
+        for (unsigned L = 0; L != LaneGroup; ++L)
+          Latency[L] = static_cast<int32_t>(Latencies[Row + L]);
+        Row += Runs;
+      } else {
+        for (unsigned L = 0; L != LaneGroup; ++L)
+          Latency[L] = L < Width ? static_cast<int32_t>(Latencies[Row + L]) : 0;
+        Row += Runs;
+      }
+      int32_t *D = &LaneReady[S.Dest * LaneGroup];
+      for (unsigned L = 0; L != LaneGroup; ++L)
+        D[L] = Issue[L] + Latency[L];
+    }
+    for (size_t L = 0; L != Width; ++L) {
+      BlockSimResult &R = Out[First + L];
+      R.Instructions = Steps.size();
+      R.Cycles = static_cast<uint64_t>(Issue[L]) + 1;
+      R.InterlockCycles = R.Cycles - Steps.size();
+    }
+  }
+}
+
+void DecodedBlock::runAll(const ProcessorModel &Processor,
+                          std::span<const unsigned> Latencies,
+                          std::span<BlockSimResult> Out,
+                          SimInstruments *Obs) {
+  const size_t Runs = Out.size();
+  assert(Latencies.size() >= NumSampled * Runs &&
+         "a latency per sampled load and run");
+  if (Runs == 0)
+    return;
+  if (Steps.empty()) {
+    std::fill(Out.begin(), Out.end(), BlockSimResult());
+    return;
+  }
+  if (!Obs && Processor.Kind == ProcessorKind::Unlimited &&
+      Processor.IssueWidth == 1 && fitsInLanes(Latencies, Runs)) {
+    runSideBySide(Latencies, Out);
+    return;
+  }
+  for (size_t R = 0; R != Runs; ++R)
+    Out[R] = runStrided(Processor, Latencies, R, Runs, Obs);
 }
 
 BlockSimResult DecodedBlock::run(const ProcessorModel &Processor,

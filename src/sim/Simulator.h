@@ -18,10 +18,12 @@
 /// machine they would overlap the next block), so all stall cost is
 /// charged at consumers. Interlock cycles = cycles - issue slots used.
 ///
-/// There is one timing model (DESIGN.md §3n): a block is decoded once
-/// (DecodedBlock) and run once per latency draw, and simulateBlock is a
-/// decode plus one run. A run reads its latencies from an array, so a
-/// caller can draw them once and share them (sim/SimDraws.h).
+/// A block is decoded once (DecodedBlock) and run once per latency
+/// draw, through one loop per processor model (DESIGN.md §3n); unobserved
+/// single-issue UNLIMITED runs of one block can also run side by side.
+/// simulateBlock is a decode plus one run. A run reads its latencies from
+/// an array, so a caller can draw them once and share them
+/// (sim/SimDraws.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,8 +115,9 @@ private:
 /// densely and each instruction reduced to what the timing model reads
 /// (its source and destination register numbers, whether it is a load,
 /// and its fixed latency or a marker to sample one from memory). Decode
-/// once, then run() once per latency draw; runs reuse the ready-time
-/// vector and the in-flight load list, so they allocate nothing once warm.
+/// once, then run() once per latency draw, or runAll() once for all of a
+/// block's draws; runs reuse their scratch, so they allocate nothing once
+/// warm.
 ///
 /// A run is a function of its draws: the k-th sampled load (a load
 /// without a known latency) in block order takes the k-th latency it is
@@ -144,6 +147,18 @@ public:
                      const MemorySystem &Memory, Rng &R,
                      SimInstruments *Obs = nullptr);
 
+  /// Simulates Out.size() executions at once: run r's k-th sampled load
+  /// takes \p Latencies[k * Out.size() + r] cycles (load-major, the
+  /// layout of SimDraws; at least sampledLoads() * Out.size() of them),
+  /// and Out[r] is run r's result, equal to run() of its latencies.
+  /// Unobserved single-issue UNLIMITED runs go side by side, one 32-bit
+  /// lane per run, when every cycle of every run stays below 2^31;
+  /// every other run takes its processor's loop. \p Obs tallies as
+  /// run() does.
+  void runAll(const ProcessorModel &Processor,
+              std::span<const unsigned> Latencies,
+              std::span<BlockSimResult> Out, SimInstruments *Obs = nullptr);
+
 private:
   /// One decoded instruction. Register 0 stands for "no register": it is
   /// never written, so it reads as ready at cycle 0, like any register
@@ -157,24 +172,51 @@ private:
   };
   static constexpr uint64_t SampledLatency = ~uint64_t(0);
 
-  struct InFlightLoad {
-    uint64_t Issue;
-    uint64_t Complete;
-  };
+  /// Runs laid side by side per pass of the step list (a multiple of the
+  /// SSE2 vector width of 4 lanes).
+  static constexpr unsigned LaneGroup = 16;
 
-  static uint64_t advancePastLengthBlocks(
-      uint64_t T, const std::vector<InFlightLoad> &Loads, unsigned Limit);
-  static uint64_t advancePastOutstandingLimit(
-      uint64_t T, const std::vector<InFlightLoad> &Loads, unsigned Limit);
+  /// One run on a \p Kind processor, its k-th sampled load taking
+  /// \p Latencies[First + k * Stride]; tallied into \p Obs when
+  /// \p Observed.
+  template <ProcessorKind Kind, bool Observed>
+  BlockSimResult runOne(const ProcessorModel &Processor,
+                        std::span<const unsigned> Latencies, size_t First,
+                        size_t Stride, SimInstruments *Obs);
+
+  /// runOne for \p Processor's kind, observed when \p Obs is non-null.
+  BlockSimResult runStrided(const ProcessorModel &Processor,
+                            std::span<const unsigned> Latencies, size_t First,
+                            size_t Stride, SimInstruments *Obs);
+
+  /// Whether runSideBySide of \p Latencies over \p Runs runs keeps
+  /// every cycle below 2^31: the step count plus, per step that writes a
+  /// register, its largest latency over the runs.
+  bool fitsInLanes(std::span<const unsigned> Latencies, size_t Runs) const;
+
+  /// Single-issue UNLIMITED runs, LaneGroup at a time (runAll's layout).
+  void runSideBySide(std::span<const unsigned> Latencies,
+                     std::span<BlockSimResult> Out);
 
   std::vector<Step> Steps;
   uint32_t NumRegs = 0;
   size_t NumSampled = 0;
+  uint64_t FixedLatencySum = 0; ///< Over steps with a fixed latency.
 
   // Run scratch.
   std::vector<uint64_t> ReadyAt;
-  std::vector<InFlightLoad> InFlight;
-  std::vector<unsigned> Drawn; ///< The latencies of a (Memory, Rng) run.
+  /// Completion times of a run's loads, ascending from the first still
+  /// in flight: MAX-n's limit, and the outstanding-load count of an
+  /// observed run.
+  std::vector<uint64_t> Completions;
+  struct IssuedLoad {
+    uint64_t Issue;
+    uint64_t Complete;
+  };
+  /// LEN-n's loads not yet in flight Limit cycles, in issue order.
+  std::vector<IssuedLoad> Young;
+  std::vector<int32_t> LaneReady; ///< NumRegs rows of LaneGroup lanes.
+  std::vector<unsigned> Drawn;    ///< The latencies of a (Memory, Rng) run.
 };
 
 /// Simulates one execution of \p BB on \p Processor with latencies drawn

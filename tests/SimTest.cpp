@@ -13,9 +13,15 @@
 #include "stats/Bootstrap.h"
 #include "support/Statistics.h"
 
+#include "CycleSteppedSimulator.h"
 #include "ReferenceSimulator.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <cmath>
+#include <limits>
+#include <thread>
 
 using namespace bsched;
 
@@ -101,6 +107,53 @@ TEST(MemorySystemTest, MixedNameAndSampling) {
   for (int I = 0; I != N; ++I)
     Hits += Mem.sampleLatency(R) == 2;
   EXPECT_NEAR(static_cast<double>(Hits) / N, 0.8, 0.02);
+}
+
+TEST(MemorySystemTest, RefusesLatenciesBelowOneCycle) {
+  // Every memory system samples at least one cycle, which the simulator
+  // relies on, so a hit or miss latency of 0 is refused at construction.
+  EXPECT_DEATH(FixedSystem(0), "latency below one cycle");
+  EXPECT_DEATH(CacheSystem(1.0, 0, 5), "hit latency below one cycle");
+  EXPECT_DEATH(CacheSystem(0.0, 2, 0), "miss latency below one cycle");
+  EXPECT_DEATH(MixedSystem(1.0, 0, 30, 5), "hit latency below one cycle");
+  EXPECT_DEATH(MixedSystem(1.5, 2, 30, 5), "hit rate out of range");
+}
+
+TEST(MemorySystemTest, RefusesNonFiniteNetworkParameters) {
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(NetworkSystem(NaN, 5), "network mean not finite");
+  EXPECT_DEATH(NetworkSystem(Inf, 5), "network mean not finite");
+  EXPECT_DEATH(NetworkSystem(3, -1), "network stddev negative");
+  EXPECT_DEATH(NetworkSystem(3, Inf), "network stddev negative");
+  EXPECT_DEATH(NetworkSystem(3, NaN), "network stddev negative");
+  EXPECT_DEATH(MixedSystem(0.8, 2, -Inf, 5), "network mean not finite");
+  EXPECT_DEATH(MixedSystem(0.8, 2, 30, -5), "network stddev negative");
+}
+
+TEST(MemorySystemTest, NetworkSaturatesInsteadOfWrapping) {
+  // A sample past UINT_MAX used to wrap in the conversion to unsigned
+  // (N(5e9,0) sampled 705032704); it saturates.
+  Rng R(11);
+  EXPECT_EQ(NetworkSystem(5e9, 0).sampleLatency(R), UINT_MAX);
+  EXPECT_EQ(NetworkSystem(1e300, 0).sampleLatency(R), UINT_MAX);
+  EXPECT_EQ(NetworkSystem(4294967294.0, 0).sampleLatency(R), UINT_MAX - 1);
+  EXPECT_EQ(MixedSystem(0.0, 2, 5e9, 0).sampleLatency(R), UINT_MAX);
+  EXPECT_EQ(NetworkSystem(-1e300, 0).sampleLatency(R), 1u);
+
+  // The paper's network systems sample max(1, round(N(mu, sigma))) as
+  // before.
+  for (auto [Mean, Stddev] : {std::pair(2.0, 2.0), std::pair(3.0, 5.0),
+                              std::pair(30.0, 5.0), std::pair(2.5, 0.0)}) {
+    const NetworkSystem Mem(Mean, Stddev);
+    Rng Got(static_cast<uint64_t>(Mean * 1000 + Stddev)), Want = Got;
+    for (int I = 0; I != 20000; ++I) {
+      const long Rounded = std::lround(Mean + Stddev * Want.nextGaussian());
+      ASSERT_EQ(Mem.sampleLatency(Got), static_cast<unsigned>(
+                                            std::max(Rounded, 1L)))
+          << Mem.name() << " sample " << I;
+    }
+  }
 }
 
 TEST(ProcessorModelTest, Names) {
@@ -489,15 +542,22 @@ TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
       std::size(Models));
   constexpr unsigned BlocksPerCombo = 16;
   constexpr unsigned RunsPerBlock = 3;
+  // runAll's run counts: fewer runs than one side-by-side lane group,
+  // the paper's 30, and more than two groups.
+  constexpr unsigned AllRunCounts[] = {3, 30, 37};
 
   // Registry gets simulateBlock's metrics (decode plus one run per call);
   // DecodedRegistry those of one decode run RunsPerBlock times, as the
-  // experiment harness does.
-  MetricRegistry RefRegistry, Registry, DecodedRegistry;
-  ReferenceSimInstruments RefObs(RefRegistry);
+  // experiment harness does; AllRegistry those of runAll, against
+  // RefAllRegistry.
+  MetricRegistry RefRegistry, Registry, DecodedRegistry, RefAllRegistry,
+      AllRegistry;
+  ReferenceSimInstruments RefObs(RefRegistry), RefAllObs(RefAllRegistry);
   DecodedBlock Decoded;
+  std::vector<unsigned> LoadMajor;
+  std::vector<BlockSimResult> WantAll, GotAll;
   Rng G(0x51D1FF);
-  unsigned EmptyBlocks = 0;
+  unsigned EmptyBlocks = 0, SideBySideBlocks = 0;
   for (unsigned Block = 0; Block != NumCombos * BlocksPerCombo; ++Block) {
     unsigned Combo = Block % NumCombos;
     ProcessorModel P = Processors[Combo % Processors.size()];
@@ -516,13 +576,14 @@ TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
     Decoded.decode(BB, Ops);
     for (unsigned Run = 0; Run != RunsPerBlock; ++Run) {
       const uint64_t Seed = Block * 31 + Run;
-      Rng RefR(Seed), R(Seed), DecodedR(Seed);
+      Rng RefR(Seed), R(Seed), DecodedR(Seed), UnobservedR(Seed);
       BlockSimResult Want =
           referenceSimulateBlock(BB, P, Mem, RefR, Ops, &RefObs);
       for (auto [Got, Stream] :
            {std::pair(simulateBlock(BB, P, Mem, R, Ops, &Obs), &R),
             std::pair(Decoded.run(P, Mem, DecodedR, &DecodedObs),
-                      &DecodedR)}) {
+                      &DecodedR),
+            std::pair(Decoded.run(P, Mem, UnobservedR), &UnobservedR)}) {
         ASSERT_EQ(Got.Cycles, Want.Cycles)
             << "block " << Block << " run " << Run << " on " << P.name()
             << " width " << P.IssueWidth << " " << Mem.name();
@@ -533,19 +594,55 @@ TEST(SimulatorDifferentialTest, MatchesReferenceOnRandomBlocks) {
         ASSERT_EQ(Stream->nextUInt64(), RefAfter.nextUInt64()) << Block;
       }
     }
+
+    // All of the block's runs at once from one load-major array, as the
+    // experiment harness simulates a block: unobserved, which runs side
+    // by side on single-issue UNLIMITED, and observed.
+    const unsigned Runs = AllRunCounts[Block / NumCombos % 3];
+    const size_t Loads = Decoded.sampledLoads();
+    LoadMajor.assign(Loads * Runs, 0);
+    WantAll.clear();
+    for (unsigned Run = 0; Run != Runs; ++Run) {
+      const uint64_t Seed = Block * 131 + Run;
+      Rng Draws(Seed), RefR(Seed);
+      for (size_t K = 0; K != Loads; ++K)
+        LoadMajor[K * Runs + Run] = Mem.sampleLatency(Draws);
+      WantAll.push_back(
+          referenceSimulateBlock(BB, P, Mem, RefR, Ops, &RefAllObs));
+    }
+    SimInstruments AllObs(AllRegistry);
+    for (SimInstruments *Instruments :
+         {static_cast<SimInstruments *>(nullptr), &AllObs}) {
+      GotAll.assign(Runs, BlockSimResult());
+      Decoded.runAll(P, LoadMajor, GotAll, Instruments);
+      for (unsigned Run = 0; Run != Runs; ++Run) {
+        ASSERT_EQ(GotAll[Run].Cycles, WantAll[Run].Cycles)
+            << "block " << Block << " run " << Run << " of " << Runs
+            << " on " << P.name() << " width " << P.IssueWidth << " "
+            << Mem.name() << (Instruments ? ", observed" : "");
+        ASSERT_EQ(GotAll[Run].InterlockCycles, WantAll[Run].InterlockCycles)
+            << Block;
+        ASSERT_EQ(GotAll[Run].Instructions, WantAll[Run].Instructions)
+            << Block;
+      }
+    }
+    SideBySideBlocks +=
+        P.Kind == ProcessorKind::Unlimited && P.IssueWidth == 1;
   }
   EXPECT_GT(EmptyBlocks, 0u);
+  EXPECT_GT(SideBySideBlocks, 3 * std::size(AllRunCounts));
 
-  MetricSnapshot Want = RefRegistry.snapshot();
+  MetricSnapshot WantSnapshot = RefRegistry.snapshot();
   for (const MetricRegistry *Reg : {&Registry, &DecodedRegistry}) {
-    MetricSnapshot Got = Reg->snapshot();
-    EXPECT_EQ(Got.toJson(), Want.toJson());
-    EXPECT_TRUE(Got == Want);
+    MetricSnapshot GotSnapshot = Reg->snapshot();
+    EXPECT_EQ(GotSnapshot.toJson(), WantSnapshot.toJson());
+    EXPECT_TRUE(GotSnapshot == WantSnapshot);
   }
-  // Some load issued with more than 16 loads in flight, so the in-flight
-  // list's prune ran.
-  EXPECT_GT(Want.Histograms.at("bsched.sim.outstanding_loads").Max, 16u);
-  EXPECT_EQ(Want.Counters.at("bsched.sim.block_runs"),
+  EXPECT_TRUE(AllRegistry.snapshot() == RefAllRegistry.snapshot());
+  // Some load issued with more than 16 loads in flight.
+  EXPECT_GT(WantSnapshot.Histograms.at("bsched.sim.outstanding_loads").Max,
+            16u);
+  EXPECT_EQ(WantSnapshot.Counters.at("bsched.sim.block_runs"),
             uint64_t(NumCombos) * BlocksPerCombo * RunsPerBlock -
                 uint64_t(EmptyBlocks) * RunsPerBlock);
 }
@@ -556,11 +653,13 @@ TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
   // the reference's per-sample recording gives. Latencies of a few
   // hundred cycles, alone and mixed with short ones in one histogram,
   // and a block with more than 256 loads in flight take both histograms
-  // past the by-value table.
-  const FixedSystem Fixed(300);
+  // past the by-value table. Latencies near 2^30 take a chain of loads
+  // past 2^31 cycles, which side-by-side lanes cannot hold: runAll must
+  // send those runs to the per-run loop.
+  const FixedSystem Fixed(300), Huge((1u << 30) + 3);
   const CacheSystem Straddle(0.5, 2, 400);
   const NetworkSystem Wide(250, 30);
-  const MemorySystem *Memories[] = {&Fixed, &Straddle, &Wide};
+  const MemorySystem *Memories[] = {&Fixed, &Straddle, &Wide, &Huge};
   const ProcessorModel Processors[] = {ProcessorModel::unlimited(),
                                        ProcessorModel::maxOutstanding(300),
                                        ProcessorModel::maxLength(280)};
@@ -571,31 +670,58 @@ TEST(SimulatorDifferentialTest, MatchesReferenceBeyondTheByValueTally) {
   for (unsigned K = 0; K != 320; ++K)
     Burst.append(Instruction::makeLoad(
         Opcode::FLoad, Reg::makeVirtual(RegClass::Fp, K + 1), Base, 8 * K, 0));
+  // Three loads, each addressed by the one before it, and a use.
+  BasicBlock Chain("chain");
+  for (unsigned K = 0; K != 3; ++K)
+    Chain.append(Instruction::makeLoad(Opcode::Load, vi(K + 1), vi(K), 0, 0));
+  Chain.append(Instruction::makeBinaryImm(Opcode::AddI, vi(4), vi(3), 1));
 
+  constexpr unsigned Runs = 30;
   MetricRegistry RefRegistry, Registry;
   ReferenceSimInstruments RefObs(RefRegistry);
   DecodedBlock Decoded;
+  std::vector<unsigned> LoadMajor;
+  std::vector<BlockSimResult> All(Runs);
   Rng G(0xB16B10C);
   unsigned Block = 0;
+  uint64_t MaxCycles = 0;
   for (const MemorySystem *Mem : Memories)
     for (const ProcessorModel &P : Processors)
-      for (unsigned K = 0; K != 4; ++K, ++Block) {
-        const BasicBlock BB = K == 0 ? Burst : randomSimBlock(G);
+      for (unsigned K = 0; K != 5; ++K, ++Block) {
+        const BasicBlock BB =
+            K == 0 ? Burst : K == 1 ? Chain : randomSimBlock(G);
         SimInstruments Obs(Registry);
         Decoded.decode(BB, LatencyModel());
-        for (unsigned Run = 0; Run != 3; ++Run) {
+        const size_t Loads = Decoded.sampledLoads();
+        LoadMajor.assign(Loads * Runs, 0);
+        std::vector<BlockSimResult> Want;
+        for (unsigned Run = 0; Run != Runs; ++Run) {
           const uint64_t Seed = Block * 31 + Run;
-          Rng RefR(Seed), R(Seed);
-          BlockSimResult Want = referenceSimulateBlock(
-              BB, P, *Mem, RefR, LatencyModel(), &RefObs);
+          Rng RefR(Seed), R(Seed), Draws(Seed);
+          for (size_t L = 0; L != Loads; ++L)
+            LoadMajor[L * Runs + Run] = Mem->sampleLatency(Draws);
+          Want.push_back(referenceSimulateBlock(
+              BB, P, *Mem, RefR, LatencyModel(), Run < 3 ? &RefObs : nullptr));
+          MaxCycles = std::max(MaxCycles, Want.back().Cycles);
+          if (Run >= 3)
+            continue;
           BlockSimResult Got = Decoded.run(P, *Mem, R, &Obs);
-          ASSERT_EQ(Got.Cycles, Want.Cycles)
+          ASSERT_EQ(Got.Cycles, Want[Run].Cycles)
               << "block " << Block << " run " << Run << " on " << P.name()
               << " " << Mem->name();
-          ASSERT_EQ(Got.InterlockCycles, Want.InterlockCycles) << Block;
-          ASSERT_EQ(Got.Instructions, Want.Instructions) << Block;
+          ASSERT_EQ(Got.InterlockCycles, Want[Run].InterlockCycles) << Block;
+          ASSERT_EQ(Got.Instructions, Want[Run].Instructions) << Block;
+        }
+        Decoded.runAll(P, LoadMajor, All);
+        for (unsigned Run = 0; Run != Runs; ++Run) {
+          ASSERT_EQ(All[Run].Cycles, Want[Run].Cycles)
+              << "block " << Block << " run " << Run << " of all on "
+              << P.name() << " " << Mem->name();
+          ASSERT_EQ(All[Run].InterlockCycles, Want[Run].InterlockCycles)
+              << Block;
         }
       }
+  EXPECT_GT(MaxCycles, uint64_t(3) << 30);
 
   MetricSnapshot Want = RefRegistry.snapshot(), Got = Registry.snapshot();
   EXPECT_EQ(Got.toJson(), Want.toJson());
@@ -708,7 +834,7 @@ TEST(SimDrawsTest, HandsOutTheDrawsOfFreshStreams) {
     for (unsigned Run = 0; Run != Runs; ++Run) {
       Rng R = SimDraws::latencyStream(A.Seed, A.Block, Run);
       for (size_t K = 0; K != A.Loads; ++K)
-        ASSERT_EQ(Out.Latencies[Run * A.Loads + K], A.Memory->sampleLatency(R))
+        ASSERT_EQ(Out.Latencies[K * Runs + Run], A.Memory->sampleLatency(R))
             << A.Memory->name() << " seed " << A.Seed << " block " << A.Block
             << " run " << Run << " load " << K;
     }
@@ -717,4 +843,163 @@ TEST(SimDrawsTest, HandsOutTheDrawsOfFreshStreams) {
     EXPECT_TRUE(std::equal(Out.BootIndices.begin(), Out.BootIndices.end(),
                            Want.begin(), Want.end()));
   }
+}
+
+TEST(SimDrawsTest, ViewsStayValidWhileStreamsGrow) {
+  // Four threads ask one stream for ever more loads, so it grows under
+  // them, and after each ask re-read every view they already hold. A
+  // view must keep the first draws of each run's fresh stream: the table
+  // never writes storage it has handed out. (The tsan preset runs this.)
+  const NetworkSystem Net(30, 5);
+  constexpr unsigned Runs = 30, Resamples = 4, Threads = 4, Asks = 24;
+  constexpr size_t MaxLoads = Threads * Asks;
+  std::vector<unsigned> Want(MaxLoads * Runs);
+  for (unsigned Run = 0; Run != Runs; ++Run) {
+    Rng R = SimDraws::latencyStream(7, 3, Run);
+    for (size_t K = 0; K != MaxLoads; ++K)
+      Want[K * Runs + Run] = Net.sampleLatency(R);
+  }
+
+  SimDraws Table;
+  std::vector<std::string> Failures(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T != Threads; ++T)
+    Pool.emplace_back([&, T] {
+      std::vector<SimDraws::BlockDraws> Held;
+      for (unsigned Ask = 0; Ask != Asks; ++Ask) {
+        const size_t Loads = Ask * Threads + T + 1;
+        Table.draw(Net, 7, 3, Runs, Resamples, Loads, Held.emplace_back());
+        for (const SimDraws::BlockDraws &View : Held)
+          if (!std::equal(View.Latencies.begin(), View.Latencies.end(),
+                          Want.begin()) ||
+              View.BootIndices.size() != size_t(Runs) * Resamples) {
+            Failures[T] = "a view of " +
+                          std::to_string(View.Latencies.size() / Runs) +
+                          " loads changed by ask " + std::to_string(Ask);
+            return;
+          }
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned T = 0; T != Threads; ++T)
+    EXPECT_EQ(Failures[T], "") << "thread " << T;
+}
+
+//===----------------------------------------------------------------------===
+// Differential: every simulator path against the cycle-stepped model
+//===----------------------------------------------------------------------===
+
+TEST(SimulatorDifferentialTest, MatchesCycleSteppedModel) {
+  // The cycle-stepped model (tests/CycleSteppedSimulator.cpp) checks the
+  // issue conditions cycle by cycle, with none of the loops' shortcuts:
+  // LEN-n's running maximum of overdue completions, MAX-n's completion
+  // heap, the side-by-side lanes. Every path must agree with it.
+  const ProcessorModel Processors[] = {
+      ProcessorModel::unlimited(),       ProcessorModel::maxOutstanding(1),
+      ProcessorModel::maxOutstanding(2), ProcessorModel::maxOutstanding(8),
+      ProcessorModel::maxLength(1),      ProcessorModel::maxLength(2),
+      ProcessorModel::maxLength(8)};
+  const unsigned Widths[] = {1, 2, 4};
+  const FixedSystem Fixed(3);
+  const CacheSystem L80(0.8, 2, 10);
+  const NetworkSystem N3(3, 5), N30(30, 5);
+  const MixedSystem L80N30(0.8, 2, 30, 5);
+  const MemorySystem *Memories[] = {&Fixed, &L80, &N3, &N30, &L80N30};
+  constexpr unsigned AllRunCounts[] = {3, 30, 37};
+
+  MetricRegistry Registry;
+  DecodedBlock Decoded;
+  std::vector<unsigned> LoadMajor;
+  std::vector<BlockSimResult> All;
+  Rng G(0xC1C1E);
+  unsigned Compared = 0;
+  for (unsigned Round = 0; Round != 8; ++Round)
+    for (const ProcessorModel &Model : Processors)
+      for (unsigned Width : Widths)
+        for (const MemorySystem *Mem : Memories) {
+          ProcessorModel P = Model;
+          P.IssueWidth = Width;
+          const BasicBlock BB = randomSimBlock(G);
+          Decoded.decode(BB, LatencyModel());
+          const size_t Loads = Decoded.sampledLoads();
+          const unsigned Runs = AllRunCounts[Round % 3];
+          LoadMajor.assign(Loads * Runs, 0);
+          for (size_t K = 0; K != LoadMajor.size(); ++K)
+            LoadMajor[K] = Mem->sampleLatency(G);
+          SimInstruments Obs(Registry);
+          All.assign(Runs, BlockSimResult());
+          Decoded.runAll(P, LoadMajor, All);
+          std::vector<unsigned> Latencies(Loads);
+          for (unsigned Run = 0; Run != Runs; ++Run) {
+            for (size_t K = 0; K != Loads; ++K)
+              Latencies[K] = LoadMajor[K * Runs + Run];
+            const BlockSimResult Want =
+                cycleSteppedSimulateBlock(BB, P, Latencies);
+            const BlockSimResult Paths[] = {Decoded.run(P, Latencies),
+                                            Decoded.run(P, Latencies, &Obs),
+                                            All[Run]};
+            for (const BlockSimResult &Got : Paths) {
+              ASSERT_EQ(Got.Cycles, Want.Cycles)
+                  << "round " << Round << " run " << Run << " of " << Runs
+                  << " on " << P.name() << " width " << P.IssueWidth << " "
+                  << Mem->name() << " (path " << (&Got - Paths) << ")";
+              ASSERT_EQ(Got.InterlockCycles, Want.InterlockCycles);
+              ASSERT_EQ(Got.Instructions, Want.Instructions);
+            }
+            ++Compared;
+          }
+        }
+  EXPECT_GT(Compared, 10000u);
+}
+
+TEST(SimulatorTest, UnlimitedRunsLieInTheirLatencyEnvelope) {
+  // On UNLIMITED a step issues at the max of the step before it (plus a
+  // cycle once its slots are full) and its sources' ready cycles, so
+  // cycles never fall when one load's latency rises. Every run on a cache
+  // therefore lies between the run with every sampled load hitting and
+  // the run with every one missing, on every path and issue width.
+  struct Envelope {
+    unsigned Hit, Miss;
+  };
+  const Envelope Envelopes[] = {{2, 10}, {1, 40}};
+  constexpr unsigned Runs = 30;
+  DecodedBlock Decoded;
+  std::vector<unsigned> LoadMajor, Latencies;
+  std::vector<BlockSimResult> All(Runs);
+  Rng G(0xE7E10);
+  unsigned Strict = 0;
+  for (unsigned Block = 0; Block != 600; ++Block) {
+    const Envelope &E = Envelopes[Block % 2];
+    const CacheSystem Mem(0.8, E.Hit, E.Miss);
+    ProcessorModel P = ProcessorModel::unlimited();
+    P.IssueWidth = 1u << (Block / 2 % 3);
+    const BasicBlock BB = randomSimBlock(G);
+    Decoded.decode(BB, LatencyModel());
+    const size_t Loads = Decoded.sampledLoads();
+    const uint64_t Best =
+        Decoded.run(P, std::vector<unsigned>(Loads, E.Hit)).Cycles;
+    const uint64_t Worst =
+        Decoded.run(P, std::vector<unsigned>(Loads, E.Miss)).Cycles;
+    Strict += Best < Worst;
+    LoadMajor.assign(Loads * Runs, 0);
+    for (unsigned &Latency : LoadMajor)
+      Latency = Mem.sampleLatency(G);
+    Decoded.runAll(P, LoadMajor, All);
+    Latencies.resize(Loads);
+    for (unsigned Run = 0; Run != Runs; ++Run) {
+      ASSERT_GE(All[Run].Cycles, Best) << "block " << Block << " run " << Run;
+      ASSERT_LE(All[Run].Cycles, Worst) << "block " << Block << " run " << Run;
+      if (Loads == 0)
+        continue;
+      // One load's latency rises: the run's cycles do not fall.
+      for (size_t K = 0; K != Loads; ++K)
+        Latencies[K] = LoadMajor[K * Runs + Run];
+      const size_t Raised = G.nextBounded(Loads);
+      Latencies[Raised] += 1 + static_cast<unsigned>(G.nextBounded(20));
+      ASSERT_GE(Decoded.run(P, Latencies).Cycles, All[Run].Cycles)
+          << "block " << Block << " run " << Run << " load " << Raised;
+    }
+  }
+  EXPECT_GT(Strict, 100u);
 }
